@@ -37,6 +37,7 @@ from .model import (
     h_quadratic,
     h_reduced,
     h_variant,
+    has_real_ladder,
     in_reduced_regime,
     ladder_ops,
     make_params,
@@ -57,11 +58,9 @@ from .grids import (
     derivative_matrix,
     eigs,
     gaussian_state,
-    metric_diagonal,
     metric_log_diagonal,
     similarity_transform,
     weighted_adjoint,
-    weighted_inner,
     weighted_norm,
 )
 from .checks import (

@@ -381,19 +381,7 @@ class DiffOp:
         })
         return self._substitute_derivative(d_image)
 
-    # -- application and inspection -----------------------------------------------
-
-    def apply_to_poly(self, f: Poly) -> Poly:
-        """Apply the operator to a polynomial (exact; beta = 0 terms only)."""
-        out = Poly()
-        for b, fn in self.terms:
-            if fn.upow != 0:
-                raise ValueError("apply_to_poly requires pure polynomial coefficients")
-            g = f
-            for _ in range(b):
-                g = g.derivative()
-            out = out + fn.poly * g
-        return out
+    # -- inspection ------------------------------------------------------------
 
     def max_abs_coeff(self) -> float:
         return max((fn.max_abs() for _, fn in self.terms), default=0.0)

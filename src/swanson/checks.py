@@ -25,6 +25,7 @@ import numpy as np
 from .algebra import operators_equal
 from .grids import (
     Grid,
+    MatrixOp,
     assemble_matrix,
     build_grid,
     eigs,
@@ -44,6 +45,7 @@ from .model import (
     h_quadratic,
     h_reduced,
     h_variant,
+    has_real_ladder,
     in_reduced_regime,
     make_params,
     metric_exponent,
@@ -114,10 +116,10 @@ def draw_params(rng: np.random.Generator, regime: bool = False,
         lam = -delta if regime else rng.uniform(-0.9, 0.9)
         if abs(omega - lam - delta) < 0.05:
             continue
-        if spectrum_safe and (omega * omega < 4.0 * lam * delta
-                              or omega - lam - delta <= 0.0):
+        params = make_params(omega, lam, delta)
+        if spectrum_safe and not has_real_ladder(params):
             continue
-        return make_params(omega, lam, delta)
+        return params
 
 
 def _check_rng(seed: int, stream: int) -> np.random.Generator:
@@ -342,16 +344,16 @@ def check_numeric_residual(params: ModelParams, grid: Grid, fd_order: int = 4,
     mspec = _metric_for(params, exponent_override)
     a = assemble_matrix(_hamiltonian_for(params), grid, fd_order)
     transformed = similarity_transform(a, mspec)
-    delta = transformed.matrix - weighted_adjoint(a).matrix
+    delta = MatrixOp(transformed.matrix - weighted_adjoint(a).matrix, grid)
     probe_residuals = []
     for center in probe_centers(probes):
         psi = gaussian_state(grid, center, PROBE_WIDTH)
         probe_residuals.append(
-            weighted_norm(grid, delta @ psi)
-            / weighted_norm(grid, a.matrix @ psi))
+            weighted_norm(grid, delta.apply(psi))
+            / weighted_norm(grid, a.apply(psi)))
     interior = np.abs(grid.points) <= grid.p_max / 2.0
-    row_scale = np.abs(a.matrix[interior]).sum(axis=1).max()
-    row_residual = float(np.abs(delta[interior]).sum(axis=1).max() / row_scale)
+    row_scale = a.abs_row_sums()[interior].max()
+    row_residual = float(delta.abs_row_sums()[interior].max() / row_scale)
     if params.beta == 0.0:
         tolerance = RESIDUAL_REF[fd_order] * (grid.h / RESIDUAL_REF_H) ** fd_order
     else:
@@ -380,9 +382,7 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
     """
     anchor = "hermitized spectrum matches the closed-form oscillator ladder"
     if params.beta == 0.0:
-        oracle_ok = (params.omega ** 2 > 4.0 * params.lam * params.delta
-                     and params.omega - params.lam - params.delta > 0.0)
-        if oracle_ok:
+        if has_real_ladder(params):
             alpha = gaussian_alpha(params).exponent
             _, h0 = h0_momentum(params)
             hermitized = h0.conjugate_gaussian(alpha / 2.0)
@@ -394,6 +394,7 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
                 "eigenvalues": [float(v) for v in spectrum.eigenvalues.real],
                 "oracle": [float(v) for v in oracle],
                 "errors": [float(v) for v in errors],
+                "solver": spectrum.solver,
             }
             result = _result("spectrum", anchor, errors.max(), SPECTRUM_TOL, details)
             return result, spectrum
@@ -402,11 +403,13 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
         reason = ("omega^2 <= 4*lambda*delta"
                   if params.omega ** 2 <= 4.0 * params.lam * params.delta
                   else "omega <= lambda + delta")
-        operator = a
     else:
-        operator = assemble_matrix(h_deformed(params), grid, fd_order)
+        a = assemble_matrix(h_deformed(params), grid, fd_order)
         reason = "deformed model has no closed-form oracle here"
-    spectrum = eigs(operator, "general", levels)
+    # the half-metric similarity keeps the spectrum and makes the operator
+    # nearly normal, which the certified banded solver relies on
+    spectrum = eigs(similarity_transform(a, _metric_for(params), half=True),
+                    "general", levels)
     values = spectrum.eigenvalues
     ratios = np.abs(values.imag) / np.maximum(np.abs(values.real), 1e-300)
     details = {
@@ -414,6 +417,7 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
         "re": [float(v) for v in values.real],
         "im": [float(v) for v in values.imag],
         "reality_ratios": [float(r) for r in ratios],
+        "solver": spectrum.solver,
     }
     result = _result("spectrum",
                      "low-lying spectrum is real up to grid truncation",
@@ -631,8 +635,7 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
             lambda: convergence_study(params, conv_grids, "residual",
                                       config.fd_order, config.levels,
                                       config.probes))
-        if (params.omega ** 2 > 4.0 * params.lam * params.delta
-                and params.omega - params.lam - params.delta > 0.0):
+        if has_real_ladder(params):
             run("convergence_spectrum",
                 lambda: convergence_study(params, conv_grids, "E0",
                                           config.fd_order, config.levels,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -90,12 +91,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_beta_grid(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        entries = [float(v) for v in value]
-    else:
-        entries = [float(chunk) for chunk in str(value).split(",") if chunk.strip()]
-    if any(v < 0 for v in entries):
-        raise UsageError("beta-grid values must be >= 0")
+    chunks = value if isinstance(value, (list, tuple)) else [
+        chunk for chunk in str(value).split(",") if chunk.strip()]
+    try:
+        entries = [float(v) for v in chunks]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad beta-grid value: {exc}")
+    if not all(v >= 0 and math.isfinite(v) for v in entries):
+        raise UsageError("beta-grid values must be finite and >= 0")
     return tuple(entries)
 
 
@@ -133,13 +136,15 @@ def parse(argv) -> JobConfig:
         params = make_params(merged["omega"], merged["lam"], merged["delta"],
                              merged["m"], merged["hbar"], merged["beta"])
         build_grid(int(merged["n"]), float(merged["pmax"]))
+        fd_order, levels = int(merged["fd_order"]), int(merged["levels"])
+        probes = int(merged["probes"])
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc))
-    if int(merged["fd_order"]) not in (2, 4):
+    if fd_order not in (2, 4):
         raise UsageError("fd-order must be 2 or 4")
-    if int(merged["levels"]) < 1:
-        raise UsageError("levels must be >= 1")
-    if int(merged["probes"]) < 1:
+    if not 1 <= levels <= int(merged["n"]):
+        raise UsageError("levels must be between 1 and n")
+    if probes < 1:
         raise UsageError("probes must be >= 1")
 
     beta_grid = merged.get("beta_grid")
@@ -152,9 +157,9 @@ def parse(argv) -> JobConfig:
         params=params,
         n=int(merged["n"]),
         p_max=float(merged["pmax"]),
-        fd_order=int(merged["fd_order"]),
-        levels=int(merged["levels"]),
-        probes=int(merged["probes"]),
+        fd_order=fd_order,
+        levels=levels,
+        probes=probes,
         seed=int(merged["seed"]),
         out=merged.get("out"),
         beta_grid=beta_grid,

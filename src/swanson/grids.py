@@ -1,4 +1,4 @@
-"""Finite-dimensional matrix images of differential operators.
+"""Banded matrix images of differential operators.
 
 Operators are discretized on a uniform, symmetric momentum grid with
 central finite-difference stencils (accuracy order 2 or 4) and Dirichlet
@@ -8,13 +8,20 @@ inner products approximate the flat (kappa = 0) or deformed (kappa = -1)
 scalar product, and adjoints/metric conjugations are available as exact
 matrix operations with respect to those weights.
 
-Metrics are applied through their log-diagonal, entry by entry on the
-nonzero pattern, so e^(alpha*p^2)-sized factors never have to be
+Every operator of the model has derivative order <= 2, so its image is a
+band matrix of half-bandwidth bw = fd_order/2 (pentadiagonal at fourth
+order).  It is stored, transformed and diagonalised as its 2*bw+1
+diagonals: memory and assembly are O(n), and no production path forms
+an n x n array except the dense eigensolver fallback.
+
+Metrics are applied through their log-diagonal, diagonal by diagonal on
+the nonzero entries, so e^(alpha*p^2)-sized factors never have to be
 materialized when only ratios are needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +30,16 @@ import scipy.linalg
 from .algebra import DiffOp
 from .model import MetricSpec
 
-# Entries of log(metric) above this cannot be exponentiated in float64.
-LOG_OVERFLOW = 700.0
-
 # Relative symmetry slack accepted by the weighted self-adjoint eigensolver.
 SELFADJOINT_RTOL = 1e-10
+
+# Eigenvalues ARPACK returns beyond the requested levels, and the shift's
+# depth below the bound lo in units of the bound s (see
+# _certified_shift_invert).  Both widen the certified region; these
+# values certify every deformed grid of the sweep and verify workloads
+# whose low spectrum is real.
+ARPACK_EXTRA = 8
+SHIFT_DEPTH = 2.0
 
 _STENCILS = {
     (1, 2): {-1: -0.5, 1: 0.5},
@@ -56,12 +68,12 @@ def build_grid(n: int, p_max: float, measure_power: int = 0,
     n = int(n)
     if n < 5 or n % 2 == 0:
         raise ValueError("n must be an odd integer >= 5")
-    if not p_max > 0:
-        raise ValueError("p_max must be > 0")
+    if not (p_max > 0 and math.isfinite(p_max)):
+        raise ValueError("p_max must be finite and > 0")
     if measure_power not in (0, -1):
         raise ValueError("measure_power must be 0 or -1")
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not (beta >= 0 and math.isfinite(beta)):
+        raise ValueError("beta must be finite and >= 0")
     h = 2.0 * p_max / (n - 1)
     # integer-centered construction keeps the grid exactly symmetric and
     # guarantees p = 0 is a grid point
@@ -75,14 +87,66 @@ def build_grid(n: int, p_max: float, measure_power: int = 0,
 
 @dataclass(frozen=True)
 class MatrixOp:
-    """Dense complex matrix image of an operator on a grid."""
+    """Complex band-matrix image of an operator on a grid.
+
+    ``matrix`` has shape (2*bw+1, n) and holds the diagonals in LAPACK
+    general-band layout, ``matrix[bw + i - j, j] = A[i, j]``: row r is the
+    diagonal i - j = r - bw, aligned by column.  Slots that fall outside
+    the n x n matrix are zero.
+    """
 
     matrix: np.ndarray
     grid: Grid
 
+    @property
+    def bw(self) -> int:
+        return (self.matrix.shape[0] - 1) // 2
+
+    def slot_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Matrix row i of every band slot (clipped into range) and the
+        mask of slots inside the matrix."""
+        bw, n = self.bw, self.grid.n
+        rows = np.arange(n) + np.arange(-bw, bw + 1)[:, None]
+        inside = (rows >= 0) & (rows < n)
+        return np.clip(rows, 0, n - 1), inside
+
+    def apply(self, vector: np.ndarray) -> np.ndarray:
+        """Matrix-vector product A @ vector."""
+        return _sum_rows(self.matrix * vector, *self.slot_rows())
+
+    def abs_row_sums(self) -> np.ndarray:
+        """sum_j |A_ij| for every row i."""
+        return _sum_rows(np.abs(self.matrix), *self.slot_rows())
+
+    def to_dense(self) -> np.ndarray:
+        rows, inside = self.slot_rows()
+        cols = np.broadcast_to(np.arange(self.grid.n), rows.shape)
+        dense = np.zeros((self.grid.n, self.grid.n), dtype=self.matrix.dtype)
+        dense[rows[inside], cols[inside]] = self.matrix[inside]
+        return dense
+
+
+def _sum_rows(values: np.ndarray, rows: np.ndarray,
+              inside: np.ndarray) -> np.ndarray:
+    """Sum of a band-shaped array over the slots of each matrix row."""
+    n = rows.shape[1]
+    index, values = rows[inside], values[inside]
+    total = np.bincount(index, values.real, n)
+    if np.iscomplexobj(values):
+        total = total + 1j * np.bincount(index, values.imag, n)
+    return total
+
+
+def _conj_transpose(band: np.ndarray, rows: np.ndarray,
+                    inside: np.ndarray) -> np.ndarray:
+    """Band of A^H: diagonal i - j = m of A^H is the conjugate of
+    diagonal -m of A, shifted by m along the columns."""
+    return np.where(inside,
+                    np.take_along_axis(band[::-1], rows, axis=1).conj(), 0.0)
+
 
 def derivative_matrix(grid: Grid, order: int, fd_order: int = 4) -> MatrixOp:
-    """Central finite-difference matrix for d^order/dp^order.
+    """Central finite-difference band for d^order/dp^order.
 
     Rows near the boundary simply drop the out-of-range stencil points
     (Dirichlet truncation).
@@ -90,52 +154,48 @@ def derivative_matrix(grid: Grid, order: int, fd_order: int = 4) -> MatrixOp:
     key = (order, fd_order)
     if key not in _STENCILS:
         raise ValueError("order must be 1 or 2 and fd_order 2 or 4")
-    stencil = _STENCILS[key]
-    width = 2 * max(abs(k) for k in stencil) + 1
-    if width > grid.n:
+    bw = fd_order // 2
+    if 2 * bw + 1 > grid.n:
         raise ValueError("stencil wider than grid")
-    mat = np.zeros((grid.n, grid.n), dtype=complex)
+    n = grid.n
+    band = np.zeros((2 * bw + 1, n), dtype=complex)
     scale = grid.h ** order
-    for offset, coeff in stencil.items():
-        mat += np.eye(grid.n, k=offset, dtype=complex) * (coeff / scale)
-    return MatrixOp(mat, grid)
+    for offset, coeff in _STENCILS[key].items():
+        # entry (i, i + offset) sits in row bw - offset, column i + offset
+        band[bw - offset, max(offset, 0):n + min(offset, 0)] = coeff / scale
+    return MatrixOp(band, grid)
 
 
 def assemble_matrix(op: DiffOp, grid: Grid, fd_order: int = 4) -> MatrixOp:
-    """sum_b diag(f_b(p_i)) @ D^b with f_b evaluated exactly.
+    """sum_b diag(f_b(p_i)) @ D^b with f_b evaluated exactly, summed
+    straight into the diagonals.
 
     D^2 uses the dedicated second-derivative stencil rather than the
     square of the first-derivative matrix, which would decouple even and
-    odd sublattices; higher orders compose the two.
+    odd sublattices.  Derivative orders above 2 are rejected.
     """
     if op.beta != grid.beta:
         raise ValueError("operator and grid beta differ")
-    n = grid.n
-    cache: dict[int, np.ndarray] = {0: np.eye(n, dtype=complex)}
-
-    def deriv_power(b: int) -> np.ndarray:
-        if b not in cache:
-            if b == 1:
-                cache[1] = derivative_matrix(grid, 1, fd_order).matrix
-            elif b == 2:
-                cache[2] = derivative_matrix(grid, 2, fd_order).matrix
-            else:
-                cache[b] = deriv_power(2) @ deriv_power(b - 2)
-        return cache[b]
-
-    out = np.zeros((n, n), dtype=complex)
+    bw = fd_order // 2
+    out = MatrixOp(np.zeros((2 * bw + 1, grid.n), dtype=complex), grid)
+    band = out.matrix
+    rows, _ = out.slot_rows()
     for b, fn in op.terms:
         values = np.asarray(fn(grid.points), dtype=complex)
-        out += values[:, None] * deriv_power(b)
-    return MatrixOp(out, grid)
+        if b == 0:
+            band[bw] += values
+        else:
+            band += values[rows] * derivative_matrix(grid, b, fd_order).matrix
+    return out
 
 
 def weighted_adjoint(a: MatrixOp) -> MatrixOp:
     """Adjoint with respect to the grid's weighted inner product:
     W^(-1) @ A^H @ W with W = diag(weights)."""
     w = a.grid.weights
-    mat = a.matrix.conj().T * (w[None, :] / w[:, None])
-    return MatrixOp(mat, a.grid)
+    rows, inside = a.slot_rows()
+    return MatrixOp(_conj_transpose(a.matrix, rows, inside) * (w / w[rows]),
+                    a.grid)
 
 
 def metric_log_diagonal(spec: MetricSpec, grid: Grid) -> np.ndarray:
@@ -150,44 +210,34 @@ def metric_log_diagonal(spec: MetricSpec, grid: Grid) -> np.ndarray:
     return spec.exponent * p2
 
 
-def metric_diagonal(spec: MetricSpec, grid: Grid, half: bool = False) -> MatrixOp:
-    """Materialized diagonal metric (or its half power).
-
-    Refuses to exponentiate when a log entry exceeds the float64 range;
-    use similarity_transform, which works on log ratios, instead.
-    """
-    log_diag = metric_log_diagonal(spec, grid)
-    if half:
-        log_diag = 0.5 * log_diag
-    if np.max(np.abs(log_diag)) > LOG_OVERFLOW:
-        raise ValueError("metric overflows float64; use the log-ratio pathway")
-    return MatrixOp(np.diag(np.exp(log_diag)).astype(complex), grid)
-
-
 def similarity_transform(a: MatrixOp, spec: MetricSpec,
                          half: bool = False) -> MatrixOp:
-    """eta @ A @ eta^(-1) computed entry-wise as A_ij * exp(L_i - L_j)
-    (L halved when ``half``), touching only the nonzero pattern of A so
-    banded operators never see overflowing metric entries."""
+    """eta @ A @ eta^(-1) computed per diagonal as A_ij * exp(L_i - L_j)
+    (L halved when ``half``), touching only the nonzero entries so banded
+    operators never see overflowing metric entries."""
     log_diag = metric_log_diagonal(spec, a.grid)
-    factor = 0.5 if half else 1.0
-    rows, cols = np.nonzero(a.matrix)
-    out = np.zeros_like(a.matrix)
-    scale = np.exp(factor * (log_diag[rows] - log_diag[cols]))
-    out[rows, cols] = a.matrix[rows, cols] * scale
-    bad = ~np.isfinite(out[rows, cols])
+    if half:
+        log_diag = 0.5 * log_diag
+    rows, _ = a.slot_rows()
+    exponent = np.where(a.matrix != 0, log_diag[rows] - log_diag, 0.0)
+    out = a.matrix * np.exp(exponent)
+    bad = ~np.isfinite(out)
     if np.any(bad):
-        where = list(zip(rows[bad][:5].tolist(), cols[bad][:5].tolist()))
+        slot, cols = np.nonzero(bad)
+        where = list(zip(rows[slot, cols][:5].tolist(), cols[:5].tolist()))
         raise ValueError(f"non-finite transformed entries at {where}")
     return MatrixOp(out, a.grid)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Low-lying eigenvalues sorted by (Re, Im) ascending."""
+    """Low-lying eigenvalues sorted by (Re, Im) ascending, and the solver
+    that produced them: "eig_banded", "arpack-shift-invert" or
+    "dense-fallback"."""
 
     eigenvalues: np.ndarray
     levels: int
+    solver: str
 
 
 def _sorted_eigenvalues(values: np.ndarray) -> np.ndarray:
@@ -195,36 +245,101 @@ def _sorted_eigenvalues(values: np.ndarray) -> np.ndarray:
     return values[order]
 
 
-def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
-    """Dense eigen-decomposition returning the lowest ``levels`` eigenvalues.
+def _real_if_possible(values: np.ndarray) -> np.ndarray:
+    return values.real if not np.any(values.imag) else values
 
-    kind="general" uses a nonsymmetric solver.  kind="selfadjoint-weighted"
-    requires A to equal its weighted adjoint (within a small relative
-    slack), symmetrizes via W^(1/2) A W^(-1/2), and solves the Hermitian
-    problem.
+
+def _hermitian_and_skew(a: MatrixOp) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of the Hermitian and skew-Hermitian parts of
+    S = W^(1/2) A W^(-1/2), which is similar to A and Hermitian exactly
+    when A is self-adjoint under the grid inner product."""
+    sqrt_w = np.sqrt(a.grid.weights)
+    rows, inside = a.slot_rows()
+    sym = a.matrix * (sqrt_w[rows] / sqrt_w)
+    sym_h = _conj_transpose(sym, rows, inside)
+    return 0.5 * (sym + sym_h), 0.5 * (sym - sym_h)
+
+
+def _lowest_hermitian(band: np.ndarray, count: int) -> np.ndarray:
+    """Lowest ``count`` eigenvalues of a Hermitian band matrix (LAPACK
+    *hbevx / *sbevx on its upper half)."""
+    bw = (band.shape[0] - 1) // 2
+    return scipy.linalg.eig_banded(_real_if_possible(band[:bw + 1]),
+                                   eigvals_only=True, select="i",
+                                   select_range=(0, count - 1))
+
+
+def _dense_spectrum(a: MatrixOp, levels: int) -> Spectrum:
+    vals = scipy.linalg.eigvals(_real_if_possible(a.to_dense()))
+    return Spectrum(_sorted_eigenvalues(vals)[:levels], levels, "dense-fallback")
+
+
+def _certified_shift_invert(a: MatrixOp, levels: int) -> Spectrum | None:
+    """Lowest ``levels`` eigenvalues by ARPACK shift-invert, or None when
+    ARPACK fails or the result cannot be certified.
+
+    With S = W^(1/2) A W^(-1/2), every eigenvalue has Re >= lo, the lowest
+    eigenvalue of the Hermitian part of S, and |Im| <= s, a Gershgorin
+    bound on its skew part.  The shift sigma sits below lo, so ARPACK
+    returns the k eigenvalues nearest sigma; every other one lies at
+    distance >= r_k (the largest returned distance), hence has
+    (Re - sigma)^2 >= r_k^2 - s^2.  When that exceeds (x_L - sigma)^2,
+    x_L the real part of the last kept level, no eigenvalue left out can
+    sort before the kept ones.
     """
-    mat = a.matrix
-    levels = min(int(levels), a.grid.n)
+    # deferred: only this solver needs scipy.sparse, which costs about
+    # 40 ms of start-up
+    import scipy.sparse.linalg
+
+    n = a.grid.n
+    k = levels + ARPACK_EXTRA
+    if k >= n - 1:
+        return None
+    herm, skew = _hermitian_and_skew(a)
+    lo = float(_lowest_hermitian(herm, 1)[0])
+    # |skew| is symmetric, so its column sums are its Gershgorin row sums
+    s = float(np.abs(skew).sum(axis=0).max())
+    sigma = lo - SHIFT_DEPTH * max(s, 1e-3 * max(1.0, abs(lo)))
+    # a fixed start vector keeps reports reproducible within a process
+    v0 = np.random.default_rng(0).standard_normal(n)
+    offsets = a.bw - np.arange(a.matrix.shape[0])
+    matrix = scipy.sparse.dia_array((_real_if_possible(a.matrix), offsets),
+                                    shape=(n, n)).tocsc()
+    try:
+        values = scipy.sparse.linalg.eigs(matrix, k=k, sigma=sigma, v0=v0,
+                                          return_eigenvectors=False)
+    except scipy.sparse.linalg.ArpackNoConvergence:
+        return None
+    kept = _sorted_eigenvalues(values)[:levels]
+    r_k = float(np.abs(values - sigma).max())
+    if r_k ** 2 - s ** 2 < (kept[-1].real - sigma) ** 2:
+        return None
+    return Spectrum(kept, levels, "arpack-shift-invert")
+
+
+def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
+    """The lowest ``levels`` eigenvalues of a band operator.
+
+    kind="general" uses certified ARPACK shift-invert on the band
+    (see _certified_shift_invert) and falls back to a dense nonsymmetric
+    solve when that is impossible (levels close to n) or uncertified.
+    kind="selfadjoint-weighted" requires A to equal its weighted adjoint
+    (within a small relative slack), symmetrizes via W^(1/2) A W^(-1/2),
+    and solves the Hermitian band problem.
+    """
+    levels = int(levels)
+    if not 0 < levels <= a.grid.n:
+        raise ValueError(f"levels must be between 1 and n = {a.grid.n}")
     if kind == "general":
-        if np.all(mat.imag == 0.0):
-            vals = scipy.linalg.eigvals(mat.real)
-        else:
-            vals = scipy.linalg.eigvals(mat)
-        return Spectrum(_sorted_eigenvalues(vals)[:levels], levels)
+        return _certified_shift_invert(a, levels) or _dense_spectrum(a, levels)
     if kind == "selfadjoint-weighted":
         gap = np.linalg.norm(a.matrix - weighted_adjoint(a).matrix)
         norm = np.linalg.norm(a.matrix)
         if gap > SELFADJOINT_RTOL * max(norm, 1.0):
             raise ValueError("matrix is not self-adjoint under the grid "
                              f"inner product (gap {gap:.3e}, norm {norm:.3e})")
-        sqrt_w = np.sqrt(a.grid.weights)
-        sym = (sqrt_w[:, None] * mat) / sqrt_w[None, :]
-        sym = 0.5 * (sym + sym.conj().T)
-        if np.all(sym.imag == 0.0):
-            vals = scipy.linalg.eigvalsh(sym.real)
-        else:
-            vals = scipy.linalg.eigvalsh(sym)
-        return Spectrum(np.asarray(vals[:levels], dtype=complex), levels)
+        vals = _lowest_hermitian(_hermitian_and_skew(a)[0], levels)
+        return Spectrum(np.asarray(vals, dtype=complex), levels, "eig_banded")
     raise ValueError(f"unknown eigensolver kind {kind!r}")
 
 
@@ -235,10 +350,6 @@ def gaussian_state(grid: Grid, center: float = 0.0, width: float = 1.0) -> np.nd
         raise ValueError("width must be > 0")
     psi = np.exp(-((grid.points - center) ** 2) / (2.0 * width ** 2))
     return psi / weighted_norm(grid, psi)
-
-
-def weighted_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> complex:
-    return complex(np.sum(grid.weights * np.conj(f) * g))
 
 
 def weighted_norm(grid: Grid, f: np.ndarray) -> float:

@@ -54,6 +54,9 @@ class ModelParams:
     mu: float = field(init=False)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.omega, self.lam, self.delta,
+                                              self.m, self.hbar, self.beta)):
+            raise ValueError("parameters must be finite")
         if not self.omega > 0:
             raise ValueError("omega must be > 0")
         if not self.m > 0:
@@ -337,19 +340,24 @@ def gaussian_alpha(params: ModelParams) -> MetricSpec:
     return MetricSpec("gaussian", alpha, 0.0)
 
 
+def has_real_ladder(params: ModelParams) -> bool:
+    """True when omega^2 > 4*lam*delta and omega > lam + delta: the
+    hermitized H0 is then a bona fide oscillator with a real ascending
+    ladder, and oscillator_levels applies."""
+    return (params.omega ** 2 > 4.0 * params.lam * params.delta
+            and params.omega - params.lam - params.delta > 0.0)
+
+
 def oscillator_levels(params: ModelParams, count: int):
     """Closed-form low-lying spectrum (n + 1/2)*sqrt(omega^2 - 4*lam*delta).
 
     Obtained by hermitizing H0 with the half-power Gaussian metric, which
     removes the p*D term and leaves Q*D^2 + (S - R^2/(4Q))*p^2 with
     |Q|*(S - R^2/(4Q)) = (omega^2 - 4*lam*delta)/4; m and hbar cancel.
-    Requires omega^2 > 4*lam*delta and omega > lam + delta so the
-    hermitized operator is a bona fide oscillator with ascending ladder.
+    Requires has_real_ladder(params).
     """
-    disc = params.omega ** 2 - 4.0 * params.lam * params.delta
-    if disc <= 0:
-        raise ValueError("no real oscillator ladder: omega^2 <= 4*lambda*delta")
-    if not params.omega - params.lam - params.delta > 0:
-        raise ValueError("no ascending ladder: omega <= lambda + delta")
-    root = math.sqrt(disc)
+    if not has_real_ladder(params):
+        raise ValueError("no real ascending oscillator ladder: needs "
+                         "omega^2 > 4*lambda*delta and omega > lambda + delta")
+    root = math.sqrt(params.omega ** 2 - 4.0 * params.lam * params.delta)
     return [(n + 0.5) * root for n in range(count)]

@@ -250,9 +250,15 @@ class TestSuite:
             assert check.paper_anchor
 
     def test_deterministic_reports(self):
-        first = run_suite(P1, SuiteConfig(n=301)).to_json_dict("T")
-        second = run_suite(P1, SuiteConfig(n=301)).to_json_dict("T")
-        assert first == second
+        for params, config in ((P1, SuiteConfig(n=301)),
+                               (P1_DEFORMED, SuiteConfig(n=301, p_max=20.0))):
+            first = run_suite(params, config).to_json_dict("T")
+            second = run_suite(params, config).to_json_dict("T")
+            assert first == second
+        # the deformed suite reaches the ARPACK solver, whose start vector
+        # would otherwise differ from call to call
+        solvers = {c["details"].get("solver") for c in first["checks"]}
+        assert "arpack-shift-invert" in solvers
 
     def test_negative_control_names_failing_checks(self):
         config = SuiteConfig(n=301, exponent_override=3.0)

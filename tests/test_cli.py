@@ -63,6 +63,19 @@ class TestParse:
     def test_unknown_flag_exit_code(self):
         assert main(["verify", *P1_FLAGS, "--frequency", "2"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--levels", "100000"],
+        ["--lambda", "nan"],
+        ["--beta", "nan"],
+        ["--pmax", "inf"],
+        ["--beta", "inf"],
+        ["--beta-grid", "0.1,nan"],
+    ])
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    def test_out_of_range_values_exit_two(self, command, flags, capsys):
+        assert main([command, *P1_FLAGS, "--n", "101", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_config_file(self):
         with pytest.raises(UsageError, match="config"):
             parse(["verify", *P1_FLAGS, "--config", "/nonexistent.json"])
