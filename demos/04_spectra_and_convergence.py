@@ -47,7 +47,7 @@ print("=" * 64)
 print("Deformed model: how real is the truncated spectrum?")
 print("=" * 64)
 params = with_beta(P1, 0.1)
-grids = [build_grid(n, pm, -1, 0.1)
+grids = [build_grid(n, pm, 0.1)
          for n, pm in ((401, 20.0), (801, 40.0), (1201, 60.0))]
 study = convergence_study(params, grids, "reality")
 print(f"{'p_max':>8} {'n':>6} {'lowest 3 Re(E)':>42} {'max |Im/Re|':>12}")

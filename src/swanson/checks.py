@@ -16,6 +16,7 @@ are reported, not thresholded).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -68,6 +69,7 @@ SPECTRUM_TOL = 1e-4
 # (|center| + 3*width <= 3).
 PROBE_SPAN = 1.5
 PROBE_WIDTH = 0.5
+PROBE_CENTERS = np.linspace(-PROBE_SPAN, PROBE_SPAN, 5)
 
 # Reality ratios below this are treated as converged to zero when judging
 # monotone decrease with grid extent.
@@ -128,6 +130,11 @@ def _check_rng(seed: int, stream: int) -> np.random.Generator:
 
 # -- symbolic checks --------------------------------------------------------------
 
+# The randomized checks depend on their arguments only (seed, draws,
+# betas) and are cached, one small entry per seed, so a sweep runs them
+# once and not once per beta.  Callers share the cached results and must
+# not mutate their details.
+
 
 def check_expansion(params: ModelParams) -> CheckResult:
     """Ladder-operator form versus the quadratic form in x and p."""
@@ -136,6 +143,7 @@ def check_expansion(params: ModelParams) -> CheckResult:
                    cmp.residual, SYMBOLIC_TOL)
 
 
+@functools.cache
 def check_expansion_randomized(seed: int, draws: int = 100) -> CheckResult:
     rng = _check_rng(seed, 1)
     worst = 0.0
@@ -156,8 +164,7 @@ def check_expansion_randomized(seed: int, draws: int = 100) -> CheckResult:
 def _variant_residual(params: ModelParams) -> tuple[float, dict]:
     """max of (reduced vs quadratic) and (difference vs closed form)."""
     reduced = h_reduced(params)
-    quadratic = h_quadratic(params) if params.beta == 0 else h_deformed(params)
-    r_reduction = operators_equal(reduced, quadratic).residual
+    r_reduction = operators_equal(reduced, _hamiltonian_for(params)).residual
     difference = reduced - h_variant(params)
     r_difference = operators_equal(
         difference, reduced_variant_difference(params)).residual
@@ -182,6 +189,7 @@ def check_variant_discrepancy(params: ModelParams) -> CheckResult:
                    residual, SYMBOLIC_TOL, details)
 
 
+@functools.cache
 def check_variant_discrepancy_randomized(seed: int, draws: int = 100) -> CheckResult:
     rng = _check_rng(seed, 2)
     worst = 0.0
@@ -219,8 +227,7 @@ def check_adjoint(params: ModelParams) -> CheckResult:
 
 def _gaussian_similarity_residual(params: ModelParams,
                                   exponent_override: float | None = None) -> tuple[float, float]:
-    spec = gaussian_alpha(params)
-    alpha = spec.exponent if exponent_override is None else exponent_override
+    alpha = _metric_for(params, exponent_override).exponent
     _, h0 = h0_momentum(params)
     cmp = operators_equal(h0.conjugate_gaussian(alpha), h0.adjoint(0))
     return cmp.residual, alpha
@@ -228,8 +235,7 @@ def _gaussian_similarity_residual(params: ModelParams,
 
 def _deformed_similarity_residual(params: ModelParams,
                                   exponent_override: float | None = None) -> tuple[float, float]:
-    spec = metric_exponent(params)
-    exponent = spec.exponent if exponent_override is None else exponent_override
+    exponent = _metric_for(params, exponent_override).exponent
     h = h_deformed(params)
     cmp = operators_equal(h.conjugate_power_metric(exponent), h.adjoint(-1))
     return cmp.residual, exponent
@@ -252,6 +258,7 @@ def check_pseudo_symbolic(params: ModelParams,
                    residual, SYMBOLIC_TOL, {"exponent": exponent})
 
 
+@functools.cache
 def check_gaussian_similarity_randomized(seed: int, draws: int = 100) -> CheckResult:
     rng = _check_rng(seed, 3)
     worst = 0.0
@@ -263,6 +270,7 @@ def check_gaussian_similarity_randomized(seed: int, draws: int = 100) -> CheckRe
                    worst, SYMBOLIC_TOL, {"draws": draws})
 
 
+@functools.cache
 def check_deformed_similarity_randomized(seed: int, draws: int = 30,
                                          betas=(0.01, 0.1, 1.0)) -> CheckResult:
     rng = _check_rng(seed, 4)
@@ -307,14 +315,6 @@ def check_metric_limit(params: ModelParams, beta_small: float = 1e-6,
 # -- numeric checks ------------------------------------------------------------------
 
 
-def probe_centers(count: int) -> np.ndarray:
-    if count < 1:
-        raise ValueError("need at least one probe")
-    if count == 1:
-        return np.zeros(1)
-    return np.linspace(-PROBE_SPAN, PROBE_SPAN, count)
-
-
 def _metric_for(params: ModelParams,
                 exponent_override: float | None = None) -> MetricSpec:
     spec = gaussian_alpha(params) if params.beta == 0.0 else metric_exponent(params)
@@ -331,7 +331,6 @@ def _hamiltonian_for(params: ModelParams):
 
 
 def check_numeric_residual(params: ModelParams, grid: Grid, fd_order: int = 4,
-                           probes: int = 5,
                            exponent_override: float | None = None) -> CheckResult:
     """Discrete pseudo-Hermiticity on probe states:
 
@@ -346,7 +345,7 @@ def check_numeric_residual(params: ModelParams, grid: Grid, fd_order: int = 4,
     transformed = similarity_transform(a, mspec)
     delta = MatrixOp(transformed.matrix - weighted_adjoint(a).matrix, grid)
     probe_residuals = []
-    for center in probe_centers(probes):
+    for center in PROBE_CENTERS:
         psi = gaussian_state(grid, center, PROBE_WIDTH)
         probe_residuals.append(
             weighted_norm(grid, delta.apply(psi))
@@ -388,7 +387,7 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
             hermitized = h0.conjugate_gaussian(alpha / 2.0)
             a = assemble_matrix(hermitized, grid, fd_order)
             spectrum = eigs(a, "selfadjoint-weighted", levels)
-            oracle = np.array(oscillator_levels(params, spectrum.levels))
+            oracle = np.array(oscillator_levels(params, levels))
             errors = np.abs(spectrum.eigenvalues.real - oracle)
             details = {
                 "eigenvalues": [float(v) for v in spectrum.eigenvalues.real],
@@ -401,7 +400,8 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
         _, h0 = h0_momentum(params)
         a = assemble_matrix(h0, grid, fd_order)
         reason = ("omega^2 <= 4*lambda*delta"
-                  if params.omega ** 2 <= 4.0 * params.lam * params.delta
+                  if params.omega * params.omega
+                  <= 4.0 * params.lam * params.delta
                   else "omega <= lambda + delta")
     else:
         a = assemble_matrix(h_deformed(params), grid, fd_order)
@@ -426,8 +426,7 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
 
 
 def convergence_study(params: ModelParams, grids: list[Grid], target: str,
-                      fd_order: int = 4, levels: int = 6,
-                      probes: int = 5) -> CheckResult:
+                      fd_order: int = 4, levels: int = 6) -> CheckResult:
     """Fit the observed convergence order across >= 3 grids.
 
     target="E0" and target="residual" (undeformed) pass when the fitted
@@ -448,7 +447,7 @@ def convergence_study(params: ModelParams, grids: list[Grid], target: str,
             anchor = "ground-state error decreases at the stencil order"
             name = "convergence_spectrum"
         else:
-            errors = [check_numeric_residual(params, grid, fd_order, probes).residual
+            errors = [check_numeric_residual(params, grid, fd_order).residual
                       for grid in grids]
             anchor = ("probe residual of the discrete metric conjugation "
                       "decreases at the stencil order")
@@ -468,13 +467,10 @@ def convergence_study(params: ModelParams, grids: list[Grid], target: str,
         ratios = []
         spectra = []
         for grid in grids:
-            result, spectrum = check_spectrum(params, grid, fd_order, min(levels, 3))
-            values = spectrum.eigenvalues
-            ratio = float(np.max(np.abs(values.imag)
-                                 / np.maximum(np.abs(values.real), 1e-300)))
-            ratios.append(ratio)
-            spectra.append({"re": [float(v) for v in values.real],
-                            "im": [float(v) for v in values.imag]})
+            result, _ = check_spectrum(params, grid, fd_order, min(levels, 3))
+            ratios.append(result.residual)
+            spectra.append({"re": result.details["re"],
+                            "im": result.details["im"]})
         floored = [r if r > REALITY_FLOOR else 0.0 for r in ratios]
         violations = [floored[k + 1] - floored[k]
                       for k in range(len(floored) - 1)
@@ -505,7 +501,6 @@ class SuiteConfig:
     p_max: float = 10.0
     fd_order: int = 4
     levels: int = 6
-    probes: int = 5
     seed: int = 42
     exponent_override: float | None = None
 
@@ -574,8 +569,7 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
     """Run every applicable check in a fixed order; individual check
     failures (and errors) never abort the suite."""
     undeformed = with_beta(params, 0.0)
-    kappa = 0 if params.beta == 0.0 else -1
-    grid = build_grid(config.n, config.p_max, kappa, params.beta)
+    grid = build_grid(config.n, config.p_max, params.beta)
 
     checks: list[CheckResult] = []
     spectra: dict = {}
@@ -615,7 +609,7 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
             beta_small=params.beta if params.beta > 0.0 else 1e-6))
     run("numeric_residual",
         lambda: check_numeric_residual(params, grid, config.fd_order,
-                                       config.probes, config.exponent_override))
+                                       config.exponent_override))
 
     def spectrum_check():
         result, spectrum = check_spectrum(params, grid, config.fd_order,
@@ -630,24 +624,21 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
 
     if params.beta == 0.0:
         ns = [_halved(_halved(config.n)), _halved(config.n), config.n]
-        conv_grids = [build_grid(nk, config.p_max, 0, 0.0) for nk in ns]
+        conv_grids = [build_grid(nk, config.p_max) for nk in ns]
         run("convergence_residual",
             lambda: convergence_study(params, conv_grids, "residual",
-                                      config.fd_order, config.levels,
-                                      config.probes))
+                                      config.fd_order, config.levels))
         if has_real_ladder(params):
             run("convergence_spectrum",
                 lambda: convergence_study(params, conv_grids, "E0",
-                                          config.fd_order, config.levels,
-                                          config.probes))
+                                          config.fd_order, config.levels))
     else:
         fractions = (1.0 / 3.0, 2.0 / 3.0, 1.0)
         conv_grids = [build_grid(_scaled_odd(config.n, f), config.p_max * f,
-                                 -1, params.beta) for f in fractions]
+                                 params.beta) for f in fractions]
         run("convergence_reality",
             lambda: convergence_study(params, conv_grids, "reality",
-                                      config.fd_order, config.levels,
-                                      config.probes))
+                                      config.fd_order, config.levels))
 
     return Report(params=params, grid_summary=config.grid_summary(params.beta),
                   checks=checks, spectra=spectra or None,

@@ -1,10 +1,11 @@
 """Command-line front end: verify / spectrum / sweep.
 
 Configuration comes from flags, optionally seeded by a flat JSON config
-file (same keys as the flags with dashes turned into underscores); flags
-override the file.  Reports are JSON, spectra are CSV with 17 significant
-digits so that 64-bit floats round-trip.  Exit codes: 0 all checks
-passed, 1 at least one verification failure, 2 usage/config/I-O error.
+file (same keys as the flags with dashes turned into underscores; any
+other key is an error); flags override the file.  Reports are JSON,
+spectra are CSV with 17 significant digits so that 64-bit floats
+round-trip.  Exit codes: 0 all checks passed, 1 at least one
+verification failure, 2 usage/config/I-O error.
 """
 
 from __future__ import annotations
@@ -16,20 +17,22 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .checks import Report, SuiteConfig, check_spectrum, run_suite
-from .grids import build_grid
-from .model import ModelParams, make_params, oscillator_levels, with_beta
+import numpy as np
 
+from .checks import SuiteConfig, check_spectrum, run_suite
+from .grids import build_grid
+from .model import ModelParams, make_params, with_beta
+
+_SUITE = SuiteConfig()
 DEFAULTS = {
     "m": 1.0,
     "hbar": 1.0,
     "beta": 0.0,
-    "n": 1001,
-    "pmax": 10.0,
-    "fd_order": 4,
-    "levels": 6,
-    "probes": 5,
-    "seed": 42,
+    "n": _SUITE.n,
+    "pmax": _SUITE.p_max,
+    "fd_order": _SUITE.fd_order,
+    "levels": _SUITE.levels,
+    "seed": _SUITE.seed,
 }
 
 
@@ -41,21 +44,9 @@ class UsageError(Exception):
 class JobConfig:
     command: str
     params: ModelParams
-    n: int
-    p_max: float
-    fd_order: int
-    levels: int
-    probes: int
-    seed: int
+    suite: SuiteConfig
     out: str | None
     beta_grid: tuple | None
-    exponent_override: float | None
-
-    def suite_config(self) -> SuiteConfig:
-        return SuiteConfig(n=self.n, p_max=self.p_max, fd_order=self.fd_order,
-                           levels=self.levels, probes=self.probes,
-                           seed=self.seed,
-                           exponent_override=self.exponent_override)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,6 +100,7 @@ def parse(argv) -> JobConfig:
     namespace = parser.parse_args(argv)
     flags = {key: value for key, value in vars(namespace).items()
              if key != "command" and value is not None}
+    keys = vars(namespace).keys() - {"command", "config"}
 
     merged = dict(DEFAULTS)
     config_path = flags.pop("config", None)
@@ -120,10 +112,12 @@ def parse(argv) -> JobConfig:
             raise UsageError(f"cannot read config file {config_path}: {exc}")
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a flat JSON object")
-        for key, value in file_values.items():
-            key = key.replace("-", "_")
+        for raw_key, value in file_values.items():
+            key = raw_key.replace("-", "_")
             if key == "lambda":
                 key = "lam"
+            if key not in keys:
+                raise UsageError(f"unknown config-file key {raw_key!r}")
             merged[key] = value
     merged.update(flags)
 
@@ -132,39 +126,32 @@ def parse(argv) -> JobConfig:
             flag = "lambda" if name == "lam" else name
             raise UsageError(f"missing required parameter --{flag}")
 
+    override = merged.get("exponent_override")
     try:
         params = make_params(merged["omega"], merged["lam"], merged["delta"],
                              merged["m"], merged["hbar"], merged["beta"])
-        build_grid(int(merged["n"]), float(merged["pmax"]))
-        fd_order, levels = int(merged["fd_order"]), int(merged["levels"])
-        probes = int(merged["probes"])
-    except (TypeError, ValueError) as exc:
+        grid = build_grid(int(merged["n"]), float(merged["pmax"]))
+        suite = SuiteConfig(
+            n=grid.n, p_max=grid.p_max, fd_order=int(merged["fd_order"]),
+            levels=int(merged["levels"]), seed=int(merged["seed"]),
+            exponent_override=None if override is None else float(override))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(str(exc))
-    if fd_order not in (2, 4):
+    if suite.fd_order not in (2, 4):
         raise UsageError("fd-order must be 2 or 4")
-    if not 1 <= levels <= int(merged["n"]):
+    if not 1 <= suite.levels <= suite.n:
         raise UsageError("levels must be between 1 and n")
-    if probes < 1:
-        raise UsageError("probes must be >= 1")
+    if suite.seed < 0:
+        raise UsageError("seed must be >= 0")
+    if not isinstance(merged.get("out", ""), str):
+        raise UsageError("out must be a path")
 
     beta_grid = merged.get("beta_grid")
     if beta_grid is not None:
         beta_grid = _parse_beta_grid(beta_grid)
 
-    override = merged.get("exponent_override")
-    return JobConfig(
-        command=namespace.command,
-        params=params,
-        n=int(merged["n"]),
-        p_max=float(merged["pmax"]),
-        fd_order=fd_order,
-        levels=levels,
-        probes=probes,
-        seed=int(merged["seed"]),
-        out=merged.get("out"),
-        beta_grid=beta_grid,
-        exponent_override=None if override is None else float(override),
-    )
+    return JobConfig(command=namespace.command, params=params, suite=suite,
+                     out=merged.get("out"), beta_grid=beta_grid)
 
 
 def _timestamp() -> str:
@@ -187,38 +174,35 @@ def _fmt17(value: float) -> str:
 
 
 def cmd_verify(config: JobConfig) -> int:
-    report = run_suite(config.params, config.suite_config())
+    report = run_suite(config.params, config.suite)
     payload = report.to_json_dict(_timestamp())
     _write_text(config.out, json.dumps(payload, indent=2) + "\n")
     return 0 if report.passed else 1
 
 
 def cmd_spectrum(config: JobConfig) -> int:
-    params = config.params
-    kappa = 0 if params.beta == 0.0 else -1
-    grid = build_grid(config.n, config.p_max, kappa, params.beta)
+    suite = config.suite
+    grid = build_grid(suite.n, suite.p_max, config.params.beta)
     try:
-        result, spectrum = check_spectrum(params, grid, config.fd_order,
-                                          config.levels)
-    except Exception as exc:
+        result, spectrum = check_spectrum(config.params, grid, suite.fd_order,
+                                          suite.levels)
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"eigensolver failure: {exc}\n")
         return 1
-    oracle_values = None
-    if params.beta == 0.0 and "oracle" in result.details \
-            and isinstance(result.details["oracle"], list):
-        oracle_values = oscillator_levels(params, spectrum.levels)
+    # only a spectrum with a closed-form oracle carries per-level errors
+    errors = result.details.get("errors")
     lines = ["n,re,im,oracle,abs_err"]
     for index, value in enumerate(spectrum.eigenvalues):
-        if oracle_values is not None:
-            oracle = _fmt17(oracle_values[index])
-            abs_err = _fmt17(abs(value - oracle_values[index]))
+        if errors is not None:
+            oracle = _fmt17(result.details["oracle"][index])
+            abs_err = _fmt17(errors[index])
         else:
             oracle = ""
             abs_err = ""
         lines.append(",".join([str(index), _fmt17(value.real),
                                _fmt17(value.imag), oracle, abs_err]))
     _write_text(config.out, "\n".join(lines) + "\n")
-    return 0
+    return 0 if result.passed else 1
 
 
 def cmd_sweep(config: JobConfig) -> int:
@@ -231,7 +215,7 @@ def cmd_sweep(config: JobConfig) -> int:
     all_passed = True
     for beta in config.beta_grid:
         params = with_beta(config.params, beta)
-        report = run_suite(params, config.suite_config())
+        report = run_suite(params, config.suite)
         reports.append(report)
         by_name = {check.name: check for check in report.checks}
         pseudo = by_name.get("pseudo_hermiticity_deformed",
@@ -249,7 +233,7 @@ def cmd_sweep(config: JobConfig) -> int:
         "reports": [r.to_json_dict(stamp) for r in reports],
         "summary": summary,
         "generated_at": stamp,
-        "seed": config.seed,
+        "seed": config.suite.seed,
     }
     _write_text(config.out, json.dumps(payload, indent=2) + "\n")
     return 0 if all_passed else 1

@@ -3,10 +3,10 @@
 Operators are discretized on a uniform, symmetric momentum grid with
 central finite-difference stencils (accuracy order 2 or 4) and Dirichlet
 truncation: grid points beyond the boundary are treated as zero.  The
-grid carries quadrature weights h*(1+beta*p^2)^kappa so that discrete
-inner products approximate the flat (kappa = 0) or deformed (kappa = -1)
-scalar product, and adjoints/metric conjugations are available as exact
-matrix operations with respect to those weights.
+grid carries quadrature weights h/(1+beta*p^2) so that discrete inner
+products approximate the scalar product under dp/(1+beta*p^2) -- the
+flat measure dp at beta = 0 -- and adjoints/metric conjugations are
+available as exact matrix operations with respect to those weights.
 
 Every operator of the model has derivative order <= 2, so its image is a
 band matrix of half-bandwidth bw = fd_order/2 (pentadiagonal at fourth
@@ -56,33 +56,30 @@ class Grid:
 
     n: int
     p_max: float
-    measure_power: int
     beta: float
     h: float
     points: np.ndarray
     weights: np.ndarray
 
 
-def build_grid(n: int, p_max: float, measure_power: int = 0,
-               beta: float = 0.0) -> Grid:
+def build_grid(n: int, p_max: float, beta: float = 0.0) -> Grid:
     n = int(n)
     if n < 5 or n % 2 == 0:
         raise ValueError("n must be an odd integer >= 5")
     if not (p_max > 0 and math.isfinite(p_max)):
         raise ValueError("p_max must be finite and > 0")
-    if measure_power not in (0, -1):
-        raise ValueError("measure_power must be 0 or -1")
     if not (beta >= 0 and math.isfinite(beta)):
         raise ValueError("beta must be finite and >= 0")
     h = 2.0 * p_max / (n - 1)
     # integer-centered construction keeps the grid exactly symmetric and
     # guarantees p = 0 is a grid point
     points = (np.arange(n) - (n - 1) // 2) * h
-    weights = h * (1.0 + beta * points ** 2) ** measure_power
+    # exactly h at beta = 0
+    weights = h * (1.0 + beta * points ** 2) ** -1
     points.setflags(write=False)
     weights.setflags(write=False)
-    return Grid(n=n, p_max=float(p_max), measure_power=measure_power,
-                beta=float(beta), h=h, points=points, weights=weights)
+    return Grid(n=n, p_max=float(p_max), beta=float(beta), h=h,
+                points=points, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -236,7 +233,6 @@ class Spectrum:
     "dense-fallback"."""
 
     eigenvalues: np.ndarray
-    levels: int
     solver: str
 
 
@@ -271,7 +267,7 @@ def _lowest_hermitian(band: np.ndarray, count: int) -> np.ndarray:
 
 def _dense_spectrum(a: MatrixOp, levels: int) -> Spectrum:
     vals = scipy.linalg.eigvals(_real_if_possible(a.to_dense()))
-    return Spectrum(_sorted_eigenvalues(vals)[:levels], levels, "dense-fallback")
+    return Spectrum(_sorted_eigenvalues(vals)[:levels], "dense-fallback")
 
 
 def _certified_shift_invert(a: MatrixOp, levels: int) -> Spectrum | None:
@@ -308,13 +304,13 @@ def _certified_shift_invert(a: MatrixOp, levels: int) -> Spectrum | None:
     try:
         values = scipy.sparse.linalg.eigs(matrix, k=k, sigma=sigma, v0=v0,
                                           return_eigenvectors=False)
-    except scipy.sparse.linalg.ArpackNoConvergence:
+    except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
         return None
     kept = _sorted_eigenvalues(values)[:levels]
     r_k = float(np.abs(values - sigma).max())
     if r_k ** 2 - s ** 2 < (kept[-1].real - sigma) ** 2:
         return None
-    return Spectrum(kept, levels, "arpack-shift-invert")
+    return Spectrum(kept, "arpack-shift-invert")
 
 
 def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
@@ -339,7 +335,7 @@ def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
             raise ValueError("matrix is not self-adjoint under the grid "
                              f"inner product (gap {gap:.3e}, norm {norm:.3e})")
         vals = _lowest_hermitian(_hermitian_and_skew(a)[0], levels)
-        return Spectrum(np.asarray(vals, dtype=complex), levels, "eig_banded")
+        return Spectrum(np.asarray(vals, dtype=complex), "eig_banded")
     raise ValueError(f"unknown eigensolver kind {kind!r}")
 
 

@@ -344,7 +344,8 @@ def has_real_ladder(params: ModelParams) -> bool:
     """True when omega^2 > 4*lam*delta and omega > lam + delta: the
     hermitized H0 is then a bona fide oscillator with a real ascending
     ladder, and oscillator_levels applies."""
-    return (params.omega ** 2 > 4.0 * params.lam * params.delta
+    # a product overflows to inf where ** would raise OverflowError
+    return (params.omega * params.omega > 4.0 * params.lam * params.delta
             and params.omega - params.lam - params.delta > 0.0)
 
 
@@ -359,5 +360,6 @@ def oscillator_levels(params: ModelParams, count: int):
     if not has_real_ladder(params):
         raise ValueError("no real ascending oscillator ladder: needs "
                          "omega^2 > 4*lambda*delta and omega > lambda + delta")
-    root = math.sqrt(params.omega ** 2 - 4.0 * params.lam * params.delta)
+    root = math.sqrt(params.omega * params.omega
+                     - 4.0 * params.lam * params.delta)
     return [(n + 0.5) * root for n in range(count)]

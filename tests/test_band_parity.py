@@ -15,12 +15,12 @@ import pytest
 import scipy.sparse.linalg
 
 from swanson.checks import (
+    PROBE_CENTERS,
     PROBE_WIDTH,
     _hamiltonian_for,
     _metric_for,
     check_numeric_residual,
     check_spectrum,
-    probe_centers,
 )
 from swanson.grids import (
     assemble_matrix,
@@ -45,9 +45,9 @@ CASES = {
     "flat": (make_params(1.0, -0.5, 0.5), build_grid(501, 10.0)),
     "flat_off_regime": (make_params(2.0, 0.1, 0.4), build_grid(301, 8.0)),
     "deformed": (make_params(1.3, 0.2, -0.4, beta=0.05),
-                 build_grid(501, 40.0 / 3.0, -1, 0.05)),
+                 build_grid(501, 40.0 / 3.0, 0.05)),
     "deformed_reduced": (make_params(1.0, -0.5, 0.5, beta=0.1),
-                         build_grid(301, 20.0, -1, 0.1)),
+                         build_grid(301, 20.0, 0.1)),
     "broken_identity_metric": (make_params(0.5, 0.45, 0.45), build_grid(301, 10.0)),
     "broken_descending": (make_params(1.0, 0.6, 0.5), build_grid(301, 10.0)),
     "broken_ascending": (make_params(1.0, -0.9, -0.6), build_grid(301, 10.0)),
@@ -83,7 +83,7 @@ def test_spectrum_matches_dense(case):
 def test_numeric_residual_matches_dense(case):
     params, grid = CASES[case]
     result = check_numeric_residual(params, grid)
-    probes = [gaussian_state(grid, c, PROBE_WIDTH) for c in probe_centers(5)]
+    probes = [gaussian_state(grid, c, PROBE_WIDTH) for c in PROBE_CENTERS]
     probe_residuals, row_residual = dense_numeric_residual(
         _hamiltonian_for(params), _metric_for(params), grid, 4, probes)
     np.testing.assert_allclose(result.details["probe_residuals"], probe_residuals,
@@ -130,7 +130,7 @@ def test_levels_beyond_grid_rejected():
 
 def test_banded_assembly_and_transforms_are_linear_in_memory():
     params = make_params(1.3, 0.2, -0.4, beta=0.05)
-    grid = build_grid(20001, 40.0, -1, 0.05)
+    grid = build_grid(20001, 40.0, 0.05)
     h = _hamiltonian_for(params)
     spec = _metric_for(params)
     tracemalloc.start()

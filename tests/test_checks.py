@@ -138,7 +138,7 @@ class TestNumericResidual:
         assert 10.0 < coarse / fine < 24.0
 
     def test_deformed_is_report_only(self):
-        grid = build_grid(301, 10.0, -1, 0.1)
+        grid = build_grid(301, 10.0, 0.1)
         result = check_numeric_residual(P1_DEFORMED, grid)
         assert result.tolerance is None
         assert result.passed and math.isfinite(result.residual)
@@ -173,7 +173,7 @@ class TestSpectrum:
         assert len(spectrum.eigenvalues) == 4
 
     def test_deformed_reports_reality(self):
-        grid = build_grid(301, 20.0, -1, 0.1)
+        grid = build_grid(301, 20.0, 0.1)
         result, _ = check_spectrum(P1_DEFORMED, grid, 4, 3)
         assert result.tolerance is None
         assert "reality_ratios" in result.details
@@ -194,7 +194,7 @@ class TestConvergence:
         assert result.details["fitted_order"] > 3.5
 
     def test_reality_monotone(self):
-        grids = [build_grid(n, pm, -1, 0.1)
+        grids = [build_grid(n, pm, 0.1)
                  for n, pm in ((201, 10.0), (401, 20.0), (601, 30.0))]
         result = convergence_study(P1_DEFORMED, grids, "reality")
         assert result.passed
@@ -234,6 +234,14 @@ class TestSuite:
         names = [c.name for c in report.checks]
         assert "reduced_vs_variant" not in names
         assert "reduced_vs_variant_randomized" in names
+
+    def test_seed_only_checks_run_once_per_seed(self):
+        config = SuiteConfig(n=101, p_max=8.0, seed=3)
+        reports = [run_suite(with_beta(P1, beta), config) for beta in (0.0, 0.1)]
+        shared = [{c.name: c for c in r.checks if c.name.endswith("_randomized")}
+                  for r in reports]
+        assert len(shared[0]) == 4
+        assert all(shared[1][name] is check for name, check in shared[0].items())
 
     def test_invalid_params_rejected_before_any_check(self):
         with pytest.raises(ValueError):

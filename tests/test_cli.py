@@ -4,8 +4,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import swanson.cli
+from swanson.checks import SuiteConfig
 from swanson.cli import UsageError, main, parse
 
 P1_FLAGS = ["--omega", "1", "--lambda", "-0.5", "--delta", "0.5"]
@@ -24,8 +30,12 @@ class TestParse:
         assert config.params.omega == 1.0
         assert config.params.lam == -0.5
         assert config.params.mu == 1.0
-        assert (config.n, config.p_max, config.fd_order) == (1001, 10.0, 4)
-        assert (config.levels, config.seed) == (6, 42)
+        assert (config.suite.n, config.suite.p_max,
+                config.suite.fd_order) == (1001, 10.0, 4)
+        assert (config.suite.levels, config.suite.seed) == (6, 42)
+
+    def test_defaults_are_the_suite_defaults(self):
+        assert parse(["verify", *P1_FLAGS]).suite == SuiteConfig()
 
     def test_parity_rejected(self):
         with pytest.raises(UsageError, match="odd"):
@@ -40,11 +50,24 @@ class TestParse:
         without_flag = parse(["verify", "--config", str(config_file)])
         assert without_flag.params.beta == 0.1
 
-    def test_config_file_probes_key(self, tmp_path):
+    def test_config_file_probes_key(self, tmp_path, capsys):
+        # probes is fixed, so like any other unknown key it is rejected
         config_file = tmp_path / "job.json"
-        config_file.write_text(json.dumps({"omega": 1.0, "lambda": -0.5,
-                                           "delta": 0.5, "probes": 3}))
-        assert parse(["verify", "--config", str(config_file)]).probes == 3
+        for key in ("probes", "levls"):
+            config_file.write_text(json.dumps({"omega": 1.0, "lambda": -0.5,
+                                               "delta": 0.5, key: 3}))
+            with pytest.raises(UsageError, match=key):
+                parse(["verify", "--config", str(config_file)])
+            assert main(["verify", "--config", str(config_file)]) == 2
+            assert key in capsys.readouterr().err
+
+    def test_config_file_values_are_checked(self, tmp_path):
+        config_file = tmp_path / "job.json"
+        for bad in ({"out": 1}, {"n": float("inf")},
+                    {"exponent_override": "steep"}):
+            config_file.write_text(json.dumps({"omega": 1.0, "lambda": -0.5,
+                                               "delta": 0.5, **bad}))
+            assert main(["verify", "--config", str(config_file)]) == 2
 
     def test_missing_parameter(self):
         with pytest.raises(UsageError, match="omega"):
@@ -70,6 +93,7 @@ class TestParse:
         ["--pmax", "inf"],
         ["--beta", "inf"],
         ["--beta-grid", "0.1,nan"],
+        ["--seed", "-1"],
     ])
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     def test_out_of_range_values_exit_two(self, command, flags, capsys):
@@ -123,6 +147,13 @@ class TestVerify:
                               if "generated_at" not in line]
         assert strip(first) == strip(second)
 
+    def test_overflowing_omega_writes_report(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["verify", "--omega", "1e200", "--lambda", "0",
+                     "--delta", "0.5", "--n", "11", "--out", str(out)])
+        assert code in (0, 1, 2)
+        assert read_json(out)["params"]["omega"] == 1e200
+
     def test_unwritable_output_exit_two(self):
         assert main(["verify", *P1_FLAGS, *FAST,
                      "--out", "/nonexistent-dir/report.json"]) == 2
@@ -158,6 +189,42 @@ class TestSpectrumCommand:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert all(row[3] == "" and row[4] == "" for row in rows)
         assert all(row[2] != "" for row in rows)  # im column populated
+
+    def test_failing_check_exit_one(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", *P1_FLAGS, "--n", "11", "--out", str(out)]) == 1
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert max(float(row[4]) for row in rows) > 1e-4
+
+    def test_arpack_error_takes_dense_fallback(self, tmp_path, monkeypatch):
+        flags = ["spectrum", *P1_FLAGS, "--beta", "0.1", "--n", "301",
+                 "--pmax", "20"]
+        certified, fallback = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([*flags, "--out", str(certified)]) == 0
+
+        def arpack_error(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", arpack_error)
+        assert main([*flags, "--out", str(fallback)]) == 0
+        read = lambda path: np.loadtxt(path, delimiter=",", skiprows=1,
+                                       usecols=(1, 2))
+        np.testing.assert_allclose(read(fallback), read(certified),
+                                   rtol=1e-8, atol=1e-10)
+
+    def test_only_numeric_errors_are_verification_failures(self, monkeypatch):
+        def raiser(error):
+            def check_spectrum(*args, **kwargs):
+                raise error
+            return check_spectrum
+
+        monkeypatch.setattr(swanson.cli, "check_spectrum",
+                            raiser(np.linalg.LinAlgError("singular")))
+        assert main(["spectrum", *P1_FLAGS, "--n", "11"]) == 1
+        monkeypatch.setattr(swanson.cli, "check_spectrum",
+                            raiser(TypeError("programming error")))
+        with pytest.raises(TypeError):
+            main(["spectrum", *P1_FLAGS, "--n", "11"])
 
 
 class TestSweep:
@@ -201,3 +268,57 @@ class TestProcessInterface:
         assert main(["verify", *P1_FLAGS, "--n", "151", "--pmax", "8"]) in (0, 1)
         assert main(["verify", *P1_FLAGS, "--n", "150"]) == 2
         assert main(["verify"]) == 2
+
+
+# Valid values of every flag (None: flag left out), and edge values of
+# which each argv gets at most one: non-finite, huge, zero, negative, an
+# fd-order that does not exist and levels above n.
+FLAGS = {
+    "--omega": st.floats(0.5, 2.0),
+    "--lambda": st.floats(-0.9, 0.9),
+    "--delta": st.floats(-0.9, 0.9),
+    "--m": st.none() | st.floats(0.5, 2.0),
+    "--hbar": st.none() | st.floats(0.5, 2.0),
+    "--beta": st.none() | st.floats(0.0, 1.0),
+    "--pmax": st.none() | st.floats(3.0, 20.0),
+    "--exponent-override": st.none() | st.floats(-3.0, 3.0),
+    # n <= 61, so that no draw allocates a large grid
+    "--n": st.integers(2, 30).map(lambda k: 2 * k + 1),
+    "--levels": st.none() | st.integers(1, 8),
+    "--fd-order": st.none() | st.sampled_from([2, 4]),
+    # the randomized symbolic checks run once per seed and process
+    "--seed": st.none() | st.sampled_from([0, 1]),
+    "--beta-grid": st.none() | st.lists(st.floats(0.0, 1.0).map(repr),
+                                        min_size=2, max_size=3).map(",".join),
+}
+EDGE = st.sampled_from(["nan", "inf", "-inf", "1e200", "-1e200", "0", "-1",
+                        "3", "70"])
+CONFIG = st.none() | st.dictionaries(
+    st.sampled_from(["omega", "lambda", "delta", "beta", "pmax", "levels",
+                     "probes", "levls", "p_max"]),
+    st.floats(-1.0, 2.0) | EDGE.map(float), max_size=3)
+
+
+@st.composite
+def argvs(draw):
+    """An argv from the flag grammar and an optional config-file object."""
+    edge = draw(st.none() | st.sampled_from(sorted(FLAGS)))
+    argv = [draw(st.sampled_from(["verify", "spectrum", "sweep"]))]
+    for flag, values in FLAGS.items():
+        value = draw(EDGE if flag == edge else values)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv, draw(CONFIG)
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn=argvs())
+    def test_main_returns_contract_code(self, drawn, tmp_path_factory):
+        argv, config = drawn
+        work = tmp_path_factory.mktemp("property")
+        if config is not None:
+            (work / "job.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(work / "job.json")]
+        assert main([*argv, "--out", str(work / "out")]) in (0, 1, 2)

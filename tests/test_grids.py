@@ -35,12 +35,12 @@ P1 = make_params(1.0, -0.5, 0.5)
 
 class TestGrid:
     def test_flat_example(self):
-        grid = build_grid(5, 2.0, 0, 0.0)
+        grid = build_grid(5, 2.0, 0.0)
         np.testing.assert_array_equal(grid.points, [-2, -1, 0, 1, 2])
         np.testing.assert_array_equal(grid.weights, np.ones(5))
 
     def test_deformed_weights(self):
-        grid = build_grid(5, 2.0, -1, 1.0)
+        grid = build_grid(5, 2.0, 1.0)
         assert abs(grid.weights[-1] - 1.0 / 5.0) < 1e-15
 
     def test_parity_guard(self):
@@ -138,7 +138,7 @@ class TestAssembly:
         assert np.abs(residual[interior]).max() < 1e-7
 
     def test_beta_mismatch_rejected(self):
-        grid = build_grid(9, 3.0, -1, 0.1)
+        grid = build_grid(9, 3.0, 0.1)
         with pytest.raises(ValueError, match="beta"):
             assemble_matrix(identity_op(), grid)
 
@@ -151,7 +151,7 @@ class TestAssembly:
 
 class TestWeightedAdjoint:
     def test_real_diagonal_fixed(self):
-        grid = build_grid(9, 3.0, -1, 0.5)
+        grid = build_grid(9, 3.0, 0.5)
         a = from_dense(np.diag(grid.points ** 2).astype(complex), grid)
         np.testing.assert_array_equal(weighted_adjoint(a).to_dense(), a.to_dense())
 
@@ -164,7 +164,7 @@ class TestWeightedAdjoint:
 
     def test_involution_and_product_reversal(self):
         rng = np.random.default_rng(4)
-        grid = build_grid(9, 3.0, -1, 0.7)
+        grid = build_grid(9, 3.0, 0.7)
         a = from_dense(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)), grid)
         b = from_dense(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)), grid)
         np.testing.assert_allclose(weighted_adjoint(weighted_adjoint(a)).to_dense(),
@@ -191,7 +191,7 @@ class TestWeightedAdjoint:
 
 class TestMetricDiagonal:
     def test_power_value(self):
-        grid = build_grid(5, 2.0, -1, 0.1)
+        grid = build_grid(5, 2.0, 0.1)
         spec = MetricSpec("power", 10.0, 0.1)
         mat = metric_diagonal(spec, grid)
         # entry at p = 1: (1 + 0.1)^10
@@ -199,18 +199,18 @@ class TestMetricDiagonal:
         assert abs(mat[3, 3].real - 2.5937424601) < 1e-9
 
     def test_gaussian_value(self):
-        grid = build_grid(5, 2.0, 0, 0.0)
+        grid = build_grid(5, 2.0, 0.0)
         spec = MetricSpec("gaussian", 1.0, 0.0)
         mat = metric_diagonal(spec, grid)
         assert abs(mat[4, 4].real - math.exp(4.0)) < 1e-11
 
     def test_identity_family(self):
-        grid = build_grid(5, 2.0, 0, 0.0)
+        grid = build_grid(5, 2.0, 0.0)
         spec = MetricSpec("identity", 0.0, 0.0)
         np.testing.assert_array_equal(metric_diagonal(spec, grid), np.eye(5))
 
     def test_half_power(self):
-        grid = build_grid(5, 2.0, 0, 0.0)
+        grid = build_grid(5, 2.0, 0.0)
         spec = MetricSpec("gaussian", 1.0, 0.0)
         mat = metric_diagonal(spec, grid, half=True)
         assert abs(mat[4, 4].real - math.exp(2.0)) < 1e-12
@@ -332,8 +332,8 @@ class TestEigs:
 
 class TestGaussianState:
     def test_unit_weighted_norm(self):
-        for kappa, beta in ((0, 0.0), (-1, 0.5)):
-            grid = build_grid(501, 10.0, kappa, beta)
+        for beta in (0.0, 0.5):
+            grid = build_grid(501, 10.0, beta)
             psi = gaussian_state(grid, 0.0, 1.0)
             assert abs(weighted_norm(grid, psi) - 1.0) < 1e-12
 
