@@ -22,6 +22,15 @@ complex floats and comparisons are tolerance based; parameters such as
 1/sqrt(2*m*hbar*omega) are irrational, so exact rational arithmetic would
 not cover them.
 
+A coefficient may also be a 1-D complex array over a batch of parameter
+draws that share beta: one operator then stands for one operator per
+draw, and the randomized checks build and compare all their draws in one
+pass.  Every arithmetic step rounds each draw exactly as the scalar path
+does (products are formed from real and imaginary parts, magnitudes with
+hypot), pruning acts per draw, and a coefficient, term or trailing power
+is dropped only when it vanishes for every draw.  Operators over a batch
+are only compared, never evaluated on a grid or printed.
+
 All values are immutable; operations are pure functions.
 """
 
@@ -32,6 +41,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping
 
+import numpy as np
+
 # Stored coefficients at or below this magnitude are snapped to exact zero.
 # Distinct from comparison tolerances: this only keeps canonical forms free
 # of numerical dust.
@@ -41,9 +52,61 @@ PRUNE_EPS = 1e-15
 DEFAULT_TOL = 1e-12
 
 
+# What may multiply a Poly, CoeffFn or DiffOp: a number, or an array over
+# a batch of draws.
+_SCALARS = (numbers.Number, np.ndarray)
+
+
 def _require_same_beta(a: float, b: float) -> None:
     if a != b:
         raise ValueError(f"beta mismatch: {a!r} vs {b!r}")
+
+
+def _complex(c):
+    """A number as complex, an array over draws as a complex array."""
+    if isinstance(c, np.ndarray):
+        return np.asarray(c, dtype=complex)
+    return complex(c)
+
+
+def _coefficient(c):
+    """Pruned stored coefficient: complex, or a read-only array per draw."""
+    c = _complex(c)
+    small = _magnitude(c) <= PRUNE_EPS
+    if not isinstance(c, np.ndarray):
+        return 0j if small else c
+    c = np.where(small, 0j, c)
+    c.setflags(write=False)
+    return c
+
+
+def _is_zero(c) -> bool:
+    """True when the coefficient vanishes for every draw."""
+    return not c.any() if isinstance(c, np.ndarray) else c == 0
+
+
+def _product(a, b):
+    """a*b, rounded per draw exactly like Python's complex product (numpy's
+    complex multiply may fuse and round differently in the last bit)."""
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return a * b
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _magnitude(c):
+    return np.hypot(c.real, c.imag) if isinstance(c, np.ndarray) else abs(c)
+
+
+def _largest(values):
+    """Maximum of non-negative values, 0.0 when there are none; per draw
+    over batched values.  A NaN propagates instead of being skipped."""
+    out = 0.0
+    for value in values:
+        out = np.maximum(out, value)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 @dataclass(frozen=True)
@@ -56,14 +119,11 @@ class Poly:
 
     coeffs: tuple = ()
 
+    __array_ufunc__ = None  # ndarray * Poly defers to __rmul__
+
     def __post_init__(self):
-        cleaned = []
-        for c in self.coeffs:
-            c = complex(c)
-            if abs(c) <= PRUNE_EPS:
-                c = 0j
-            cleaned.append(c)
-        while cleaned and cleaned[-1] == 0:
+        cleaned = [_coefficient(c) for c in self.coeffs]
+        while cleaned and _is_zero(cleaned[-1]):
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))
 
@@ -80,7 +140,7 @@ class Poly:
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0j] * (n - len(self.coeffs))
         for j, c in enumerate(other.coeffs):
-            a[j] += c
+            a[j] = a[j] + c
         return Poly(tuple(a))
 
     def __neg__(self) -> "Poly":
@@ -96,10 +156,11 @@ class Poly:
             out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+                    out[i + j] = out[i + j] + _product(a, b)
             return Poly(tuple(out))
-        if isinstance(other, numbers.Number):
-            return Poly(tuple(complex(other) * c for c in self.coeffs))
+        if isinstance(other, _SCALARS):
+            factor = _complex(other)
+            return Poly(tuple(_product(factor, c) for c in self.coeffs))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -125,8 +186,8 @@ class Poly:
             out = out * p + c
         return out
 
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
+    def max_abs(self):
+        return _largest(_magnitude(c) for c in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -142,6 +203,8 @@ class CoeffFn:
     poly: Poly
     upow: int = 0
     beta: float = 0.0
+
+    __array_ufunc__ = None  # ndarray * CoeffFn defers to __rmul__
 
     def __post_init__(self):
         if self.beta < 0:
@@ -182,7 +245,7 @@ class CoeffFn:
         if isinstance(other, CoeffFn):
             _require_same_beta(self.beta, other.beta)
             return CoeffFn(self.poly * other.poly, self.upow + other.upow, self.beta)
-        if isinstance(other, numbers.Number):
+        if isinstance(other, _SCALARS):
             return CoeffFn(self.poly * other, self.upow, self.beta)
         return NotImplemented
 
@@ -205,7 +268,7 @@ class CoeffFn:
             value = value * (1.0 + self.beta * p * p) ** self.upow
         return value
 
-    def max_abs(self) -> float:
+    def max_abs(self):
         return self.poly.max_abs()
 
 
@@ -228,6 +291,8 @@ class DiffOp:
 
     beta: float = 0.0
     terms: tuple = ()  # sorted ((order, CoeffFn), ...)
+
+    __array_ufunc__ = None  # ndarray * DiffOp defers to __rmul__
 
     def __post_init__(self):
         kept = []
@@ -288,12 +353,12 @@ class DiffOp:
     def __mul__(self, other):
         if isinstance(other, DiffOp):
             return self._compose(other)
-        if isinstance(other, numbers.Number):
+        if isinstance(other, _SCALARS):
             return DiffOp(self.beta, tuple((b, fn * other) for b, fn in self.terms))
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, numbers.Number):
+        if isinstance(other, _SCALARS):
             return self.__mul__(other)
         return NotImplemented
 
@@ -383,8 +448,9 @@ class DiffOp:
 
     # -- inspection ------------------------------------------------------------
 
-    def max_abs_coeff(self) -> float:
-        return max((fn.max_abs() for _, fn in self.terms), default=0.0)
+    def max_abs_coeff(self):
+        """Largest coefficient magnitude; an array per draw for a batch."""
+        return _largest(fn.max_abs() for _, fn in self.terms)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -457,7 +523,9 @@ class OpComparison:
     """Outcome of an operator identity check.
 
     ``residual`` is the maximum absolute coefficient of the canonical
-    difference; zero means the operators are identical.
+    difference; zero means the operators are identical.  Over a batch of
+    draws ``residual`` and ``passed`` are per-draw arrays, or scalars when
+    the difference vanishes for every draw.
     """
 
     passed: bool

@@ -39,6 +39,7 @@ from .model import (
     MetricSpec,
     ModelParams,
     gaussian_alpha,
+    gaussian_exponent,
     h0_adjoint_expected,
     h0_momentum,
     h_deformed,
@@ -51,7 +52,9 @@ from .model import (
     make_params,
     metric_exponent,
     oscillator_levels,
+    power_exponent,
     reduced_variant_difference,
+    stack_params,
     with_beta,
 )
 
@@ -130,44 +133,72 @@ def _check_rng(seed: int, stream: int) -> np.random.Generator:
 
 # -- symbolic checks --------------------------------------------------------------
 
-# The randomized checks depend on their arguments only (seed, draws,
-# betas) and are cached, one small entry per seed, so a sweep runs them
-# once and not once per beta.  Callers share the cached results and must
-# not mutate their details.
+# Each randomized check draws its parameter sets one at a time from its
+# own rng stream, stacks them into a ParamBatch and evaluates its identity
+# for all draws in one pass of the operator algebra; every per-draw
+# residual equals the one the scalar path computes for that draw.  The
+# checks depend on their arguments only (seed, draws, betas) and are
+# cached, one small entry per seed, so a sweep runs them once and not
+# once per beta.  Callers share the cached results and must not mutate
+# their details.
+
+
+def _per_draw(values, draws: int) -> np.ndarray:
+    """A batched residual (or flag) as one entry per draw; an identity
+    whose difference vanished for every draw gives a scalar."""
+    return np.broadcast_to(values, (draws,))
+
+
+def _worst(residuals: np.ndarray) -> float:
+    """Largest residual, 0.0 for no draws; a NaN draw makes it NaN."""
+    return float(np.max(residuals, initial=0.0))
+
+
+def _expansion_residual(params):
+    return operators_equal(h_ladder(params), h_quadratic(params)).residual
 
 
 def check_expansion(params: ModelParams) -> CheckResult:
     """Ladder-operator form versus the quadratic form in x and p."""
-    cmp = operators_equal(h_ladder(params), h_quadratic(params), SYMBOLIC_TOL)
     return _result("expansion", "ladder form equals the quadratic momentum form",
-                   cmp.residual, SYMBOLIC_TOL)
+                   _expansion_residual(params), SYMBOLIC_TOL)
+
+
+def _expansion_residuals(sample: list) -> np.ndarray:
+    return _per_draw(_expansion_residual(stack_params(sample)), len(sample))
 
 
 @functools.cache
 def check_expansion_randomized(seed: int, draws: int = 100) -> CheckResult:
     rng = _check_rng(seed, 1)
-    worst = 0.0
-    worst_params = None
-    for _ in range(draws):
-        params = draw_params(rng)
-        r = operators_equal(h_ladder(params), h_quadratic(params)).residual
-        if r > worst:
-            worst, worst_params = r, params
+    sample = [draw_params(rng) for _ in range(draws)]
+    residuals = _expansion_residuals(sample)
+    worst = _worst(residuals)
     details = {"draws": draws}
-    if worst_params is not None:
-        details["worst_params"] = worst_params.to_dict()
+    if worst != 0.0:
+        # argmax names the first draw that attains the maximum (or is NaN)
+        details["worst_params"] = sample[int(np.argmax(residuals))].to_dict()
     return _result("expansion_randomized",
                    "ladder form equals the quadratic momentum form",
                    worst, SYMBOLIC_TOL, details)
 
 
-def _variant_residual(params: ModelParams) -> tuple[float, dict]:
-    """max of (reduced vs quadratic) and (difference vs closed form)."""
+def _variant_parts(params):
+    """Residuals of (reduced vs quadratic) and (difference vs closed
+    form), and the difference itself."""
     reduced = h_reduced(params)
     r_reduction = operators_equal(reduced, _hamiltonian_for(params)).residual
     difference = reduced - h_variant(params)
     r_difference = operators_equal(
         difference, reduced_variant_difference(params)).residual
+    return r_reduction, r_difference, difference
+
+
+def check_variant_discrepancy(params: ModelParams) -> CheckResult:
+    """The reduced Hamiltonian is the quadratic form, yet differs from the
+    full-strength anticommutator variant by exactly mu*p*D + mu/2; the two
+    coincide only at mu = 0."""
+    r_reduction, r_difference, difference = _variant_parts(params)
     details = {
         "mu": params.mu,
         "reduction_residual": r_reduction,
@@ -175,37 +206,29 @@ def _variant_residual(params: ModelParams) -> tuple[float, dict]:
         "difference": str(difference),
         "variants_identical": difference.max_abs_coeff() <= SYMBOLIC_TOL,
     }
-    return max(r_reduction, r_difference), details
-
-
-def check_variant_discrepancy(params: ModelParams) -> CheckResult:
-    """The reduced Hamiltonian is the quadratic form, yet differs from the
-    full-strength anticommutator variant by exactly mu*p*D + mu/2; the two
-    coincide only at mu = 0."""
-    residual, details = _variant_residual(params)
     return _result("reduced_vs_variant",
                    "reduced Hamiltonian differs from the full-strength "
                    "anticommutator variant by mu*p*D + mu/2",
-                   residual, SYMBOLIC_TOL, details)
+                   max(r_reduction, r_difference), SYMBOLIC_TOL, details)
+
+
+def _variant_residuals(sample: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per-draw residuals and variants_identical flags."""
+    r_reduction, r_difference, difference = _variant_parts(stack_params(sample))
+    return (_per_draw(np.maximum(r_reduction, r_difference), len(sample)),
+            _per_draw(difference.max_abs_coeff() <= SYMBOLIC_TOL, len(sample)))
 
 
 @functools.cache
 def check_variant_discrepancy_randomized(seed: int, draws: int = 100) -> CheckResult:
     rng = _check_rng(seed, 2)
-    worst = 0.0
-    consistent = True
-    for k in range(draws):
-        if k == 0:
-            params = make_params(1.3, 0.0, 0.0)  # mu = 0 degenerate case
-        else:
-            params = draw_params(rng, regime=True)
-        residual, details = _variant_residual(params)
-        worst = max(worst, residual)
-        expected_identical = abs(params.mu) <= SYMBOLIC_TOL
-        if details["variants_identical"] != expected_identical:
-            consistent = False
+    sample = [make_params(1.3, 0.0, 0.0) if k == 0  # mu = 0 degenerate case
+              else draw_params(rng, regime=True) for k in range(draws)]
+    residuals, identical = _variant_residuals(sample)
+    expected = [abs(params.mu) <= SYMBOLIC_TOL for params in sample]
+    consistent = bool(np.array_equal(identical, expected))
     details = {"draws": draws, "discrepancy_iff_mu_nonzero": consistent}
-    residual = worst if consistent else math.inf
+    residual = _worst(residuals) if consistent else math.inf
     return _result("reduced_vs_variant_randomized",
                    "reduced Hamiltonian differs from the full-strength "
                    "anticommutator variant by mu*p*D + mu/2",
@@ -225,20 +248,15 @@ def check_adjoint(params: ModelParams) -> CheckResult:
                    cmp.residual, SYMBOLIC_TOL, details)
 
 
-def _gaussian_similarity_residual(params: ModelParams,
-                                  exponent_override: float | None = None) -> tuple[float, float]:
-    alpha = _metric_for(params, exponent_override).exponent
+def _gaussian_similarity_residual(params, alpha):
     _, h0 = h0_momentum(params)
-    cmp = operators_equal(h0.conjugate_gaussian(alpha), h0.adjoint(0))
-    return cmp.residual, alpha
+    return operators_equal(h0.conjugate_gaussian(alpha), h0.adjoint(0)).residual
 
 
-def _deformed_similarity_residual(params: ModelParams,
-                                  exponent_override: float | None = None) -> tuple[float, float]:
-    exponent = _metric_for(params, exponent_override).exponent
+def _deformed_similarity_residual(params, exponent):
     h = h_deformed(params)
-    cmp = operators_equal(h.conjugate_power_metric(exponent), h.adjoint(-1))
-    return cmp.residual, exponent
+    return operators_equal(h.conjugate_power_metric(exponent),
+                           h.adjoint(-1)).residual
 
 
 def check_pseudo_symbolic(params: ModelParams,
@@ -246,44 +264,60 @@ def check_pseudo_symbolic(params: ModelParams,
     """Metric conjugation reproduces the adjoint: Gaussian family at
     beta = 0, power-law family at beta > 0.  lam = delta degenerates to
     the identity metric with exponent exactly 0."""
+    exponent = _metric_for(params, exponent_override).exponent
     if params.beta == 0.0:
-        residual, exponent = _gaussian_similarity_residual(params, exponent_override)
         return _result("pseudo_hermiticity_gaussian",
                        "Gaussian metric conjugation of H0 yields its adjoint",
-                       residual, SYMBOLIC_TOL, {"alpha": exponent})
-    residual, exponent = _deformed_similarity_residual(params, exponent_override)
+                       _gaussian_similarity_residual(params, exponent),
+                       SYMBOLIC_TOL, {"alpha": exponent})
     return _result("pseudo_hermiticity_deformed",
                    "power-law metric conjugation of the deformed Hamiltonian "
                    "yields its deformed-measure adjoint",
-                   residual, SYMBOLIC_TOL, {"exponent": exponent})
+                   _deformed_similarity_residual(params, exponent),
+                   SYMBOLIC_TOL, {"exponent": exponent})
+
+
+# A batch takes its exponents from the raw formulas.  Where a draw has
+# lam = delta, the scalar path conjugates by the identity metric and the
+# batch by a D-image term that prunes to zero for that draw; the residuals
+# agree bit for bit (tests/test_batch_parity.py).
+
+
+def _gaussian_residuals(sample: list) -> np.ndarray:
+    batch = stack_params(sample)
+    residuals = _gaussian_similarity_residual(batch, gaussian_exponent(batch))
+    return _per_draw(residuals, len(sample))
 
 
 @functools.cache
 def check_gaussian_similarity_randomized(seed: int, draws: int = 100) -> CheckResult:
     rng = _check_rng(seed, 3)
-    worst = 0.0
-    for _ in range(draws):
-        params = draw_params(rng)
-        worst = max(worst, _gaussian_similarity_residual(params)[0])
+    residuals = _gaussian_residuals([draw_params(rng) for _ in range(draws)])
     return _result("pseudo_hermiticity_gaussian_randomized",
                    "Gaussian metric conjugation of H0 yields its adjoint",
-                   worst, SYMBOLIC_TOL, {"draws": draws})
+                   _worst(residuals), SYMBOLIC_TOL, {"draws": draws})
+
+
+def _deformed_residuals(bases: list, betas) -> np.ndarray:
+    """Residuals of the undeformed base draws deformed by each beta, one
+    row per draw and one column per beta (one batch per beta)."""
+    columns = []
+    for beta in betas:
+        batch = stack_params([with_beta(base, beta) for base in bases])
+        residuals = _deformed_similarity_residual(batch, power_exponent(batch))
+        columns.append(_per_draw(residuals, len(bases)))
+    return np.stack(columns, axis=1)
 
 
 @functools.cache
 def check_deformed_similarity_randomized(seed: int, draws: int = 30,
                                          betas=(0.01, 0.1, 1.0)) -> CheckResult:
     rng = _check_rng(seed, 4)
-    worst = 0.0
-    for _ in range(draws):
-        base = draw_params(rng)
-        for beta in betas:
-            params = with_beta(base, beta)
-            worst = max(worst, _deformed_similarity_residual(params)[0])
+    residuals = _deformed_residuals([draw_params(rng) for _ in range(draws)], betas)
     return _result("pseudo_hermiticity_deformed_randomized",
                    "power-law metric conjugation of the deformed Hamiltonian "
                    "yields its deformed-measure adjoint",
-                   worst, SYMBOLIC_TOL,
+                   _worst(residuals), SYMBOLIC_TOL,
                    {"draws": draws, "betas": list(betas)})
 
 
@@ -439,11 +473,10 @@ def convergence_study(params: ModelParams, grids: list[Grid], target: str,
     if target in ("E0", "residual"):
         hs = np.array([g.h for g in grids])
         if target == "E0":
-            oracle = oscillator_levels(params, 1)[0]
-            errors = []
-            for grid in grids:
-                result, _ = check_spectrum(params, grid, fd_order, 1)
-                errors.append(abs(result.details["eigenvalues"][0] - oracle))
+            if params.beta != 0.0 or not has_real_ladder(params):
+                raise ValueError("target E0 needs the undeformed oscillator ladder")
+            errors = [check_spectrum(params, grid, fd_order, 1)[0]
+                      .details["errors"][0] for grid in grids]
             anchor = "ground-state error decreases at the stencil order"
             name = "convergence_spectrum"
         else:
@@ -567,7 +600,8 @@ def _scaled_odd(n: int, fraction: float) -> int:
 
 def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Report:
     """Run every applicable check in a fixed order; individual check
-    failures (and errors) never abort the suite."""
+    failures, and numeric errors inside a check, never abort the suite.
+    Any other exception is a programming error and propagates."""
     undeformed = with_beta(params, 0.0)
     grid = build_grid(config.n, config.p_max, params.beta)
 
@@ -579,7 +613,7 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
         start = time.perf_counter()
         try:
             outcome = func()
-        except Exception as exc:  # keep the suite alive; surface the error
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             outcome = CheckResult(label, "", math.inf, SYMBOLIC_TOL, False,
                                   {"error": f"{type(exc).__name__}: {exc}"})
         timings[outcome.name] = time.perf_counter() - start

@@ -93,6 +93,17 @@ def _parse_beta_grid(value) -> tuple:
     return tuple(entries)
 
 
+def _integer(key: str, value) -> int:
+    """An integral flag or config-file value; int() would truncate 11.9."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{key} must be an integer: {exc}")
+    if not isinstance(value, str) and number != value:
+        raise UsageError(f"{key} must be an integer, not {value!r}")
+    return number
+
+
 def parse(argv) -> JobConfig:
     """Merge flags over an optional flat JSON config file into a validated
     JobConfig; every validation problem raises UsageError."""
@@ -126,14 +137,22 @@ def parse(argv) -> JobConfig:
             flag = "lambda" if name == "lam" else name
             raise UsageError(f"missing required parameter --{flag}")
 
+    beta_grid = merged.get("beta_grid")
+    if beta_grid is not None:
+        beta_grid = _parse_beta_grid(beta_grid)
+
     override = merged.get("exponent_override")
+    n, fd_order, levels, seed = (_integer(key, merged[key])
+                                 for key in ("n", "fd_order", "levels", "seed"))
     try:
         params = make_params(merged["omega"], merged["lam"], merged["delta"],
                              merged["m"], merged["hbar"], merged["beta"])
-        grid = build_grid(int(merged["n"]), float(merged["pmax"]))
+        # the largest beta in use bounds the grid's coefficients
+        grid = build_grid(n, float(merged["pmax"]),
+                          max((params.beta, *(beta_grid or ()))))
         suite = SuiteConfig(
-            n=grid.n, p_max=grid.p_max, fd_order=int(merged["fd_order"]),
-            levels=int(merged["levels"]), seed=int(merged["seed"]),
+            n=grid.n, p_max=grid.p_max, fd_order=fd_order, levels=levels,
+            seed=seed,
             exponent_override=None if override is None else float(override))
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(str(exc))
@@ -145,10 +164,6 @@ def parse(argv) -> JobConfig:
         raise UsageError("seed must be >= 0")
     if not isinstance(merged.get("out", ""), str):
         raise UsageError("out must be a path")
-
-    beta_grid = merged.get("beta_grid")
-    if beta_grid is not None:
-        beta_grid = _parse_beta_grid(beta_grid)
 
     return JobConfig(command=namespace.command, params=params, suite=suite,
                      out=merged.get("out"), beta_grid=beta_grid)

@@ -70,6 +70,11 @@ def build_grid(n: int, p_max: float, beta: float = 0.0) -> Grid:
         raise ValueError("p_max must be finite and > 0")
     if not (beta >= 0 and math.isfinite(beta)):
         raise ValueError("beta must be finite and >= 0")
+    # the model's coefficients grow like p^2 and (1+beta*p^2)^2
+    u_max = 1.0 + beta * p_max * p_max
+    if not math.isfinite(max(p_max * p_max, u_max * u_max)):
+        raise ValueError("p_max too large: the operator coefficients "
+                         "overflow on the grid")
     h = 2.0 * p_max / (n - 1)
     # integer-centered construction keeps the grid exactly symmetric and
     # guarantees p = 0 is a grid point

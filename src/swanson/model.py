@@ -13,12 +13,16 @@ representation x is symmetric under the deformed measure, which is what
 singles it out.
 
 Everything here is a pure constructor over validated immutable inputs.
+The builders also accept a ParamBatch of draws that share beta; the
+operators they return then carry one coefficient array per draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+
+import numpy as np
 
 from .algebra import (
     CoeffFn,
@@ -93,11 +97,37 @@ def with_beta(params: ModelParams, beta: float) -> ModelParams:
     return replace(params, beta=float(beta))
 
 
-def in_reduced_regime(params: ModelParams) -> bool:
-    """True when m = hbar = 1 and lam = -delta."""
-    return (abs(params.m - 1.0) <= REGIME_EPS
-            and abs(params.hbar - 1.0) <= REGIME_EPS
-            and abs(params.lam + params.delta) <= REGIME_EPS)
+@dataclass(frozen=True)
+class ParamBatch:
+    """ModelParams draws stacked field by field: every field is a read-only
+    1-D array over the draws, except beta, which the draws share."""
+
+    omega: np.ndarray
+    lam: np.ndarray
+    delta: np.ndarray
+    m: np.ndarray
+    hbar: np.ndarray
+    beta: float
+    mu: np.ndarray
+
+
+def stack_params(draws) -> ParamBatch:
+    """Stack validated ModelParams that share one beta into a ParamBatch."""
+    betas = {params.beta for params in draws}
+    if len(betas) != 1:
+        raise ValueError("a batch needs at least one draw, and one beta")
+    columns = {}
+    for name in (f.name for f in fields(ParamBatch) if f.name != "beta"):
+        columns[name] = np.array([getattr(params, name) for params in draws])
+        columns[name].setflags(write=False)
+    return ParamBatch(beta=betas.pop(), **columns)
+
+
+def in_reduced_regime(params: ModelParams | ParamBatch) -> bool:
+    """True when m = hbar = 1 and lam = -delta (for every draw of a batch)."""
+    return bool(np.all((abs(params.m - 1.0) <= REGIME_EPS)
+                       & (abs(params.hbar - 1.0) <= REGIME_EPS)
+                       & (abs(params.lam + params.delta) <= REGIME_EPS)))
 
 
 def _require_undeformed(params: ModelParams, what: str) -> None:
@@ -131,7 +161,8 @@ def ladder_ops(params: ModelParams) -> tuple[DiffOp, DiffOp]:
     adag = (p + i*omega*m*x) / sqrt(2*m*hbar*omega)
     """
     _require_undeformed(params, "ladder_ops")
-    c = 1.0 / math.sqrt(2.0 * params.m * params.hbar * params.omega)
+    # np.sqrt is correctly rounded like math.sqrt, and takes a batch too
+    c = 1.0 / np.sqrt(2.0 * params.m * params.hbar * params.omega)
     p = momentum_operator(params)
     x = position_operator(params)
     a = c * (p - (1j * params.omega * params.m) * x)
@@ -313,28 +344,38 @@ class MetricSpec:
             raise ValueError("identity metric requires exponent 0")
 
 
+def power_exponent(params: ModelParams | ParamBatch):
+    """Power-law metric exponent e = mu / (m*hbar*omega*(omega-lam-delta)*beta)."""
+    _require_deformed(params, "metric_exponent")
+    return params.mu / (params.m * params.hbar * params.omega
+                        * (params.omega - params.lam - params.delta) * params.beta)
+
+
 def metric_exponent(params: ModelParams) -> MetricSpec:
-    """Power-law metric exponent e = mu / (m*hbar*omega*(omega-lam-delta)*beta).
+    """The power-law metric (1+beta*p^2)^e, e = power_exponent(params).
 
     lam = delta gives exponent 0, i.e. the identity metric.
     """
-    _require_deformed(params, "metric_exponent")
-    e = params.mu / (params.m * params.hbar * params.omega
-                     * (params.omega - params.lam - params.delta) * params.beta)
+    e = power_exponent(params)
     if e == 0.0:
         return MetricSpec("identity", 0.0, params.beta)
     return MetricSpec("power", e, params.beta)
 
 
-def gaussian_alpha(params: ModelParams) -> MetricSpec:
+def gaussian_exponent(params: ModelParams | ParamBatch):
     """Gaussian metric coefficient alpha = mu / (m*hbar*omega*(omega-lam-delta)),
     the beta -> 0 limit of the power-law family (exponent(beta)*beta = alpha).
 
     In the reduced regime alpha = mu / omega^2.
     """
     _require_undeformed(params, "gaussian_alpha")
-    alpha = params.mu / (params.m * params.hbar * params.omega
-                         * (params.omega - params.lam - params.delta))
+    return params.mu / (params.m * params.hbar * params.omega
+                        * (params.omega - params.lam - params.delta))
+
+
+def gaussian_alpha(params: ModelParams) -> MetricSpec:
+    """The Gaussian metric e^(alpha*p^2), alpha = gaussian_exponent(params)."""
+    alpha = gaussian_exponent(params)
     if alpha == 0.0:
         return MetricSpec("identity", 0.0, 0.0)
     return MetricSpec("gaussian", alpha, 0.0)

@@ -1,10 +1,12 @@
-"""Dense reference implementations that tests compare the library against.
+"""Reference implementations that tests compare the library against.
 
 The library stores grid operators as bands and never calls these.  Each
 one is the plain dense form of a library operation: materialized metric
 diagonals, the weighted inner product, exact application of a DiffOp to
 a polynomial, a dense <-> band converter, and the dense assembly,
-transforms and eigensolvers the banded core replaced.
+transforms and eigensolvers the banded core replaced.  The library runs
+each randomized symbolic check over all its draws in one batch; the
+scalar loops at the end evaluate the same identities one draw at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from swanson.algebra import DiffOp, Poly
+from swanson.algebra import DiffOp, Poly, operators_equal
+from swanson.checks import SYMBOLIC_TOL, draw_params
 from swanson.grids import (
     _STENCILS,
     SELFADJOINT_RTOL,
@@ -21,7 +24,20 @@ from swanson.grids import (
     metric_log_diagonal,
     weighted_norm,
 )
-from swanson.model import MetricSpec
+from swanson.model import (
+    MetricSpec,
+    gaussian_alpha,
+    h0_momentum,
+    h_deformed,
+    h_ladder,
+    h_quadratic,
+    h_reduced,
+    h_variant,
+    make_params,
+    metric_exponent,
+    reduced_variant_difference,
+    with_beta,
+)
 
 # Entries of log(metric) above this cannot be exponentiated in float64.
 LOG_OVERFLOW = 700.0
@@ -145,3 +161,75 @@ def dense_numeric_residual(op: DiffOp, spec: MetricSpec, grid: Grid,
     row_scale = np.abs(a[interior]).sum(axis=1).max()
     row_residual = np.abs(delta[interior]).sum(axis=1).max() / row_scale
     return probe_residuals, float(row_residual)
+
+
+# -- scalar loops of the randomized symbolic checks -------------------------------
+
+
+def _rng(seed: int, stream: int) -> np.random.Generator:
+    return np.random.default_rng([seed, stream])
+
+
+def expansion_sample(seed: int, draws: int = 100) -> list:
+    rng = _rng(seed, 1)
+    return [draw_params(rng) for _ in range(draws)]
+
+
+def expansion_residual(params) -> float:
+    return operators_equal(h_ladder(params), h_quadratic(params)).residual
+
+
+def variant_sample(seed: int, draws: int = 100) -> list:
+    rng = _rng(seed, 2)
+    return [make_params(1.3, 0.0, 0.0) if k == 0
+            else draw_params(rng, regime=True) for k in range(draws)]
+
+
+def variant_residual(params) -> tuple[float, bool]:
+    """Residual and variants_identical flag of one regime draw."""
+    reduced = h_reduced(params)
+    r_reduction = operators_equal(reduced, h_quadratic(params)).residual
+    difference = reduced - h_variant(params)
+    r_difference = operators_equal(
+        difference, reduced_variant_difference(params)).residual
+    return (max(r_reduction, r_difference),
+            difference.max_abs_coeff() <= SYMBOLIC_TOL)
+
+
+def gaussian_sample(seed: int, draws: int = 100) -> list:
+    rng = _rng(seed, 3)
+    return [draw_params(rng) for _ in range(draws)]
+
+
+def gaussian_residual(params) -> float:
+    alpha = gaussian_alpha(params).exponent
+    _, h0 = h0_momentum(params)
+    return operators_equal(h0.conjugate_gaussian(alpha), h0.adjoint(0)).residual
+
+
+def deformed_sample(seed: int, draws: int = 30) -> list:
+    rng = _rng(seed, 4)
+    return [draw_params(rng) for _ in range(draws)]
+
+
+def deformed_residuals(bases: list, betas=(0.01, 0.1, 1.0)) -> np.ndarray:
+    """One row per base draw, one column per beta, filled draw by draw."""
+    out = np.zeros((len(bases), len(betas)))
+    for row, base in enumerate(bases):
+        for column, beta in enumerate(betas):
+            params = with_beta(base, beta)
+            h = h_deformed(params)
+            exponent = metric_exponent(params).exponent
+            out[row, column] = operators_equal(
+                h.conjugate_power_metric(exponent), h.adjoint(-1)).residual
+    return out
+
+
+def first_strict_maximum(sample: list, residuals) -> tuple[float, object]:
+    """The loop the expansion check used to aggregate with: the worst
+    residual and the first draw that attains it (None if all are 0)."""
+    worst, worst_params = 0.0, None
+    for params, r in zip(sample, residuals):
+        if r > worst:
+            worst, worst_params = r, params
+    return worst, worst_params

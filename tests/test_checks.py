@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import swanson.checks
 from swanson.checks import (
     CheckResult,
     SuiteConfig,
@@ -242,6 +243,23 @@ class TestSuite:
                   for r in reports]
         assert len(shared[0]) == 4
         assert all(shared[1][name] is check for name, check in shared[0].items())
+
+    def test_only_numeric_errors_fail_a_check(self, monkeypatch):
+        def raiser(error):
+            def check_expansion(*args, **kwargs):
+                raise error
+            return check_expansion
+
+        config = SuiteConfig(n=101, p_max=8.0)
+        monkeypatch.setattr(swanson.checks, "check_expansion",
+                            raiser(ArithmeticError("overflow")))
+        expansion = run_suite(P1, config).checks[0]
+        assert expansion.name == "expansion" and not expansion.passed
+        assert expansion.details["error"] == "ArithmeticError: overflow"
+        monkeypatch.setattr(swanson.checks, "check_expansion",
+                            raiser(TypeError("programming error")))
+        with pytest.raises(TypeError):
+            run_suite(P1, config)
 
     def test_invalid_params_rejected_before_any_check(self):
         with pytest.raises(ValueError):

@@ -69,6 +69,16 @@ class TestParse:
                                                "delta": 0.5, **bad}))
             assert main(["verify", "--config", str(config_file)]) == 2
 
+    @pytest.mark.parametrize("key, value", [("n", 11.9), ("levels", 2.7),
+                                            ("fd_order", 4.5), ("seed", 1.5)])
+    def test_config_file_integers_are_not_truncated(self, key, value,
+                                                     tmp_path, capsys):
+        config_file = tmp_path / "job.json"
+        config_file.write_text(json.dumps({"omega": 1.0, "lambda": -0.5,
+                                           "delta": 0.5, "n": 11, key: value}))
+        assert main(["spectrum", "--config", str(config_file)]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
     def test_missing_parameter(self):
         with pytest.raises(UsageError, match="omega"):
             parse(["verify", "--lambda", "-0.5", "--delta", "0.5"])
@@ -94,8 +104,11 @@ class TestParse:
         ["--beta", "inf"],
         ["--beta-grid", "0.1,nan"],
         ["--seed", "-1"],
+        ["--pmax", "1e200"],
+        ["--pmax", "1e100", "--beta", "1"],
     ])
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_range_values_exit_two(self, command, flags, capsys):
         assert main([command, *P1_FLAGS, "--n", "101", *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -53,6 +53,14 @@ class TestGrid:
         with pytest.raises(ValueError, match="p_max"):
             build_grid(5, 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_extent_rejected(self):
+        with pytest.raises(ValueError, match="p_max"):
+            build_grid(11, 1e200)
+        with pytest.raises(ValueError, match="p_max"):
+            build_grid(11, 1e100, 1.0)
+        assert build_grid(11, 1e100).p_max == 1e100
+
     def test_symmetric_and_contains_zero_exactly(self):
         grid = build_grid(1001, 10.0)
         assert grid.points[500] == 0.0
