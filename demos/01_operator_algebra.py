@@ -32,13 +32,13 @@ print("=" * 64)
 print("Adjoints: flat measure dp and deformed measure dp/(1+beta p^2)")
 print("=" * 64)
 
-print("D^+ (flat)   =", D.adjoint(0))           # -D
-print("(pD)^+       =", (P * D).adjoint(0))     # -pD - 1
+print("D^+ (flat)   =", D.adjoint())             # -D
+print("(pD)^+       =", (P * D).adjoint())       # -pD - 1
 
 beta = 0.1
 ud = DiffOp.from_dict(beta, {1: CoeffFn(Poly((1.0,)), 1, beta)})
 print("u*D          =", ud)
-print("(u*D)^+ under dp/(1+beta p^2) =", ud.adjoint(-1))
+print("(u*D)^+ under dp/(1+beta p^2) =", ud.adjoint())
 print("  -> u*D is antisymmetric under the deformed measure, which is")
 print("     why x = i*hbar*u*D is the natural deformed position operator")
 

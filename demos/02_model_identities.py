@@ -50,7 +50,7 @@ print("=" * 64)
 coeffs, h0 = h0_momentum(P1)
 print("H0           =", h0)
 print("(Q, R, S, T) =", (coeffs.Q, coeffs.R, coeffs.S, coeffs.T))
-adjoint = h0.adjoint(0)
+adjoint = h0.adjoint()
 print("H0^+         =", adjoint)
 print("closed form  =", h0_adjoint_expected(P1))
 print("residual     =", operators_equal(adjoint, h0_adjoint_expected(P1)).residual)
@@ -59,7 +59,7 @@ print()
 print("=" * 64)
 print("Gaussian metric similarity")
 print("=" * 64)
-alpha = gaussian_alpha(P1).exponent
+alpha = gaussian_alpha(P1)
 conjugated = h0.conjugate_gaussian(alpha)
 print("alpha                 =", alpha)
 print("eta0 H0 eta0^(-1)     =", conjugated)

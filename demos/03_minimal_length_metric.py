@@ -26,9 +26,9 @@ print("=" * 64)
 for beta in (0.01, 0.1, 1.0):
     params = with_beta(P1, beta)
     h = h_deformed(params)
-    exponent = metric_exponent(params).exponent
+    exponent = metric_exponent(params)
     residual = operators_equal(h.conjugate_power_metric(exponent),
-                               h.adjoint(-1)).residual
+                               h.adjoint()).residual
     print(f"beta = {beta:<5}: exponent e = {exponent:8.3f},  "
           f"residual of eta H eta^(-1) - H^+ = {residual:.2e}")
 
@@ -40,7 +40,7 @@ print()
 print("=" * 64)
 print("Flat limit of the metric: (1+beta p^2)^e(beta) -> e^(alpha p^2)")
 print("=" * 64)
-alpha = gaussian_alpha(P1).exponent
+alpha = gaussian_alpha(P1)
 print("alpha =", alpha, " (exponent(beta) * beta = alpha exactly)")
 print()
 print(f"{'beta':>10} {'max rel deviation':>20} {'leading estimate':>20}")

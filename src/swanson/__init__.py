@@ -26,7 +26,6 @@ from .algebra import (
     zero_op,
 )
 from .model import (
-    MetricSpec,
     ModelParams,
     MomentumRepCoeffs,
     gaussian_alpha,

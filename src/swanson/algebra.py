@@ -11,7 +11,7 @@ whose coefficient functions have the closed form
 with ``P`` a complex polynomial and ``k`` an integer (negative powers
 allowed).  This class is closed under all the operations the toolkit
 needs: linear combinations, composition, formal adjoints with respect to
-the flat measure dp and the deformed measure dp/(1+beta*p^2), and
+the measure dp/(1+beta*p^2) (the flat dp at beta = 0), and
 conjugation by the Gaussian metric e^(alpha*p^2) or the power-law metric
 (1+beta*p^2)^e.
 
@@ -386,24 +386,20 @@ class DiffOp:
 
     # -- adjoints ----------------------------------------------------------------
 
-    def adjoint(self, measure_power: int = 0) -> "DiffOp":
-        """Formal adjoint under <f,g> = integral (1+beta p^2)^kappa conj(f) g dp.
+    def adjoint(self) -> "DiffOp":
+        """Formal adjoint under the operator's own measure dp/(1+beta*p^2),
+        which is the flat measure dp at beta = 0.
 
-        kappa = 0 is the flat measure; kappa = -1 is the deformed measure
-        dp/(1+beta*p^2) and requires beta > 0.  Built from the flat-measure
-        rule (f D^b)^+ = (-1)^b D^b o conj(f) followed, for kappa = -1, by
-        the sandwich u o A^+ o u^(-1) with u = 1 + beta*p^2.
+        Built from the flat-measure rule (f D^b)^+ = (-1)^b D^b o conj(f),
+        followed at beta > 0 by the sandwich u o A^+ o u^(-1) with
+        u = 1 + beta*p^2.
         """
-        if measure_power not in (0, -1):
-            raise ValueError("measure_power must be 0 or -1")
-        if measure_power == -1 and self.beta == 0.0:
-            raise ValueError("deformed measure requires beta > 0")
         flat = zero_op(self.beta)
         for b, fn in self.terms:
             d_power = DiffOp.from_dict(self.beta, {b: coeff_const(1.0, self.beta)})
             mult = DiffOp.from_dict(self.beta, {0: fn.conjugate()})
             flat = flat + (-1) ** b * (d_power * mult)
-        if measure_power == 0:
+        if self.beta == 0.0:
             return flat
         u_plus = DiffOp.from_dict(self.beta, {0: CoeffFn(Poly((1.0,)), 1, self.beta)})
         u_minus = DiffOp.from_dict(self.beta, {0: CoeffFn(Poly((1.0,)), -1, self.beta)})

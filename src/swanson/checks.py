@@ -36,10 +36,8 @@ from .grids import (
     weighted_norm,
 )
 from .model import (
-    MetricSpec,
     ModelParams,
     gaussian_alpha,
-    gaussian_exponent,
     h0_adjoint_expected,
     h0_momentum,
     h_deformed,
@@ -52,7 +50,6 @@ from .model import (
     make_params,
     metric_exponent,
     oscillator_levels,
-    power_exponent,
     reduced_variant_difference,
     stack_params,
     with_beta,
@@ -239,7 +236,7 @@ def check_adjoint(params: ModelParams) -> CheckResult:
     """Flat-measure adjoint of H0 against its closed form (R and T terms
     flip sign, consistent with T = R/2)."""
     coeffs, h0 = h0_momentum(params)
-    cmp = operators_equal(h0.adjoint(0), h0_adjoint_expected(params), SYMBOLIC_TOL)
+    cmp = operators_equal(h0.adjoint(), h0_adjoint_expected(params), SYMBOLIC_TOL)
     details = {"Q": coeffs.Q, "R": coeffs.R, "S": coeffs.S, "T": coeffs.T,
                "T_minus_half_R": coeffs.T - coeffs.R / 2.0}
     return _result("momentum_adjoint",
@@ -248,15 +245,16 @@ def check_adjoint(params: ModelParams) -> CheckResult:
                    cmp.residual, SYMBOLIC_TOL, details)
 
 
-def _gaussian_similarity_residual(params, alpha):
-    _, h0 = h0_momentum(params)
-    return operators_equal(h0.conjugate_gaussian(alpha), h0.adjoint(0)).residual
-
-
-def _deformed_similarity_residual(params, exponent):
-    h = h_deformed(params)
-    return operators_equal(h.conjugate_power_metric(exponent),
-                           h.adjoint(-1)).residual
+def _similarity_residual(params, exponent):
+    """Metric conjugation against the adjoint: H0 and the Gaussian metric
+    at beta = 0, the deformed Hamiltonian and the power law at beta > 0."""
+    if params.beta == 0.0:
+        _, h = h0_momentum(params)
+        conjugated = h.conjugate_gaussian(exponent)
+    else:
+        h = h_deformed(params)
+        conjugated = h.conjugate_power_metric(exponent)
+    return operators_equal(conjugated, h.adjoint()).residual
 
 
 def check_pseudo_symbolic(params: ModelParams,
@@ -264,35 +262,27 @@ def check_pseudo_symbolic(params: ModelParams,
     """Metric conjugation reproduces the adjoint: Gaussian family at
     beta = 0, power-law family at beta > 0.  lam = delta degenerates to
     the identity metric with exponent exactly 0."""
-    exponent = _metric_for(params, exponent_override).exponent
+    exponent = _metric_for(params, exponent_override)
+    residual = _similarity_residual(params, exponent)
     if params.beta == 0.0:
         return _result("pseudo_hermiticity_gaussian",
                        "Gaussian metric conjugation of H0 yields its adjoint",
-                       _gaussian_similarity_residual(params, exponent),
-                       SYMBOLIC_TOL, {"alpha": exponent})
+                       residual, SYMBOLIC_TOL, {"alpha": exponent})
     return _result("pseudo_hermiticity_deformed",
                    "power-law metric conjugation of the deformed Hamiltonian "
                    "yields its deformed-measure adjoint",
-                   _deformed_similarity_residual(params, exponent),
-                   SYMBOLIC_TOL, {"exponent": exponent})
+                   residual, SYMBOLIC_TOL, {"exponent": exponent})
 
 
-# A batch takes its exponents from the raw formulas.  Where a draw has
-# lam = delta, the scalar path conjugates by the identity metric and the
-# batch by a D-image term that prunes to zero for that draw; the residuals
-# agree bit for bit (tests/test_batch_parity.py).
-
-
-def _gaussian_residuals(sample: list) -> np.ndarray:
+def _similarity_residuals(sample: list) -> np.ndarray:
     batch = stack_params(sample)
-    residuals = _gaussian_similarity_residual(batch, gaussian_exponent(batch))
-    return _per_draw(residuals, len(sample))
+    return _per_draw(_similarity_residual(batch, _metric_for(batch)), len(sample))
 
 
 @functools.cache
 def check_gaussian_similarity_randomized(seed: int, draws: int = 100) -> CheckResult:
     rng = _check_rng(seed, 3)
-    residuals = _gaussian_residuals([draw_params(rng) for _ in range(draws)])
+    residuals = _similarity_residuals([draw_params(rng) for _ in range(draws)])
     return _result("pseudo_hermiticity_gaussian_randomized",
                    "Gaussian metric conjugation of H0 yields its adjoint",
                    _worst(residuals), SYMBOLIC_TOL, {"draws": draws})
@@ -301,12 +291,8 @@ def check_gaussian_similarity_randomized(seed: int, draws: int = 100) -> CheckRe
 def _deformed_residuals(bases: list, betas) -> np.ndarray:
     """Residuals of the undeformed base draws deformed by each beta, one
     row per draw and one column per beta (one batch per beta)."""
-    columns = []
-    for beta in betas:
-        batch = stack_params([with_beta(base, beta) for base in bases])
-        residuals = _deformed_similarity_residual(batch, power_exponent(batch))
-        columns.append(_per_draw(residuals, len(bases)))
-    return np.stack(columns, axis=1)
+    return np.stack([_similarity_residuals([with_beta(base, beta) for base in bases])
+                     for beta in betas], axis=1)
 
 
 @functools.cache
@@ -331,7 +317,7 @@ def check_metric_limit(params: ModelParams, beta_small: float = 1e-6,
     """
     if not beta_small > 0:
         raise ValueError("beta_small must be > 0")
-    alpha = gaussian_alpha(with_beta(params, 0.0)).exponent
+    alpha = gaussian_alpha(params)
     exponent = alpha / beta_small  # exponent(beta)*beta = alpha exactly
     p = np.linspace(-p_range, p_range, 2001)
     log_ratio = exponent * np.log1p(beta_small * p * p) - alpha * p * p
@@ -349,15 +335,12 @@ def check_metric_limit(params: ModelParams, beta_small: float = 1e-6,
 # -- numeric checks ------------------------------------------------------------------
 
 
-def _metric_for(params: ModelParams,
-                exponent_override: float | None = None) -> MetricSpec:
-    spec = gaussian_alpha(params) if params.beta == 0.0 else metric_exponent(params)
+def _metric_for(params, exponent_override: float | None = None):
+    """The override if one is given, else metric_exponent(params); an
+    override of -0.0 reads as 0.0, the identity metric."""
     if exponent_override is None:
-        return spec
-    family = "gaussian" if params.beta == 0.0 else "power"
-    if exponent_override == 0.0:
-        return MetricSpec("identity", 0.0, params.beta)
-    return MetricSpec(family, exponent_override, params.beta)
+        return metric_exponent(params)
+    return exponent_override + 0.0
 
 
 def _hamiltonian_for(params: ModelParams):
@@ -374,9 +357,8 @@ def check_numeric_residual(params: ModelParams, grid: Grid, fd_order: int = 4,
     the undeformed model the tolerance follows the calibrated
     (h/0.01)^fd_order scaling; the deformed measurement is report-only.
     """
-    mspec = _metric_for(params, exponent_override)
     a = assemble_matrix(_hamiltonian_for(params), grid, fd_order)
-    transformed = similarity_transform(a, mspec)
+    transformed = similarity_transform(a, _metric_for(params, exponent_override))
     delta = MatrixOp(transformed.matrix - weighted_adjoint(a).matrix, grid)
     probe_residuals = []
     for center in PROBE_CENTERS:
@@ -416,7 +398,7 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
     anchor = "hermitized spectrum matches the closed-form oscillator ladder"
     if params.beta == 0.0:
         if has_real_ladder(params):
-            alpha = gaussian_alpha(params).exponent
+            alpha = gaussian_alpha(params)
             _, h0 = h0_momentum(params)
             hermitized = h0.conjugate_gaussian(alpha / 2.0)
             a = assemble_matrix(hermitized, grid, fd_order)
@@ -463,15 +445,18 @@ def convergence_study(params: ModelParams, grids: list[Grid], target: str,
                       fd_order: int = 4, levels: int = 6) -> CheckResult:
     """Fit the observed convergence order across >= 3 grids.
 
-    target="E0" and target="residual" (undeformed) pass when the fitted
-    order is at least fd_order - 1; target="reality" (deformed) passes
-    when the reality ratio of the lowest 3 eigenvalues does not increase
-    with grid extent, with ratios below 1e-12 treated as converged zeros.
+    target="E0" and target="residual" (undeformed) need 3 distinct
+    spacings h and pass when the fitted order is at least fd_order - 1;
+    target="reality" (deformed) passes when the reality ratio of the
+    lowest 3 eigenvalues does not increase with grid extent, with ratios
+    below 1e-12 treated as converged zeros.
     """
     if len(grids) < 3:
         raise ValueError("need at least 3 grids")
     if target in ("E0", "residual"):
         hs = np.array([g.h for g in grids])
+        if len(set(hs.tolist())) < 3:
+            raise ValueError(f"need 3 distinct grid spacings, got h = {hs.tolist()}")
         if target == "E0":
             if params.beta != 0.0 or not has_real_ladder(params):
                 raise ValueError("target E0 needs the undeformed oscillator ladder")

@@ -14,9 +14,11 @@ order).  It is stored, transformed and diagonalised as its 2*bw+1
 diagonals: memory and assembly are O(n), and no production path forms
 an n x n array except the dense eigensolver fallback.
 
-Metrics are applied through their log-diagonal, diagonal by diagonal on
-the nonzero entries, so e^(alpha*p^2)-sized factors never have to be
-materialized when only ratios are needed.
+A metric is given by its exponent; the grid's beta picks the family, as
+it picks the weights: e^(exponent*p^2) at beta = 0, (1+beta*p^2)^exponent
+at beta > 0.  It is applied through its log-diagonal, diagonal by
+diagonal on the nonzero entries, so e^(alpha*p^2)-sized factors never
+have to be materialized when only ratios are needed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import DiffOp
-from .model import MetricSpec
 
 # Relative symmetry slack accepted by the weighted self-adjoint eigensolver.
 SELFADJOINT_RTOL = 1e-10
@@ -200,29 +201,29 @@ def weighted_adjoint(a: MatrixOp) -> MatrixOp:
                     a.grid)
 
 
-def metric_log_diagonal(spec: MetricSpec, grid: Grid) -> np.ndarray:
-    """log of the diagonal metric entries; always finite."""
-    if spec.family != "gaussian" and spec.beta != grid.beta:
-        raise ValueError("metric and grid beta differ")
+def metric_log_diagonal(exponent: float, grid: Grid) -> np.ndarray:
+    """log of the diagonal metric entries: exponent*p^2 at beta = 0,
+    exponent*log(1+beta*p^2) at beta > 0."""
     p2 = grid.points ** 2
-    if spec.family == "identity":
-        return np.zeros(grid.n)
-    if spec.family == "power":
-        return spec.exponent * np.log1p(spec.beta * p2)
-    return spec.exponent * p2
+    if grid.beta == 0.0:
+        return exponent * p2
+    return exponent * np.log1p(grid.beta * p2)
 
 
-def similarity_transform(a: MatrixOp, spec: MetricSpec,
+def similarity_transform(a: MatrixOp, exponent: float,
                          half: bool = False) -> MatrixOp:
     """eta @ A @ eta^(-1) computed per diagonal as A_ij * exp(L_i - L_j)
     (L halved when ``half``), touching only the nonzero entries so banded
-    operators never see overflowing metric entries."""
-    log_diag = metric_log_diagonal(spec, a.grid)
-    if half:
-        log_diag = 0.5 * log_diag
+    operators never see overflowing metric entries.  A metric too steep
+    for the grid raises ValueError naming the non-finite entries."""
     rows, _ = a.slot_rows()
-    exponent = np.where(a.matrix != 0, log_diag[rows] - log_diag, 0.0)
-    out = a.matrix * np.exp(exponent)
+    # overflow to inf, and inf - inf or 0 * inf to nan, are caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_diag = metric_log_diagonal(exponent, a.grid)
+        if half:
+            log_diag = 0.5 * log_diag
+        ratio = np.where(a.matrix != 0, log_diag[rows] - log_diag, 0.0)
+        out = a.matrix * np.exp(ratio)
     bad = ~np.isfinite(out)
     if np.any(bad):
         slot, cols = np.nonzero(bad)
@@ -334,8 +335,9 @@ def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
     if kind == "general":
         return _certified_shift_invert(a, levels) or _dense_spectrum(a, levels)
     if kind == "selfadjoint-weighted":
-        gap = np.linalg.norm(a.matrix - weighted_adjoint(a).matrix)
-        norm = np.linalg.norm(a.matrix)
+        # largest entries: a sum of squares would overflow on a huge grid
+        gap = np.abs(a.matrix - weighted_adjoint(a).matrix).max()
+        norm = np.abs(a.matrix).max()
         if gap > SELFADJOINT_RTOL * max(norm, 1.0):
             raise ValueError("matrix is not self-adjoint under the grid "
                              f"inner product (gap {gap:.3e}, norm {norm:.3e})")

@@ -325,60 +325,29 @@ def h0_adjoint_expected(params: ModelParams) -> DiffOp:
 # -- metric operators --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricSpec:
-    """Metric family: (1+beta*p^2)^exponent, e^(exponent*p^2), or identity."""
-
-    family: str  # "power" | "gaussian" | "identity"
-    exponent: float
-    beta: float
-
-    def __post_init__(self):
-        if self.family not in ("power", "gaussian", "identity"):
-            raise ValueError(f"unknown metric family {self.family!r}")
-        if self.family == "power" and not self.beta > 0:
-            raise ValueError("power metric requires beta > 0")
-        if self.family == "gaussian" and self.beta != 0.0:
-            raise ValueError("gaussian metric requires beta = 0")
-        if self.family == "identity" and self.exponent != 0.0:
-            raise ValueError("identity metric requires exponent 0")
-
-
-def power_exponent(params: ModelParams | ParamBatch):
-    """Power-law metric exponent e = mu / (m*hbar*omega*(omega-lam-delta)*beta)."""
-    _require_deformed(params, "metric_exponent")
+def _metric_exponent(params: ModelParams | ParamBatch, beta_factor: float):
+    """mu / (m*hbar*omega*(omega-lam-delta)*beta_factor).  Adding 0.0 turns
+    the -0.0 of lam = delta, omega < lam + delta into 0.0."""
     return params.mu / (params.m * params.hbar * params.omega
-                        * (params.omega - params.lam - params.delta) * params.beta)
+                        * (params.omega - params.lam - params.delta)
+                        * beta_factor) + 0.0
 
 
-def metric_exponent(params: ModelParams) -> MetricSpec:
-    """The power-law metric (1+beta*p^2)^e, e = power_exponent(params).
-
-    lam = delta gives exponent 0, i.e. the identity metric.
-    """
-    e = power_exponent(params)
-    if e == 0.0:
-        return MetricSpec("identity", 0.0, params.beta)
-    return MetricSpec("power", e, params.beta)
-
-
-def gaussian_exponent(params: ModelParams | ParamBatch):
+def gaussian_alpha(params: ModelParams | ParamBatch):
     """Gaussian metric coefficient alpha = mu / (m*hbar*omega*(omega-lam-delta)),
-    the beta -> 0 limit of the power-law family (exponent(beta)*beta = alpha).
+    at any beta: the beta -> 0 limit of the power-law family
+    (metric_exponent(params)*beta = alpha).
 
     In the reduced regime alpha = mu / omega^2.
     """
-    _require_undeformed(params, "gaussian_alpha")
-    return params.mu / (params.m * params.hbar * params.omega
-                        * (params.omega - params.lam - params.delta))
+    return _metric_exponent(params, 1.0)
 
 
-def gaussian_alpha(params: ModelParams) -> MetricSpec:
-    """The Gaussian metric e^(alpha*p^2), alpha = gaussian_exponent(params)."""
-    alpha = gaussian_exponent(params)
-    if alpha == 0.0:
-        return MetricSpec("identity", 0.0, 0.0)
-    return MetricSpec("gaussian", alpha, 0.0)
+def metric_exponent(params: ModelParams | ParamBatch):
+    """Exponent of the metric mapping H to its adjoint under dp/(1+beta*p^2):
+    alpha of the Gaussian e^(alpha*p^2) at beta = 0, e = alpha/beta of the
+    power law (1+beta*p^2)^e at beta > 0; 0 (lam = delta) is the identity."""
+    return _metric_exponent(params, params.beta if params.beta else 1.0)
 
 
 def has_real_ladder(params: ModelParams) -> bool:

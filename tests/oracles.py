@@ -25,7 +25,6 @@ from swanson.grids import (
     weighted_norm,
 )
 from swanson.model import (
-    MetricSpec,
     gaussian_alpha,
     h0_momentum,
     h_deformed,
@@ -43,12 +42,12 @@ from swanson.model import (
 LOG_OVERFLOW = 700.0
 
 
-def metric_diagonal(spec: MetricSpec, grid: Grid, half: bool = False) -> np.ndarray:
+def metric_diagonal(exponent: float, grid: Grid, half: bool = False) -> np.ndarray:
     """Materialized dense diagonal metric (or its half power).
 
     Refuses to exponentiate when a log entry exceeds the float64 range.
     """
-    log_diag = metric_log_diagonal(spec, grid)
+    log_diag = metric_log_diagonal(exponent, grid)
     if half:
         log_diag = 0.5 * log_diag
     if np.max(np.abs(log_diag)) > LOG_OVERFLOW:
@@ -118,10 +117,10 @@ def dense_weighted_adjoint(mat: np.ndarray, grid: Grid) -> np.ndarray:
     return mat.conj().T * (w[None, :] / w[:, None])
 
 
-def dense_similarity_transform(mat: np.ndarray, spec: MetricSpec, grid: Grid,
+def dense_similarity_transform(mat: np.ndarray, exponent: float, grid: Grid,
                                half: bool = False) -> np.ndarray:
     """A_ij * exp(L_i - L_j) on the nonzero pattern of A."""
-    log_diag = metric_log_diagonal(spec, grid)
+    log_diag = metric_log_diagonal(exponent, grid)
     factor = 0.5 if half else 1.0
     rows, cols = np.nonzero(mat)
     out = np.zeros_like(mat)
@@ -148,12 +147,12 @@ def dense_eigs(mat: np.ndarray, grid: Grid, kind: str = "general",
     return scipy.linalg.eigvalsh(sym)[:levels].astype(complex)
 
 
-def dense_numeric_residual(op: DiffOp, spec: MetricSpec, grid: Grid,
+def dense_numeric_residual(op: DiffOp, exponent: float, grid: Grid,
                            fd_order: int, probes: list[np.ndarray]):
     """Probe residuals and interior row residual of the discrete metric
     conjugation, as check_numeric_residual defines them."""
     a = dense_assemble(op, grid, fd_order)
-    delta = (dense_similarity_transform(a, spec, grid)
+    delta = (dense_similarity_transform(a, exponent, grid)
              - dense_weighted_adjoint(a, grid))
     probe_residuals = [weighted_norm(grid, delta @ psi) / weighted_norm(grid, a @ psi)
                        for psi in probes]
@@ -202,9 +201,9 @@ def gaussian_sample(seed: int, draws: int = 100) -> list:
 
 
 def gaussian_residual(params) -> float:
-    alpha = gaussian_alpha(params).exponent
+    alpha = gaussian_alpha(params)
     _, h0 = h0_momentum(params)
-    return operators_equal(h0.conjugate_gaussian(alpha), h0.adjoint(0)).residual
+    return operators_equal(h0.conjugate_gaussian(alpha), h0.adjoint()).residual
 
 
 def deformed_sample(seed: int, draws: int = 30) -> list:
@@ -219,9 +218,9 @@ def deformed_residuals(bases: list, betas=(0.01, 0.1, 1.0)) -> np.ndarray:
         for column, beta in enumerate(betas):
             params = with_beta(base, beta)
             h = h_deformed(params)
-            exponent = metric_exponent(params).exponent
+            exponent = metric_exponent(params)
             out[row, column] = operators_equal(
-                h.conjugate_power_metric(exponent), h.adjoint(-1)).residual
+                h.conjugate_power_metric(exponent), h.adjoint()).residual
     return out
 
 

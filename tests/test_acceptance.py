@@ -95,7 +95,7 @@ def test_criterion_03_momentum_representation_and_adjoint():
     for params in [P1, P2] + [draw_params(rng) for _ in range(100)]:
         _, h0 = h0_momentum(params)
         adjoint_worst = max(adjoint_worst, operators_equal(
-            h0.adjoint(0), h0_adjoint_expected(params)).residual)
+            h0.adjoint(), h0_adjoint_expected(params)).residual)
         coeffs = momentum_rep_coeffs(params)
         half_r_worst = max(half_r_worst, abs(coeffs.T - coeffs.R / 2.0))
     passed = coeffs_ok and adjoint_worst < 1e-12 and half_r_worst < 1e-15
@@ -108,10 +108,10 @@ def test_criterion_04_gaussian_conjugation():
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for params in [P1, P2] + [draw_params(rng) for _ in range(100)]:
-        alpha = gaussian_alpha(params).exponent
+        alpha = gaussian_alpha(params)
         _, h0 = h0_momentum(params)
         worst = max(worst, operators_equal(h0.conjugate_gaussian(alpha),
-                                           h0.adjoint(0)).residual)
+                                           h0.adjoint()).residual)
     report_line(4, worst < 1e-12,
                 f"Gaussian conjugation reproduces the adjoint within "
                 f"{worst:.2e} over 100 seeded draws")
@@ -125,9 +125,9 @@ def test_criterion_05_deformed_pseudo_hermiticity():
         for beta in (0.01, 0.1, 1.0):
             params = with_beta(base, beta)
             h = h_deformed(params)
-            exponent = metric_exponent(params).exponent
+            exponent = metric_exponent(params)
             worst = max(worst, operators_equal(
-                h.conjugate_power_metric(exponent), h.adjoint(-1)).residual)
+                h.conjugate_power_metric(exponent), h.adjoint()).residual)
     report_line(5, worst < 1e-12,
                 f"power-metric conjugation equals the deformed-measure "
                 f"adjoint within {worst:.2e} for beta in (0.01, 0.1, 1) x 30 draws")
@@ -188,10 +188,10 @@ def test_criterion_09_deformed_reality():
 
 def test_criterion_10_hermitian_degenerate_case():
     params = make_params(1.0, 0.3, 0.3)
-    exponent_flat = gaussian_alpha(params).exponent
-    exponent_deformed = metric_exponent(with_beta(params, 0.1)).exponent
+    exponent_flat = gaussian_alpha(params)
+    exponent_deformed = metric_exponent(with_beta(params, 0.1))
     _, h0 = h0_momentum(params)
-    symbolic = operators_equal(h0, h0.adjoint(0)).residual
+    symbolic = operators_equal(h0, h0.adjoint()).residual
     grid = build_grid(1001, 10.0)
     a = assemble_matrix(h_quadratic(params), grid, 4)
     gap = np.linalg.norm(a.matrix - weighted_adjoint(a).matrix)

@@ -60,7 +60,7 @@ def _dense_spectrum(params, grid, levels):
     untransformed operator."""
     if params.beta == 0.0 and has_real_ladder(params):
         _, h0 = h0_momentum(params)
-        hermitized = h0.conjugate_gaussian(gaussian_alpha(params).exponent / 2.0)
+        hermitized = h0.conjugate_gaussian(gaussian_alpha(params) / 2.0)
         return dense_eigs(dense_assemble(hermitized, grid), grid,
                           "selfadjoint-weighted", levels)
     return dense_eigs(dense_assemble(_hamiltonian_for(params), grid), grid,
@@ -132,11 +132,11 @@ def test_banded_assembly_and_transforms_are_linear_in_memory():
     params = make_params(1.3, 0.2, -0.4, beta=0.05)
     grid = build_grid(20001, 40.0, 0.05)
     h = _hamiltonian_for(params)
-    spec = _metric_for(params)
+    exponent = _metric_for(params)
     tracemalloc.start()
     try:
         a = assemble_matrix(h, grid)
-        transformed = similarity_transform(a, spec)
+        transformed = similarity_transform(a, exponent)
         adjoint = weighted_adjoint(a)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -107,7 +107,7 @@ class TestPerDrawParity:
     def test_gaussian(self, seed):
         sample = oracles.gaussian_sample(seed)
         expected = [oracles.gaussian_residual(p) for p in sample]
-        assert np.array_equal(checks._gaussian_residuals(sample), expected)
+        assert np.array_equal(checks._similarity_residuals(sample), expected)
         result = checks.check_gaussian_similarity_randomized(seed)
         assert result.residual == max(expected)
 
@@ -121,15 +121,15 @@ class TestPerDrawParity:
         assert result.residual == expected.max()
 
     def test_identity_metric_draws_inside_a_batch(self):
-        # lam = delta gives exponent 0: the scalar path conjugates by the
-        # identity metric while the rest of the batch keeps its D-image term
+        # lam = delta gives exponent 0: the D-image term of those draws
+        # prunes to zero while the rest of the batch keeps it
         bases = oracles.deformed_sample(5)
         bases[3] = make_params(1.2, 0.3, 0.3)
         bases[10] = make_params(0.8, -0.4, -0.4)
         expected = oracles.deformed_residuals(bases)
         assert np.array_equal(checks._deformed_residuals(bases, (0.01, 0.1, 1.0)),
                               expected)
-        assert np.array_equal(checks._gaussian_residuals(bases),
+        assert np.array_equal(checks._similarity_residuals(bases),
                               [oracles.gaussian_residual(p) for p in bases])
 
 

@@ -207,6 +207,22 @@ class TestConvergence:
         with pytest.raises(ValueError, match="3 grids"):
             convergence_study(P1, grids, "E0")
 
+    def test_repeated_spacings_rejected(self):
+        # a fit through repeated grids is ill-conditioned (numpy RankWarning)
+        grids = [build_grid(n, 10.0) for n in (5, 5, 7)]
+        for target in ("E0", "residual"):
+            with pytest.raises(ValueError, match="3 distinct grid spacings"):
+                convergence_study(P1, grids, target)
+
+    def test_small_n_suite_fails_the_fits_by_name(self):
+        # n = 5, 7, 9 halve into repeated convergence grids
+        for n in (5, 7, 9):
+            report = run_suite(P1, SuiteConfig(n=n, levels=2))
+            checks = {c.name: c for c in report.checks}
+            for name in ("convergence_residual", "convergence_spectrum"):
+                assert not checks[name].passed
+                assert "distinct grid spacings" in checks[name].details["error"]
+
     def test_unknown_target(self):
         grids = [build_grid(101, 10.0)] * 3
         with pytest.raises(ValueError, match="target"):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: parsing, outputs, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -136,6 +137,35 @@ class TestVerify:
         assert code == 1
         failing = [c["name"] for c in read_json(out)["checks"] if not c["passed"]]
         assert "pseudo_hermiticity_gaussian" in failing
+
+    def test_zero_exponent_reported_as_positive_zero(self, tmp_path):
+        # lam = delta > omega/2 gives 0.0/negative = -0.0 before normalising
+        out = tmp_path / "report.json"
+        for flags in (["--omega", "1", "--lambda", "0.6", "--delta", "0.6"],
+                      ["--omega", "1", "--lambda", "0.6", "--delta", "0.6",
+                       "--beta", "0.1"],
+                      [*P1_FLAGS, "--exponent-override", "-0"],
+                      [*P1_FLAGS, "--beta", "0.1", "--exponent-override", "-0"]):
+            main(["verify", *flags, "--n", "101", "--out", str(out)])
+            checks = {c["name"]: c for c in read_json(out)["checks"]}
+            exponents = [checks["pseudo_hermiticity_gaussian"]["details"]["alpha"]]
+            if "--beta" in flags:
+                exponents.append(
+                    checks["pseudo_hermiticity_deformed"]["details"]["exponent"])
+            for exponent in exponents:
+                assert exponent == 0.0 and math.copysign(1.0, exponent) == 1.0
+
+    @pytest.mark.parametrize("flags", [["--pmax", "1e150"],
+                                       ["--exponent-override", "1e300"]])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_steep_metric_fails_without_warnings(self, flags, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", *P1_FLAGS, "--n", "11", *flags,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        checks = {c["name"]: c for c in read_json(out)["checks"]}
+        assert ("non-finite transformed entries"
+                in checks["numeric_residual"]["details"]["error"])
 
     def test_deformed_adds_power_metric_check(self, tmp_path):
         out = tmp_path / "report.json"

@@ -18,7 +18,6 @@ from swanson.grids import (
     weighted_norm,
 )
 from swanson.model import (
-    MetricSpec,
     gaussian_alpha,
     h0_adjoint_expected,
     h0_momentum,
@@ -200,35 +199,35 @@ class TestWeightedAdjoint:
 class TestMetricDiagonal:
     def test_power_value(self):
         grid = build_grid(5, 2.0, 0.1)
-        spec = MetricSpec("power", 10.0, 0.1)
-        mat = metric_diagonal(spec, grid)
+        exponent = 10.0
+        mat = metric_diagonal(exponent, grid)
         # entry at p = 1: (1 + 0.1)^10
         assert abs(mat[3, 3].real - 1.1 ** 10) < 1e-12
         assert abs(mat[3, 3].real - 2.5937424601) < 1e-9
 
     def test_gaussian_value(self):
         grid = build_grid(5, 2.0, 0.0)
-        spec = MetricSpec("gaussian", 1.0, 0.0)
-        mat = metric_diagonal(spec, grid)
+        exponent = 1.0
+        mat = metric_diagonal(exponent, grid)
         assert abs(mat[4, 4].real - math.exp(4.0)) < 1e-11
 
     def test_identity_family(self):
         grid = build_grid(5, 2.0, 0.0)
-        spec = MetricSpec("identity", 0.0, 0.0)
-        np.testing.assert_array_equal(metric_diagonal(spec, grid), np.eye(5))
+        exponent = 0.0
+        np.testing.assert_array_equal(metric_diagonal(exponent, grid), np.eye(5))
 
     def test_half_power(self):
         grid = build_grid(5, 2.0, 0.0)
-        spec = MetricSpec("gaussian", 1.0, 0.0)
-        mat = metric_diagonal(spec, grid, half=True)
+        exponent = 1.0
+        mat = metric_diagonal(exponent, grid, half=True)
         assert abs(mat[4, 4].real - math.exp(2.0)) < 1e-12
 
     def test_overflow_guard(self):
         grid = build_grid(101, 30.0)
-        spec = MetricSpec("gaussian", 1.0, 0.0)  # log entries up to 900
+        exponent = 1.0  # log entries up to 900
         with pytest.raises(ValueError, match="log"):
-            metric_diagonal(spec, grid)
-        log_diag = metric_log_diagonal(spec, grid)  # log pathway stays finite
+            metric_diagonal(exponent, grid)
+        log_diag = metric_log_diagonal(exponent, grid)  # log pathway stays finite
         assert np.isfinite(log_diag).all()
 
 
@@ -237,39 +236,40 @@ class TestSimilarityTransform:
         rng = np.random.default_rng(5)
         grid = build_grid(9, 3.0)
         a = from_dense(rng.normal(size=(9, 9)).astype(complex), grid)
-        out = similarity_transform(a, MetricSpec("identity", 0.0, 0.0))
+        out = similarity_transform(a, 0.0)
         np.testing.assert_array_equal(out.to_dense(), a.to_dense())
 
     def test_diagonal_matrix_unchanged(self):
         grid = build_grid(9, 3.0)
         a = from_dense(np.diag(np.arange(9.0)).astype(complex), grid)
-        out = similarity_transform(a, MetricSpec("gaussian", 1.0, 0.0))
+        out = similarity_transform(a, 1.0)
         np.testing.assert_array_equal(out.to_dense(), a.to_dense())
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(6)
         grid = build_grid(21, 2.0)
         a = from_dense(rng.normal(size=(21, 21)).astype(complex), grid)
-        spec = MetricSpec("gaussian", 0.8, 0.0)
-        inverse = MetricSpec("gaussian", -0.8, 0.0)
-        out = similarity_transform(similarity_transform(a, spec), inverse)
+        exponent = 0.8
+        inverse = -0.8
+        out = similarity_transform(similarity_transform(a, exponent), inverse)
         np.testing.assert_allclose(out.to_dense(), a.to_dense(), rtol=1e-12, atol=1e-13)
 
     def test_half_transform_preserves_spectrum(self):
         grid = build_grid(41, 3.0)
         a = assemble_matrix(h_quadratic(P1), grid, 4)
-        spec = MetricSpec("gaussian", 0.5, 0.0)
+        exponent = 0.5
         before = eigs(a, "general", 41).eigenvalues
-        after = eigs(similarity_transform(a, spec, half=True), "general", 41).eigenvalues
+        after = eigs(similarity_transform(a, exponent, half=True),
+                     "general", 41).eigenvalues
         np.testing.assert_allclose(after, before, rtol=1e-8, atol=1e-8)
 
     def test_matches_materialized_metric(self):
         grid = build_grid(21, 2.0)
         a = assemble_matrix(h_quadratic(P1), grid, 4)
-        spec = MetricSpec("gaussian", 1.0, 0.0)
-        eta = metric_diagonal(spec, grid)
+        exponent = 1.0
+        eta = metric_diagonal(exponent, grid)
         expected = eta @ a.to_dense() @ np.linalg.inv(eta)
-        out = similarity_transform(a, spec)
+        out = similarity_transform(a, exponent)
         np.testing.assert_allclose(out.to_dense(), expected, rtol=1e-12, atol=1e-12)
 
     def test_discretized_conjugation_approaches_adjoint(self):
@@ -329,7 +329,7 @@ class TestEigs:
 
     def test_hermitized_general_and_selfadjoint_agree(self):
         _, h0 = h0_momentum(P1)
-        alpha = gaussian_alpha(P1).exponent
+        alpha = gaussian_alpha(P1)
         hermitized = h0.conjugate_gaussian(alpha / 2.0)
         grid = build_grid(501, 8.0)
         a = assemble_matrix(hermitized, grid, 4)

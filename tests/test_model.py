@@ -92,7 +92,7 @@ class TestLadder:
         for _ in range(20):
             params = draw_params(rng)
             a, adag = ladder_ops(params)
-            assert operators_equal(a.adjoint(0), adag).residual < 1e-13
+            assert operators_equal(a.adjoint(), adag).residual < 1e-13
 
     def test_requires_flat_beta(self):
         with pytest.raises(ValueError, match="beta = 0"):
@@ -115,7 +115,7 @@ class TestExpansion:
     def test_hermitian_when_lambda_equals_delta(self):
         params = make_params(1.0, 0.3, 0.3)
         h = h_quadratic(params)
-        assert operators_equal(h, h.adjoint(0)).residual < 1e-13
+        assert operators_equal(h, h.adjoint()).residual < 1e-13
 
     def test_reduces_to_oscillator(self):
         params = make_params(1.0, 0.0, 0.0)
@@ -182,14 +182,14 @@ class TestMomentumRepresentation:
         rng = np.random.default_rng(6)
         for params in [P1, P2] + [draw_params(rng) for _ in range(20)]:
             _, h0 = h0_momentum(params)
-            assert operators_equal(h0.adjoint(0),
+            assert operators_equal(h0.adjoint(),
                                    h0_adjoint_expected(params)).residual < 1e-12
 
     def test_self_adjoint_when_lambda_equals_delta(self):
         params = make_params(1.0, 0.3, 0.3)
         c, h0 = h0_momentum(params)
         assert c.R == 0.0 and c.T == 0.0
-        assert operators_equal(h0, h0.adjoint(0)).residual < 1e-15
+        assert operators_equal(h0, h0.adjoint()).residual < 1e-15
 
 
 class TestDeformed:
@@ -220,7 +220,7 @@ class TestDeformed:
     def test_self_adjoint_when_lambda_equals_delta(self):
         params = make_params(1.0, 0.3, 0.3, beta=0.1)
         h = h_deformed(params)
-        assert operators_equal(h, h.adjoint(-1)).residual < 1e-13
+        assert operators_equal(h, h.adjoint()).residual < 1e-13
 
     def test_requires_deformation(self):
         with pytest.raises(ValueError, match="beta > 0"):
@@ -229,30 +229,26 @@ class TestDeformed:
     def test_position_operator_symmetric_under_deformed_measure(self):
         params = with_beta(P1, 0.1)
         x = position_operator(params)
-        assert operators_equal(x.adjoint(-1), x).residual < 1e-15
+        assert operators_equal(x.adjoint(), x).residual < 1e-15
 
     def test_momentum_operator_symmetric(self):
         params = with_beta(P1, 0.1)
         p = momentum_operator(params)
-        assert operators_equal(p.adjoint(-1), p).residual < 1e-15
+        assert operators_equal(p.adjoint(), p).residual < 1e-15
 
 
 class TestMetrics:
     def test_p1_power_exponent(self):
-        spec = metric_exponent(with_beta(P1, 0.1))
-        assert spec.family == "power"
-        assert abs(spec.exponent - 10.0) < 1e-12
+        assert abs(metric_exponent(with_beta(P1, 0.1)) - 10.0) < 1e-12
 
     def test_p1_gaussian_alpha(self):
-        spec = gaussian_alpha(P1)
-        assert spec.family == "gaussian"
-        assert abs(spec.exponent - 1.0) < 1e-15
+        assert abs(gaussian_alpha(P1) - 1.0) < 1e-15
 
     def test_reduced_regime_alpha_is_mu_over_omega_squared(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
             params = draw_params(rng, regime=True)
-            alpha = gaussian_alpha(params).exponent
+            alpha = gaussian_alpha(params)
             assert abs(alpha - params.mu / params.omega ** 2) < 1e-12
 
     def test_exponent_times_beta_is_alpha(self):
@@ -260,22 +256,25 @@ class TestMetrics:
         for beta in (1e-6, 1e-3, 0.1, 1.0):
             for _ in range(10):
                 params = draw_params(rng)
-                alpha = gaussian_alpha(params).exponent
-                e = metric_exponent(with_beta(params, beta)).exponent
+                alpha = gaussian_alpha(params)
+                e = metric_exponent(with_beta(params, beta))
                 assert abs(e * beta - alpha) < 1e-12 * max(1.0, abs(alpha))
 
     def test_identity_family_when_lambda_equals_delta(self):
-        flat = make_params(1.0, 0.3, 0.3)
-        assert gaussian_alpha(flat).family == "identity"
-        assert gaussian_alpha(flat).exponent == 0.0
-        deformed = make_params(1.0, 0.3, 0.3, beta=0.1)
-        assert metric_exponent(deformed).family == "identity"
+        # omega < lam + delta makes the raw quotient 0.0/negative = -0.0
+        for lam in (0.3, 0.6):
+            flat = make_params(1.0, lam, lam)
+            deformed = with_beta(flat, 0.1)
+            for exponent in (gaussian_alpha(flat), metric_exponent(flat),
+                             gaussian_alpha(deformed), metric_exponent(deformed)):
+                assert exponent == 0.0 and math.copysign(1.0, exponent) == 1.0
 
-    def test_family_beta_guards(self):
-        with pytest.raises(ValueError, match="beta > 0"):
-            metric_exponent(P1)
-        with pytest.raises(ValueError, match="beta = 0"):
-            gaussian_alpha(with_beta(P1, 0.1))
+    def test_beta_selects_the_exponent(self):
+        # alpha at beta = 0, e = alpha/beta at beta > 0; alpha at any beta
+        deformed = with_beta(P1, 0.1)
+        assert metric_exponent(P1) == gaussian_alpha(P1)
+        assert gaussian_alpha(deformed) == gaussian_alpha(P1)
+        assert metric_exponent(deformed) == gaussian_alpha(P1) / 0.1
 
 
 class TestOscillatorLevels:
