@@ -10,7 +10,8 @@ from swanson import (
     build_grid,
     check_numeric_residual,
     check_spectrum,
-    convergence_study,
+    convergence_order,
+    convergence_reality,
     make_params,
     oscillator_levels,
     run_suite,
@@ -34,12 +35,11 @@ print("=" * 64)
 print("Probe residual of the discrete metric conjugation")
 print("=" * 64)
 print(f"{'n':>6} {'h':>10} {'max probe residual':>20}")
-for n in (501, 1001, 2001):
-    g = build_grid(n, 10.0)
-    r = check_numeric_residual(P1, g)
-    print(f"{n:>6} {g.h:>10.4f} {r.residual:>20.3e}")
-study = convergence_study(P1, [build_grid(n, 10.0) for n in (501, 1001, 2001)],
-                          "residual")
+grids = [build_grid(n, 10.0) for n in (501, 1001, 2001)]
+residuals = [check_numeric_residual(P1, g).residual for g in grids]
+for g, r in zip(grids, residuals):
+    print(f"{g.n:>6} {g.h:>10.4f} {r:>20.3e}")
+study = convergence_order("convergence_residual", "", grids, residuals)
 print("fitted convergence order:", round(study.details["fitted_order"], 2))
 
 print()
@@ -49,7 +49,8 @@ print("=" * 64)
 params = with_beta(P1, 0.1)
 grids = [build_grid(n, pm, 0.1)
          for n, pm in ((401, 20.0), (801, 40.0), (1201, 60.0))]
-study = convergence_study(params, grids, "reality")
+study = convergence_reality(
+    grids, [check_spectrum(params, g, levels=3)[0] for g in grids])
 print(f"{'p_max':>8} {'n':>6} {'lowest 3 Re(E)':>42} {'max |Im/Re|':>12}")
 for pm, n, spec, ratio in zip(study.details["p_max"], study.details["n"],
                               study.details["spectra"],

@@ -73,7 +73,8 @@ from .checks import (
     check_pseudo_symbolic,
     check_spectrum,
     check_variant_discrepancy,
-    convergence_study,
+    convergence_order,
+    convergence_reality,
     draw_params,
     run_suite,
 )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -71,8 +71,10 @@ PROBE_SPAN = 1.5
 PROBE_WIDTH = 0.5
 PROBE_CENTERS = np.linspace(-PROBE_SPAN, PROBE_SPAN, 5)
 
-# Reality ratios below this are treated as converged to zero when judging
+# The reality study judges the lowest REALITY_LEVELS eigenvalues; ratios
+# below REALITY_FLOOR are treated as converged to zero when judging
 # monotone decrease with grid extent.
+REALITY_LEVELS = 3
 REALITY_FLOOR = 1e-12
 
 
@@ -106,22 +108,17 @@ def _result(name: str, anchor: str, residual: float,
 # -- random parameter draws ----------------------------------------------------
 
 
-def draw_params(rng: np.random.Generator, regime: bool = False,
-                spectrum_safe: bool = False) -> ModelParams:
+def draw_params(rng: np.random.Generator, regime: bool = False) -> ModelParams:
     """One valid random parameter set: omega ~ U[0.5, 2], lam, delta ~
     U[-0.9, 0.9], rejecting |omega-lam-delta| < 0.05; ``regime`` forces
-    lam = -delta, ``spectrum_safe`` additionally keeps the closed-form
-    oscillator ladder real and ascending."""
+    lam = -delta."""
     while True:
         omega = rng.uniform(0.5, 2.0)
         delta = rng.uniform(-0.9, 0.9)
         lam = -delta if regime else rng.uniform(-0.9, 0.9)
         if abs(omega - lam - delta) < 0.05:
             continue
-        params = make_params(omega, lam, delta)
-        if spectrum_safe and not has_real_ladder(params):
-            continue
-        return params
+        return make_params(omega, lam, delta)
 
 
 def _check_rng(seed: int, stream: int) -> np.random.Generator:
@@ -397,10 +394,9 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
     """
     anchor = "hermitized spectrum matches the closed-form oscillator ladder"
     if params.beta == 0.0:
+        _, h0 = h0_momentum(params)
         if has_real_ladder(params):
-            alpha = gaussian_alpha(params)
-            _, h0 = h0_momentum(params)
-            hermitized = h0.conjugate_gaussian(alpha / 2.0)
+            hermitized = h0.conjugate_gaussian(gaussian_alpha(params) / 2.0)
             a = assemble_matrix(hermitized, grid, fd_order)
             spectrum = eigs(a, "selfadjoint-weighted", levels)
             oracle = np.array(oscillator_levels(params, levels))
@@ -413,7 +409,6 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
             }
             result = _result("spectrum", anchor, errors.max(), SPECTRUM_TOL, details)
             return result, spectrum
-        _, h0 = h0_momentum(params)
         a = assemble_matrix(h0, grid, fd_order)
         reason = ("omega^2 <= 4*lambda*delta"
                   if params.omega * params.omega
@@ -441,71 +436,57 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
     return result, spectrum
 
 
-def convergence_study(params: ModelParams, grids: list[Grid], target: str,
-                      fd_order: int = 4, levels: int = 6) -> CheckResult:
-    """Fit the observed convergence order across >= 3 grids.
-
-    target="E0" and target="residual" (undeformed) need 3 distinct
-    spacings h and pass when the fitted order is at least fd_order - 1;
-    target="reality" (deformed) passes when the reality ratio of the
-    lowest 3 eigenvalues does not increase with grid extent, with ratios
-    below 1e-12 treated as converged zeros.
-    """
+def convergence_order(name: str, anchor: str, grids: list[Grid], errors,
+                      fd_order: int = 4) -> CheckResult:
+    """Fit the observed convergence order of ``errors``, one per grid, in
+    the grid spacing h.  Needs >= 3 grids of distinct spacing and finite
+    errors, and passes when the fitted order is at least fd_order - 1."""
     if len(grids) < 3:
         raise ValueError("need at least 3 grids")
-    if target in ("E0", "residual"):
-        hs = np.array([g.h for g in grids])
-        if len(set(hs.tolist())) < 3:
-            raise ValueError(f"need 3 distinct grid spacings, got h = {hs.tolist()}")
-        if target == "E0":
-            if params.beta != 0.0 or not has_real_ladder(params):
-                raise ValueError("target E0 needs the undeformed oscillator ladder")
-            errors = [check_spectrum(params, grid, fd_order, 1)[0]
-                      .details["errors"][0] for grid in grids]
-            anchor = "ground-state error decreases at the stencil order"
-            name = "convergence_spectrum"
-        else:
-            errors = [check_numeric_residual(params, grid, fd_order).residual
-                      for grid in grids]
-            anchor = ("probe residual of the discrete metric conjugation "
-                      "decreases at the stencil order")
-            name = "convergence_residual"
-        errors = np.maximum(np.array(errors, dtype=float), 1e-16)
-        order = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
-        residual = max(0.0, (fd_order - 1.0) - order)
-        details = {
-            "h": [float(h) for h in hs],
-            "errors": [float(e) for e in errors],
-            "fitted_order": order,
-            "required_order": fd_order - 1.0,
-            "monotone": bool(np.all(np.diff(errors) < 0)),
-        }
-        return _result(name, anchor, residual, 0.0, details)
-    if target == "reality":
-        ratios = []
-        spectra = []
-        for grid in grids:
-            result, _ = check_spectrum(params, grid, fd_order, min(levels, 3))
-            ratios.append(result.residual)
-            spectra.append({"re": result.details["re"],
-                            "im": result.details["im"]})
-        floored = [r if r > REALITY_FLOOR else 0.0 for r in ratios]
-        violations = [floored[k + 1] - floored[k]
-                      for k in range(len(floored) - 1)
-                      if floored[k + 1] > floored[k]]
-        residual = max(violations, default=0.0)
-        details = {
-            "p_max": [float(g.p_max) for g in grids],
-            "n": [g.n for g in grids],
-            "reality_ratios": ratios,
-            "spectra": spectra,
-            "floor": REALITY_FLOOR,
-        }
-        return _result("convergence_reality",
-                       "imaginary parts of the deformed spectrum shrink as "
-                       "the grid extent grows",
-                       residual, 0.0, details)
-    raise ValueError(f"unknown convergence target {target!r}")
+    hs = np.array([g.h for g in grids])
+    if len(set(hs.tolist())) < 3:
+        raise ValueError(f"need 3 distinct grid spacings, got h = {hs.tolist()}")
+    errors = np.array(errors, dtype=float)
+    if not np.all(np.isfinite(errors)):
+        raise ValueError(f"cannot fit an order through errors {errors.tolist()}")
+    errors = np.maximum(errors, 1e-16)
+    order = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+    residual = max(0.0, (fd_order - 1.0) - order)
+    details = {
+        "h": [float(h) for h in hs],
+        "errors": [float(e) for e in errors],
+        "fitted_order": order,
+        "required_order": fd_order - 1.0,
+        "monotone": bool(np.all(np.diff(errors) < 0)),
+    }
+    return _result(name, anchor, residual, 0.0, details)
+
+
+def convergence_reality(grids: list[Grid],
+                        results: list[CheckResult]) -> CheckResult:
+    """Judge the general-path spectrum results of ``check_spectrum``, one
+    per grid of growing extent: the reality ratio of the lowest
+    REALITY_LEVELS eigenvalues must not increase, with ratios below
+    REALITY_FLOOR treated as converged zeros."""
+    if len(grids) < 3:
+        raise ValueError("need at least 3 grids")
+    ratios = [max(result.details["reality_ratios"][:REALITY_LEVELS])
+              for result in results]
+    floored = [r if r > REALITY_FLOOR else 0.0 for r in ratios]
+    violations = [b - a for a, b in zip(floored, floored[1:]) if b > a]
+    details = {
+        "p_max": [float(g.p_max) for g in grids],
+        "n": [g.n for g in grids],
+        "reality_ratios": ratios,
+        "spectra": [{"re": result.details["re"][:REALITY_LEVELS],
+                     "im": result.details["im"][:REALITY_LEVELS]}
+                    for result in results],
+        "floor": REALITY_FLOOR,
+    }
+    return _result("convergence_reality",
+                   "imaginary parts of the deformed spectrum shrink as "
+                   "the grid extent grows",
+                   max(violations, default=0.0), 0.0, details)
 
 
 # -- suite ---------------------------------------------------------------------------
@@ -527,7 +508,6 @@ class SuiteConfig:
             "n": self.n,
             "p_max": self.p_max,
             "fd_order": self.fd_order,
-            "measure_power": 0 if beta == 0.0 else -1,
             "beta": beta,
             "boundary": "dirichlet-truncation",
         }
@@ -552,17 +532,7 @@ class Report:
         return {
             "params": self.params.to_dict(),
             "grid": self.grid_summary,
-            "checks": [
-                {
-                    "name": c.name,
-                    "paper_anchor": c.paper_anchor,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                    "details": c.details,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "spectra": self.spectra,
             "generated_at": generated_at,
             "seed": self.seed,
@@ -594,7 +564,7 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
     spectra: dict = {}
     timings: dict = {}
 
-    def run(label, func):
+    def run(label, func) -> CheckResult:
         start = time.perf_counter()
         try:
             outcome = func()
@@ -603,6 +573,7 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
                                   {"error": f"{type(exc).__name__}: {exc}"})
         timings[outcome.name] = time.perf_counter() - start
         checks.append(outcome)
+        return outcome
 
     run("expansion", lambda: check_expansion(undeformed))
     run("expansion_randomized",
@@ -626,9 +597,9 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
         lambda: check_metric_limit(
             undeformed,
             beta_small=params.beta if params.beta > 0.0 else 1e-6))
-    run("numeric_residual",
-        lambda: check_numeric_residual(params, grid, config.fd_order,
-                                       config.exponent_override))
+    residual = run("numeric_residual",
+                   lambda: check_numeric_residual(params, grid, config.fd_order,
+                                                  config.exponent_override))
 
     def spectrum_check():
         result, spectrum = check_spectrum(params, grid, config.fd_order,
@@ -639,25 +610,42 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
         }
         return result
 
-    run("spectrum", spectrum_check)
+    spectrum = run("spectrum", spectrum_check)
+
+    # Each study's finest grid is the suite grid: its last point is the
+    # main check's result, and only the coarser grids are solved here.
+    if params.beta == 0.0:
+        coarse = [build_grid(m, config.p_max)
+                  for m in (_halved(_halved(config.n)), _halved(config.n))]
+    else:
+        coarse = [build_grid(_scaled_odd(config.n, f), config.p_max * f,
+                             params.beta) for f in (1.0 / 3.0, 2.0 / 3.0)]
+
+    def ladder(finest: CheckResult, measure) -> list[CheckResult]:
+        if "error" in finest.details:  # it measured nothing to extend
+            raise ValueError(f"{finest.name} failed: {finest.details['error']}")
+        return [measure(g) for g in coarse] + [finest]
+
+    def spectrum_on(levels: int):
+        return lambda g: check_spectrum(params, g, config.fd_order, levels)[0]
 
     if params.beta == 0.0:
-        ns = [_halved(_halved(config.n)), _halved(config.n), config.n]
-        conv_grids = [build_grid(nk, config.p_max) for nk in ns]
-        run("convergence_residual",
-            lambda: convergence_study(params, conv_grids, "residual",
-                                      config.fd_order, config.levels))
+        run("convergence_residual", lambda: convergence_order(
+            "convergence_residual", "probe residual of the discrete metric "
+            "conjugation decreases at the stencil order", coarse + [grid],
+            [r.residual for r in ladder(residual, lambda g: check_numeric_residual(
+                params, g, config.fd_order, config.exponent_override))],
+            config.fd_order))
         if has_real_ladder(params):
-            run("convergence_spectrum",
-                lambda: convergence_study(params, conv_grids, "E0",
-                                          config.fd_order, config.levels))
+            run("convergence_spectrum", lambda: convergence_order(
+                "convergence_spectrum",
+                "ground-state error decreases at the stencil order", coarse + [grid],
+                [r.details["errors"][0] for r in ladder(spectrum, spectrum_on(1))],
+                config.fd_order))
     else:
-        fractions = (1.0 / 3.0, 2.0 / 3.0, 1.0)
-        conv_grids = [build_grid(_scaled_odd(config.n, f), config.p_max * f,
-                                 params.beta) for f in fractions]
-        run("convergence_reality",
-            lambda: convergence_study(params, conv_grids, "reality",
-                                      config.fd_order, config.levels))
+        run("convergence_reality", lambda: convergence_reality(
+            coarse + [grid],
+            ladder(spectrum, spectrum_on(min(config.levels, REALITY_LEVELS)))))
 
     return Report(params=params, grid_summary=config.grid_summary(params.beta),
                   checks=checks, spectra=spectra or None,

@@ -42,6 +42,10 @@ SELFADJOINT_RTOL = 1e-10
 ARPACK_EXTRA = 8
 SHIFT_DEPTH = 2.0
 
+# Largest grid the dense eigensolver fallback accepts; its n x n complex
+# matrix alone takes 16*n^2 bytes (256 MB at this n).
+DENSE_MAX_N = 4001
+
 _STENCILS = {
     (1, 2): {-1: -0.5, 1: 0.5},
     (1, 4): {-2: 1.0 / 12.0, -1: -2.0 / 3.0, 1: 2.0 / 3.0, 2: -1.0 / 12.0},
@@ -272,6 +276,11 @@ def _lowest_hermitian(band: np.ndarray, count: int) -> np.ndarray:
 
 
 def _dense_spectrum(a: MatrixOp, levels: int) -> Spectrum:
+    n = a.grid.n
+    if n > DENSE_MAX_N:
+        raise np.linalg.LinAlgError(
+            f"dense eigensolver fallback refused at n = {n}: it needs "
+            f"{16 * n * n} bytes, and n may be at most {DENSE_MAX_N}")
     vals = scipy.linalg.eigvals(_real_if_possible(a.to_dense()))
     return Spectrum(_sorted_eigenvalues(vals)[:levels], "dense-fallback")
 
@@ -324,7 +333,8 @@ def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
 
     kind="general" uses certified ARPACK shift-invert on the band
     (see _certified_shift_invert) and falls back to a dense nonsymmetric
-    solve when that is impossible (levels close to n) or uncertified.
+    solve when that is impossible (levels close to n) or uncertified;
+    above DENSE_MAX_N the fallback raises LinAlgError instead.
     kind="selfadjoint-weighted" requires A to equal its weighted adjoint
     (within a small relative slack), symmetrizes via W^(1/2) A W^(-1/2),
     and solves the Hermitian band problem.

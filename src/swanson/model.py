@@ -33,7 +33,6 @@ from .algebra import (
     coeff_poly,
     commutator,
     const_op,
-    d_op,
     p_op,
 )
 

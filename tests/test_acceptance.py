@@ -17,7 +17,7 @@ from swanson.checks import (
     check_metric_limit,
     check_numeric_residual,
     check_spectrum,
-    convergence_study,
+    convergence_order,
     draw_params,
     run_suite,
 )
@@ -162,9 +162,11 @@ def test_criterion_07_spectrum_oracle():
 
 
 def test_criterion_08_numeric_residual_and_order():
-    fine = check_numeric_residual(P1, build_grid(2001, 10.0))
     grids = [build_grid(n, 10.0) for n in (501, 1001, 2001)]
-    study = convergence_study(P1, grids, "residual")
+    results = [check_numeric_residual(P1, grid) for grid in grids]
+    fine = results[-1]
+    study = convergence_order("convergence_residual", "", grids,
+                              [r.residual for r in results])
     order = study.details["fitted_order"]
     passed = fine.residual < 1e-6 and order >= 3.0 and study.passed
     report_line(8, passed,

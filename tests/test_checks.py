@@ -20,7 +20,8 @@ from swanson.checks import (
     check_spectrum,
     check_variant_discrepancy,
     check_variant_discrepancy_randomized,
-    convergence_study,
+    convergence_order,
+    convergence_reality,
     draw_params,
     run_suite,
 )
@@ -180,24 +181,35 @@ class TestSpectrum:
         assert "reality_ratios" in result.details
 
 
+def _residual_errors(params, grids):
+    return [check_numeric_residual(params, g).residual for g in grids]
+
+
+def _e0_errors(params, grids):
+    return [check_spectrum(params, g, 4, 1)[0].details["errors"][0] for g in grids]
+
+
 class TestConvergence:
     def test_spectrum_order(self):
         grids = [build_grid(n, 10.0) for n in (251, 501, 1001)]
-        result = convergence_study(P1, grids, "E0")
+        result = convergence_order("convergence_spectrum", "", grids,
+                                   _e0_errors(P1, grids))
         assert result.passed
         assert result.details["fitted_order"] > 3.5
         assert result.details["monotone"]
 
     def test_residual_order(self):
         grids = [build_grid(n, 10.0) for n in (251, 501, 1001)]
-        result = convergence_study(P1, grids, "residual")
+        result = convergence_order("convergence_residual", "", grids,
+                                   _residual_errors(P1, grids))
         assert result.passed
         assert result.details["fitted_order"] > 3.5
 
     def test_reality_monotone(self):
         grids = [build_grid(n, pm, 0.1)
                  for n, pm in ((201, 10.0), (401, 20.0), (601, 30.0))]
-        result = convergence_study(P1_DEFORMED, grids, "reality")
+        result = convergence_reality(
+            grids, [check_spectrum(P1_DEFORMED, g, 4, 3)[0] for g in grids])
         assert result.passed
         assert len(result.details["reality_ratios"]) == 3
         assert len(result.details["spectra"]) == 3
@@ -205,14 +217,22 @@ class TestConvergence:
     def test_needs_three_grids(self):
         grids = [build_grid(101, 10.0), build_grid(201, 10.0)]
         with pytest.raises(ValueError, match="3 grids"):
-            convergence_study(P1, grids, "E0")
+            convergence_order("convergence_spectrum", "", grids,
+                              _e0_errors(P1, grids))
 
     def test_repeated_spacings_rejected(self):
         # a fit through repeated grids is ill-conditioned (numpy RankWarning)
         grids = [build_grid(n, 10.0) for n in (5, 5, 7)]
-        for target in ("E0", "residual"):
+        for errors in (_e0_errors(P1, grids), _residual_errors(P1, grids)):
             with pytest.raises(ValueError, match="3 distinct grid spacings"):
-                convergence_study(P1, grids, target)
+                convergence_order("convergence_residual", "", grids, errors)
+
+    def test_no_fit_through_non_finite_errors(self):
+        grids = [build_grid(n, 10.0) for n in (51, 101, 201)]
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="cannot fit"):
+                convergence_order("convergence_residual", "", grids,
+                                  [1e-3, 1e-4, bad])
 
     def test_small_n_suite_fails_the_fits_by_name(self):
         # n = 5, 7, 9 halve into repeated convergence grids
@@ -223,10 +243,56 @@ class TestConvergence:
                 assert not checks[name].passed
                 assert "distinct grid spacings" in checks[name].details["error"]
 
-    def test_unknown_target(self):
-        grids = [build_grid(101, 10.0)] * 3
-        with pytest.raises(ValueError, match="target"):
-            convergence_study(P1, grids, "energy")
+    def _counted_suite(self, monkeypatch, params, config):
+        calls = {"assemble": 0, "eigs": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(swanson.checks, "assemble_matrix",
+                            counted("assemble", swanson.checks.assemble_matrix))
+        monkeypatch.setattr(swanson.checks, "eigs",
+                            counted("eigs", swanson.checks.eigs))
+        report = run_suite(params, config)
+        return {c.name: c for c in report.checks}, calls
+
+    def test_flat_studies_end_at_the_suite_grid(self, monkeypatch):
+        checks, calls = self._counted_suite(monkeypatch, P1, SuiteConfig(n=301))
+        # suite grid: residual and spectrum; each coarse grid: both again
+        assert calls == {"assemble": 6, "eigs": 3}
+        assert (checks["convergence_residual"].details["errors"][-1]
+                == checks["numeric_residual"].residual)
+        assert (checks["convergence_spectrum"].details["errors"][-1]
+                == checks["spectrum"].details["errors"][0])
+        assert checks["convergence_residual"].details["h"][-1] == 20.0 / 300
+
+    def test_deformed_study_ends_at_the_suite_grid(self, monkeypatch):
+        checks, calls = self._counted_suite(
+            monkeypatch, P1_DEFORMED, SuiteConfig(n=301, p_max=20.0))
+        # suite grid: residual and spectrum; each coarse grid: a spectrum
+        assert calls == {"assemble": 4, "eigs": 3}
+        reality = checks["convergence_reality"].details
+        spectrum = checks["spectrum"].details
+        assert reality["reality_ratios"][-1] == max(spectrum["reality_ratios"][:3])
+        assert reality["spectra"][-1] == {"re": spectrum["re"][:3],
+                                          "im": spectrum["im"][:3]}
+        assert (reality["n"][-1], reality["p_max"][-1]) == (301, 20.0)
+
+    def test_study_names_a_failed_finest_check(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("no spectrum")
+
+        monkeypatch.setattr(swanson.checks, "eigs", broken)
+        for params, study in ((P1, "convergence_spectrum"),
+                              (P1_DEFORMED, "convergence_reality")):
+            checks = {c.name: c for c in run_suite(
+                params, SuiteConfig(n=101, p_max=20.0)).checks}
+            assert not checks[study].passed
+            assert checks[study].details["error"] == (
+                "ValueError: spectrum failed: LinAlgError: no spectrum")
 
 
 class TestSuite:
@@ -310,6 +376,11 @@ class TestSuite:
         assert "pseudo_hermiticity_gaussian" in failing
         # randomized identities are untouched by the override
         assert "pseudo_hermiticity_gaussian_randomized" not in failing
+        # the residual study measures the overridden exponent too
+        checks = {c.name: c for c in report.checks}
+        errors = checks["convergence_residual"].details["errors"]
+        assert errors[-1] == checks["numeric_residual"].residual
+        assert errors[-1] > 1e-3
 
     def test_timings_recorded_but_not_serialized(self):
         report = run_suite(P1, SuiteConfig(n=301))
@@ -326,7 +397,3 @@ class TestSuite:
         for _ in range(50):
             params = draw_params(rng, regime=True)
             assert params.lam == -params.delta
-        for _ in range(50):
-            params = draw_params(rng, spectrum_safe=True)
-            assert params.omega ** 2 >= 4.0 * params.lam * params.delta
-            assert params.omega - params.lam - params.delta > 0.0

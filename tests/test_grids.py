@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import swanson.grids
+from swanson.checks import SuiteConfig, run_suite
 from swanson.grids import (
     assemble_matrix,
     build_grid,
@@ -24,6 +26,7 @@ from swanson.model import (
     h_quadratic,
     make_params,
     oscillator_levels,
+    with_beta,
 )
 from swanson.algebra import DiffOp, coeff_poly, identity_op
 
@@ -326,6 +329,23 @@ class TestEigs:
         assert np.abs(spectrum.eigenvalues.imag).max() < 1e-8
         np.testing.assert_allclose(spectrum.eigenvalues.real,
                                    oscillator_levels(P1, 4), atol=1e-4)
+
+    def test_dense_fallback_refuses_large_grids(self, monkeypatch):
+        _, h0 = h0_momentum(P1)
+        a = assemble_matrix(h0, build_grid(101, 8.0), 4)
+        monkeypatch.setattr(swanson.grids, "_certified_shift_invert",
+                            lambda a, levels: None)
+        assert eigs(a, "general", 3).solver == "dense-fallback"
+        monkeypatch.setattr(swanson.grids, "DENSE_MAX_N", 99)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"n = 101: it needs 163216 bytes.* at most 99"):
+            eigs(a, "general", 3)
+        # inside the suite the spectrum check fails by name
+        report = run_suite(with_beta(P1, 0.1), SuiteConfig(n=101, p_max=20.0))
+        spectrum = {c.name: c for c in report.checks}["spectrum"]
+        assert not spectrum.passed
+        assert spectrum.details["error"].startswith(
+            "LinAlgError: dense eigensolver fallback refused at n = 101")
 
     def test_hermitized_general_and_selfadjoint_agree(self):
         _, h0 = h0_momentum(P1)
