@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import operators_equal
+from .algebra import DiffOp, operators_equal
 from .grids import (
     Grid,
     MatrixOp,
@@ -77,6 +77,38 @@ PROBE_CENTERS = np.linspace(-PROBE_SPAN, PROBE_SPAN, 5)
 REALITY_LEVELS = 3
 REALITY_FLOOR = 1e-12
 
+# The paper claim each check verifies, keyed by check name.  A randomized
+# check verifies the claim of its single-parameter form, and the spectrum
+# check verifies "spectrum_ladder" where the closed-form ladder applies.
+ANCHORS = {
+    "expansion": "ladder form equals the quadratic momentum form",
+    "reduced_vs_variant": "reduced Hamiltonian differs from the full-strength "
+                          "anticommutator variant by mu*p*D + mu/2",
+    "momentum_adjoint": "flat-measure adjoint of H0 flips the signs of the "
+                        "R and T terms",
+    "pseudo_hermiticity_gaussian": "Gaussian metric conjugation of H0 yields "
+                                   "its adjoint",
+    "pseudo_hermiticity_deformed": "power-law metric conjugation of the "
+                                   "deformed Hamiltonian yields its "
+                                   "deformed-measure adjoint",
+    "metric_limit": "power-law metric tends to the Gaussian metric as the "
+                    "deformation vanishes",
+    "numeric_residual": "discrete metric conjugation matches the "
+                        "weighted-adjoint matrix on probe states",
+    "spectrum": "low-lying spectrum is real up to grid truncation",
+    "spectrum_ladder": "hermitized spectrum matches the closed-form "
+                       "oscillator ladder",
+    "convergence_residual": "probe residual of the discrete metric "
+                            "conjugation decreases at the stencil order",
+    "convergence_spectrum": "ground-state error decreases at the stencil order",
+    "convergence_reality": "imaginary parts of the deformed spectrum shrink "
+                           "as the grid extent grows",
+}
+
+
+def _anchor(name: str) -> str:
+    return ANCHORS[name.removesuffix("_randomized")]
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -95,14 +127,17 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-def _result(name: str, anchor: str, residual: float,
-            tolerance: float | None, details: dict | None = None) -> CheckResult:
+def _result(name: str, residual: float, tolerance: float | None,
+            details: dict | None = None, anchor: str | None = None) -> CheckResult:
+    """A check's outcome under its own anchor, ``_anchor(name)`` unless
+    given."""
     residual = float(residual)
     if tolerance is None:
         passed = math.isfinite(residual)
     else:
         passed = residual <= tolerance
-    return CheckResult(name, anchor, residual, tolerance, passed, details or {})
+    return CheckResult(name, _anchor(name) if anchor is None else anchor,
+                       residual, tolerance, passed, details or {})
 
 
 # -- random parameter draws ----------------------------------------------------
@@ -133,8 +168,27 @@ def _check_rng(seed: int, stream: int) -> np.random.Generator:
 # residual equals the one the scalar path computes for that draw.  The
 # checks depend on their arguments only (seed, draws, betas) and are
 # cached, one small entry per seed, so a sweep runs them once and not
-# once per beta.  Callers share the cached results and must not mutate
-# their details.
+# once per beta.  The single-parameter symbolic checks are cached on their
+# arguments the same way: a sweep runs them on the same undeformed
+# parameters for every beta.  Callers share the cached results and must
+# not mutate their details.
+
+
+def _cached_by_repr(check):
+    """Cache ``check`` on the repr of its arguments.  Unlike ==, the repr
+    tells -0.0 from 0.0, which compare equal but print differently in a
+    report, so a result is reused only for bit-identical arguments."""
+    results = {}
+
+    @functools.wraps(check)
+    def cached(*args, **kwargs):
+        key = repr((args, kwargs))
+        if key not in results:
+            results[key] = check(*args, **kwargs)
+        return results[key]
+
+    cached.cache_clear = results.clear
+    return cached
 
 
 def _per_draw(values, draws: int) -> np.ndarray:
@@ -152,10 +206,10 @@ def _expansion_residual(params):
     return operators_equal(h_ladder(params), h_quadratic(params)).residual
 
 
+@_cached_by_repr
 def check_expansion(params: ModelParams) -> CheckResult:
     """Ladder-operator form versus the quadratic form in x and p."""
-    return _result("expansion", "ladder form equals the quadratic momentum form",
-                   _expansion_residual(params), SYMBOLIC_TOL)
+    return _result("expansion", _expansion_residual(params), SYMBOLIC_TOL)
 
 
 def _expansion_residuals(sample: list) -> np.ndarray:
@@ -172,9 +226,7 @@ def check_expansion_randomized(seed: int, draws: int = 100) -> CheckResult:
     if worst != 0.0:
         # argmax names the first draw that attains the maximum (or is NaN)
         details["worst_params"] = sample[int(np.argmax(residuals))].to_dict()
-    return _result("expansion_randomized",
-                   "ladder form equals the quadratic momentum form",
-                   worst, SYMBOLIC_TOL, details)
+    return _result("expansion_randomized", worst, SYMBOLIC_TOL, details)
 
 
 def _variant_parts(params):
@@ -188,6 +240,7 @@ def _variant_parts(params):
     return r_reduction, r_difference, difference
 
 
+@_cached_by_repr
 def check_variant_discrepancy(params: ModelParams) -> CheckResult:
     """The reduced Hamiltonian is the quadratic form, yet differs from the
     full-strength anticommutator variant by exactly mu*p*D + mu/2; the two
@@ -200,10 +253,8 @@ def check_variant_discrepancy(params: ModelParams) -> CheckResult:
         "difference": str(difference),
         "variants_identical": difference.max_abs_coeff() <= SYMBOLIC_TOL,
     }
-    return _result("reduced_vs_variant",
-                   "reduced Hamiltonian differs from the full-strength "
-                   "anticommutator variant by mu*p*D + mu/2",
-                   max(r_reduction, r_difference), SYMBOLIC_TOL, details)
+    return _result("reduced_vs_variant", max(r_reduction, r_difference),
+                   SYMBOLIC_TOL, details)
 
 
 def _variant_residuals(sample: list) -> tuple[np.ndarray, np.ndarray]:
@@ -223,12 +274,11 @@ def check_variant_discrepancy_randomized(seed: int, draws: int = 100) -> CheckRe
     consistent = bool(np.array_equal(identical, expected))
     details = {"draws": draws, "discrepancy_iff_mu_nonzero": consistent}
     residual = _worst(residuals) if consistent else math.inf
-    return _result("reduced_vs_variant_randomized",
-                   "reduced Hamiltonian differs from the full-strength "
-                   "anticommutator variant by mu*p*D + mu/2",
-                   residual, SYMBOLIC_TOL, details)
+    return _result("reduced_vs_variant_randomized", residual, SYMBOLIC_TOL,
+                   details)
 
 
+@_cached_by_repr
 def check_adjoint(params: ModelParams) -> CheckResult:
     """Flat-measure adjoint of H0 against its closed form (R and T terms
     flip sign, consistent with T = R/2)."""
@@ -236,10 +286,7 @@ def check_adjoint(params: ModelParams) -> CheckResult:
     cmp = operators_equal(h0.adjoint(), h0_adjoint_expected(params), SYMBOLIC_TOL)
     details = {"Q": coeffs.Q, "R": coeffs.R, "S": coeffs.S, "T": coeffs.T,
                "T_minus_half_R": coeffs.T - coeffs.R / 2.0}
-    return _result("momentum_adjoint",
-                   "flat-measure adjoint of H0 flips the signs of the "
-                   "R and T terms",
-                   cmp.residual, SYMBOLIC_TOL, details)
+    return _result("momentum_adjoint", cmp.residual, SYMBOLIC_TOL, details)
 
 
 def _similarity_residual(params, exponent):
@@ -254,6 +301,7 @@ def _similarity_residual(params, exponent):
     return operators_equal(conjugated, h.adjoint()).residual
 
 
+@_cached_by_repr
 def check_pseudo_symbolic(params: ModelParams,
                           exponent_override: float | None = None) -> CheckResult:
     """Metric conjugation reproduces the adjoint: Gaussian family at
@@ -262,13 +310,10 @@ def check_pseudo_symbolic(params: ModelParams,
     exponent = _metric_for(params, exponent_override)
     residual = _similarity_residual(params, exponent)
     if params.beta == 0.0:
-        return _result("pseudo_hermiticity_gaussian",
-                       "Gaussian metric conjugation of H0 yields its adjoint",
-                       residual, SYMBOLIC_TOL, {"alpha": exponent})
-    return _result("pseudo_hermiticity_deformed",
-                   "power-law metric conjugation of the deformed Hamiltonian "
-                   "yields its deformed-measure adjoint",
-                   residual, SYMBOLIC_TOL, {"exponent": exponent})
+        return _result("pseudo_hermiticity_gaussian", residual, SYMBOLIC_TOL,
+                       {"alpha": exponent})
+    return _result("pseudo_hermiticity_deformed", residual, SYMBOLIC_TOL,
+                   {"exponent": exponent})
 
 
 def _similarity_residuals(sample: list) -> np.ndarray:
@@ -280,9 +325,8 @@ def _similarity_residuals(sample: list) -> np.ndarray:
 def check_gaussian_similarity_randomized(seed: int, draws: int = 100) -> CheckResult:
     rng = _check_rng(seed, 3)
     residuals = _similarity_residuals([draw_params(rng) for _ in range(draws)])
-    return _result("pseudo_hermiticity_gaussian_randomized",
-                   "Gaussian metric conjugation of H0 yields its adjoint",
-                   _worst(residuals), SYMBOLIC_TOL, {"draws": draws})
+    return _result("pseudo_hermiticity_gaussian_randomized", _worst(residuals),
+                   SYMBOLIC_TOL, {"draws": draws})
 
 
 def _deformed_residuals(bases: list, betas) -> np.ndarray:
@@ -297,11 +341,8 @@ def check_deformed_similarity_randomized(seed: int, draws: int = 30,
                                          betas=(0.01, 0.1, 1.0)) -> CheckResult:
     rng = _check_rng(seed, 4)
     residuals = _deformed_residuals([draw_params(rng) for _ in range(draws)], betas)
-    return _result("pseudo_hermiticity_deformed_randomized",
-                   "power-law metric conjugation of the deformed Hamiltonian "
-                   "yields its deformed-measure adjoint",
-                   _worst(residuals), SYMBOLIC_TOL,
-                   {"draws": draws, "betas": list(betas)})
+    return _result("pseudo_hermiticity_deformed_randomized", _worst(residuals),
+                   SYMBOLIC_TOL, {"draws": draws, "betas": list(betas)})
 
 
 def check_metric_limit(params: ModelParams, beta_small: float = 1e-6,
@@ -321,10 +362,7 @@ def check_metric_limit(params: ModelParams, beta_small: float = 1e-6,
     deviation = float(np.max(np.abs(np.expm1(log_ratio))))
     estimate = abs(alpha) * beta_small * p_range ** 4 / 2.0
     tolerance = 3.0 * estimate if estimate > 0 else SYMBOLIC_TOL
-    return _result("metric_limit",
-                   "power-law metric tends to the Gaussian metric as the "
-                   "deformation vanishes",
-                   deviation, tolerance,
+    return _result("metric_limit", deviation, tolerance,
                    {"beta_small": beta_small, "p_range": p_range,
                     "alpha": alpha, "estimate": estimate})
 
@@ -344,8 +382,19 @@ def _hamiltonian_for(params: ModelParams):
     return h_quadratic(params) if params.beta == 0.0 else h_deformed(params)
 
 
+def _residual_tolerance(params: ModelParams, grid: Grid,
+                        fd_order: int) -> float | None:
+    """The calibrated (h/0.01)^fd_order target of numeric_residual for the
+    undeformed model; None (report-only) for the deformed one, or for a
+    stencil order without a calibration."""
+    if params.beta != 0.0 or fd_order not in RESIDUAL_REF:
+        return None
+    return RESIDUAL_REF[fd_order] * (grid.h / RESIDUAL_REF_H) ** fd_order
+
+
 def check_numeric_residual(params: ModelParams, grid: Grid, fd_order: int = 4,
-                           exponent_override: float | None = None) -> CheckResult:
+                           exponent_override: float | None = None,
+                           hamiltonian: DiffOp | None = None) -> CheckResult:
     """Discrete pseudo-Hermiticity on probe states:
 
         r(psi) = ||(eta A eta^-1 - A^+_w) psi||_w / ||A psi||_w
@@ -353,8 +402,12 @@ def check_numeric_residual(params: ModelParams, grid: Grid, fd_order: int = 4,
     plus the relative row residual on the interior |p| <= p_max/2.  For
     the undeformed model the tolerance follows the calibrated
     (h/0.01)^fd_order scaling; the deformed measurement is report-only.
+    ``hamiltonian`` is the model's Hamiltonian for ``params``, built here
+    unless a caller that measures several grids passes it.
     """
-    a = assemble_matrix(_hamiltonian_for(params), grid, fd_order)
+    if hamiltonian is None:
+        hamiltonian = _hamiltonian_for(params)
+    a = assemble_matrix(hamiltonian, grid, fd_order)
     transformed = similarity_transform(a, _metric_for(params, exponent_override))
     delta = MatrixOp(transformed.matrix - weighted_adjoint(a).matrix, grid)
     probe_residuals = []
@@ -366,57 +419,73 @@ def check_numeric_residual(params: ModelParams, grid: Grid, fd_order: int = 4,
     interior = np.abs(grid.points) <= grid.p_max / 2.0
     row_scale = a.abs_row_sums()[interior].max()
     row_residual = float(delta.abs_row_sums()[interior].max() / row_scale)
-    if params.beta == 0.0:
-        tolerance = RESIDUAL_REF[fd_order] * (grid.h / RESIDUAL_REF_H) ** fd_order
-    else:
-        tolerance = None
     details = {
         "probe_residuals": [float(r) for r in probe_residuals],
         "interior_row_residual": row_residual,
         "h": grid.h,
         "fd_order": fd_order,
     }
-    return _result("numeric_residual",
-                   "discrete metric conjugation matches the weighted-adjoint "
-                   "matrix on probe states",
-                   max(probe_residuals), tolerance, details)
+    return _result("numeric_residual", max(probe_residuals),
+                   _residual_tolerance(params, grid, fd_order), details)
+
+
+def _has_ladder_oracle(params: ModelParams) -> bool:
+    return params.beta == 0.0 and has_real_ladder(params)
+
+
+def _spectrum_claim(params: ModelParams) -> tuple[str, float | None]:
+    """Anchor and tolerance of the spectrum check: the closed-form ladder
+    where it applies, else the report-only reality measurement."""
+    if _has_ladder_oracle(params):
+        return ANCHORS["spectrum_ladder"], SPECTRUM_TOL
+    return ANCHORS["spectrum"], None
+
+
+def _spectrum_operator(params: ModelParams) -> DiffOp:
+    """The operator whose spectrum check_spectrum solves: H0 hermitized by
+    the half-power Gaussian metric (which cancels the p*D term exactly)
+    where the ladder oracle applies, else H0 at beta = 0 and the deformed
+    Hamiltonian at beta > 0."""
+    if params.beta != 0.0:
+        return h_deformed(params)
+    _, h0 = h0_momentum(params)
+    if has_real_ladder(params):
+        return h0.conjugate_gaussian(gaussian_alpha(params) / 2.0)
+    return h0
 
 
 def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
-                   levels: int = 6):
+                   levels: int = 6, operator: DiffOp | None = None):
     """Low-lying spectrum check; returns (CheckResult, Spectrum).
 
-    Undeformed model with a real ascending ladder: hermitize H0 with the
-    half-power Gaussian metric (which cancels the p*D term exactly),
-    solve the weighted self-adjoint problem and compare against
+    Undeformed model with a real ascending ladder: solve the hermitized
+    H0 as a weighted self-adjoint problem and compare against
     (n+1/2)*sqrt(omega^2-4*lam*delta).  Otherwise solve the general
     problem and report how real the lowest eigenvalues are.
+    ``operator`` is _spectrum_operator(params), built here unless a caller
+    that solves several grids passes it.
     """
-    anchor = "hermitized spectrum matches the closed-form oscillator ladder"
-    if params.beta == 0.0:
-        _, h0 = h0_momentum(params)
-        if has_real_ladder(params):
-            hermitized = h0.conjugate_gaussian(gaussian_alpha(params) / 2.0)
-            a = assemble_matrix(hermitized, grid, fd_order)
-            spectrum = eigs(a, "selfadjoint-weighted", levels)
-            oracle = np.array(oscillator_levels(params, levels))
-            errors = np.abs(spectrum.eigenvalues.real - oracle)
-            details = {
-                "eigenvalues": [float(v) for v in spectrum.eigenvalues.real],
-                "oracle": [float(v) for v in oracle],
-                "errors": [float(v) for v in errors],
-                "solver": spectrum.solver,
-            }
-            result = _result("spectrum", anchor, errors.max(), SPECTRUM_TOL, details)
-            return result, spectrum
-        a = assemble_matrix(h0, grid, fd_order)
-        reason = ("omega^2 <= 4*lambda*delta"
-                  if params.omega * params.omega
-                  <= 4.0 * params.lam * params.delta
-                  else "omega <= lambda + delta")
-    else:
-        a = assemble_matrix(h_deformed(params), grid, fd_order)
+    if operator is None:
+        operator = _spectrum_operator(params)
+    a = assemble_matrix(operator, grid, fd_order)
+    anchor, tolerance = _spectrum_claim(params)
+    if _has_ladder_oracle(params):
+        spectrum = eigs(a, "selfadjoint-weighted", levels)
+        oracle = np.array(oscillator_levels(params, levels))
+        errors = np.abs(spectrum.eigenvalues.real - oracle)
+        details = {
+            "eigenvalues": [float(v) for v in spectrum.eigenvalues.real],
+            "oracle": [float(v) for v in oracle],
+            "errors": [float(v) for v in errors],
+            "solver": spectrum.solver,
+        }
+        return _result("spectrum", errors.max(), tolerance, details, anchor), spectrum
+    if params.beta != 0.0:
         reason = "deformed model has no closed-form oracle here"
+    elif params.omega * params.omega <= 4.0 * params.lam * params.delta:
+        reason = "omega^2 <= 4*lambda*delta"
+    else:
+        reason = "omega <= lambda + delta"
     # the half-metric similarity keeps the spectrum and makes the operator
     # nearly normal, which the certified banded solver relies on
     spectrum = eigs(similarity_transform(a, _metric_for(params), half=True),
@@ -430,9 +499,8 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
         "reality_ratios": [float(r) for r in ratios],
         "solver": spectrum.solver,
     }
-    result = _result("spectrum",
-                     "low-lying spectrum is real up to grid truncation",
-                     ratios.max() if len(ratios) else 0.0, None, details)
+    result = _result("spectrum", ratios.max() if len(ratios) else 0.0,
+                     tolerance, details, anchor)
     return result, spectrum
 
 
@@ -459,7 +527,7 @@ def convergence_order(name: str, anchor: str, grids: list[Grid], errors,
         "required_order": fd_order - 1.0,
         "monotone": bool(np.all(np.diff(errors) < 0)),
     }
-    return _result(name, anchor, residual, 0.0, details)
+    return _result(name, residual, 0.0, details, anchor)
 
 
 def convergence_reality(grids: list[Grid],
@@ -483,10 +551,8 @@ def convergence_reality(grids: list[Grid],
                     for result in results],
         "floor": REALITY_FLOOR,
     }
-    return _result("convergence_reality",
-                   "imaginary parts of the deformed spectrum shrink as "
-                   "the grid extent grows",
-                   max(violations, default=0.0), 0.0, details)
+    return _result("convergence_reality", max(violations, default=0.0), 0.0,
+                   details)
 
 
 # -- suite ---------------------------------------------------------------------------
@@ -564,16 +630,24 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
     spectra: dict = {}
     timings: dict = {}
 
-    def run(label, func) -> CheckResult:
+    def run(label, func, tolerance=SYMBOLIC_TOL, anchor=None) -> CheckResult:
+        """Run one check; one that raised a numeric error is recorded as
+        failed under its own anchor and tolerance."""
         start = time.perf_counter()
         try:
             outcome = func()
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-            outcome = CheckResult(label, "", math.inf, SYMBOLIC_TOL, False,
-                                  {"error": f"{type(exc).__name__}: {exc}"})
+            # an infinite residual fails under every tolerance
+            outcome = _result(label, math.inf, tolerance,
+                              {"error": f"{type(exc).__name__}: {exc}"}, anchor)
         timings[outcome.name] = time.perf_counter() - start
         checks.append(outcome)
         return outcome
+
+    # every grid of the suite discretizes the same two operators; each is
+    # built on first use, inside a check, so a build error fails that check
+    hamiltonian = functools.cache(lambda: _hamiltonian_for(params))
+    operator = functools.cache(lambda: _spectrum_operator(params))
 
     run("expansion", lambda: check_expansion(undeformed))
     run("expansion_randomized",
@@ -593,24 +667,36 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
             lambda: check_pseudo_symbolic(params, config.exponent_override))
     run("pseudo_hermiticity_deformed_randomized",
         lambda: check_deformed_similarity_randomized(config.seed))
+    # metric_limit derives its tolerance from the alpha it measures
     run("metric_limit",
         lambda: check_metric_limit(
             undeformed,
-            beta_small=params.beta if params.beta > 0.0 else 1e-6))
-    residual = run("numeric_residual",
-                   lambda: check_numeric_residual(params, grid, config.fd_order,
-                                                  config.exponent_override))
+            beta_small=params.beta if params.beta > 0.0 else 1e-6),
+        tolerance=None)
+
+    def residual_on(g: Grid) -> CheckResult:
+        return check_numeric_residual(params, g, config.fd_order,
+                                      config.exponent_override, hamiltonian())
+
+    try:
+        residual_tolerance = _residual_tolerance(params, grid, config.fd_order)
+    except OverflowError:  # h too large for the calibration; the check fails
+        residual_tolerance = None
+    residual = run("numeric_residual", lambda: residual_on(grid),
+                   tolerance=residual_tolerance)
 
     def spectrum_check():
         result, spectrum = check_spectrum(params, grid, config.fd_order,
-                                          config.levels)
+                                          config.levels, operator())
         spectra["spectrum"] = {
             "re": [float(v) for v in spectrum.eigenvalues.real],
             "im": [float(v) for v in spectrum.eigenvalues.imag],
         }
         return result
 
-    spectrum = run("spectrum", spectrum_check)
+    anchor, tolerance = _spectrum_claim(params)
+    spectrum = run("spectrum", spectrum_check, tolerance=tolerance,
+                   anchor=anchor)
 
     # Each study's finest grid is the suite grid: its last point is the
     # main check's result, and only the coarser grids are solved here.
@@ -627,25 +713,25 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
         return [measure(g) for g in coarse] + [finest]
 
     def spectrum_on(levels: int):
-        return lambda g: check_spectrum(params, g, config.fd_order, levels)[0]
+        return lambda g: check_spectrum(params, g, config.fd_order, levels,
+                                        operator())[0]
 
     if params.beta == 0.0:
         run("convergence_residual", lambda: convergence_order(
-            "convergence_residual", "probe residual of the discrete metric "
-            "conjugation decreases at the stencil order", coarse + [grid],
-            [r.residual for r in ladder(residual, lambda g: check_numeric_residual(
-                params, g, config.fd_order, config.exponent_override))],
-            config.fd_order))
+            "convergence_residual", ANCHORS["convergence_residual"],
+            coarse + [grid], [r.residual for r in ladder(residual, residual_on)],
+            config.fd_order), tolerance=0.0)
         if has_real_ladder(params):
             run("convergence_spectrum", lambda: convergence_order(
-                "convergence_spectrum",
-                "ground-state error decreases at the stencil order", coarse + [grid],
+                "convergence_spectrum", ANCHORS["convergence_spectrum"],
+                coarse + [grid],
                 [r.details["errors"][0] for r in ladder(spectrum, spectrum_on(1))],
-                config.fd_order))
+                config.fd_order), tolerance=0.0)
     else:
         run("convergence_reality", lambda: convergence_reality(
             coarse + [grid],
-            ladder(spectrum, spectrum_on(min(config.levels, REALITY_LEVELS)))))
+            ladder(spectrum, spectrum_on(min(config.levels, REALITY_LEVELS)))),
+            tolerance=0.0)
 
     return Report(params=params, grid_summary=config.grid_summary(params.beta),
                   checks=checks, spectra=spectra or None,

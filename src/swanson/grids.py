@@ -11,8 +11,10 @@ available as exact matrix operations with respect to those weights.
 Every operator of the model has derivative order <= 2, so its image is a
 band matrix of half-bandwidth bw = fd_order/2 (pentadiagonal at fourth
 order).  It is stored, transformed and diagonalised as its 2*bw+1
-diagonals: memory and assembly are O(n), and no production path forms
-an n x n array except the dense eigensolver fallback.
+diagonals: memory and assembly are O(n).  Only the general eigensolver
+forms an n x n array: on grids of n <= DIRECT_MAX_N, where one dense
+solve costs less than loading the Krylov stack, and as the fallback of
+certified ARPACK above that size.
 
 A metric is given by its exponent; the grid's beta picks the family, as
 it picks the weights: e^(exponent*p^2) at beta = 0, (1+beta*p^2)^exponent
@@ -37,13 +39,22 @@ SELFADJOINT_RTOL = 1e-10
 # Eigenvalues ARPACK returns beyond the requested levels, and the shift's
 # depth below the bound lo in units of the bound s (see
 # _certified_shift_invert).  Both widen the certified region; these
-# values certify every deformed grid of the sweep and verify workloads
-# whose low spectrum is real.
+# values certify the deformed grids of the verify workloads, all above
+# DIRECT_MAX_N.
 ARPACK_EXTRA = 8
 SHIFT_DEPTH = 2.0
 
-# Largest grid the dense eigensolver fallback accepts; its n x n complex
-# matrix alone takes 16*n^2 bytes (256 MB at this n).
+# Largest grid the general eigensolver solves densely without trying
+# ARPACK: the largest n, in steps of 50, at which one dense solve costs
+# less than importing scipy.sparse.linalg.  On a 2-vCPU host with one
+# BLAS thread the import takes 30-42 ms; a dense solve takes 23-26 ms at
+# n = 251 and 34-38 ms at n = 301 (CHANGES.md has the table).  Up to
+# this size the dense solve computes every eigenvalue, so it needs no
+# certificate.
+DIRECT_MAX_N = 251
+
+# Largest grid any dense eigensolve accepts; its n x n complex matrix
+# alone takes 16*n^2 bytes (256 MB at this n).
 DENSE_MAX_N = 4001
 
 _STENCILS = {
@@ -239,8 +250,9 @@ def similarity_transform(a: MatrixOp, exponent: float,
 @dataclass(frozen=True)
 class Spectrum:
     """Low-lying eigenvalues sorted by (Re, Im) ascending, and the solver
-    that produced them: "eig_banded", "arpack-shift-invert" or
-    "dense-fallback"."""
+    that produced them: "eig_banded" (self-adjoint), "dense" (general,
+    n <= DIRECT_MAX_N), "arpack-shift-invert" (general, certified) or
+    "dense-fallback" (general, ARPACK failed or could not certify)."""
 
     eigenvalues: np.ndarray
     solver: str
@@ -275,14 +287,16 @@ def _lowest_hermitian(band: np.ndarray, count: int) -> np.ndarray:
                                    select_range=(0, count - 1))
 
 
-def _dense_spectrum(a: MatrixOp, levels: int) -> Spectrum:
+def _dense_spectrum(a: MatrixOp, levels: int, solver: str) -> Spectrum:
+    """Every eigenvalue of the dense matrix, the lowest ``levels`` kept and
+    reported under ``solver``; refused above DENSE_MAX_N."""
     n = a.grid.n
     if n > DENSE_MAX_N:
         raise np.linalg.LinAlgError(
-            f"dense eigensolver fallback refused at n = {n}: it needs "
+            f"dense eigensolver refused at n = {n}: it needs "
             f"{16 * n * n} bytes, and n may be at most {DENSE_MAX_N}")
     vals = scipy.linalg.eigvals(_real_if_possible(a.to_dense()))
-    return Spectrum(_sorted_eigenvalues(vals)[:levels], "dense-fallback")
+    return Spectrum(_sorted_eigenvalues(vals)[:levels], solver)
 
 
 def _certified_shift_invert(a: MatrixOp, levels: int) -> Spectrum | None:
@@ -299,7 +313,8 @@ def _certified_shift_invert(a: MatrixOp, levels: int) -> Spectrum | None:
     sort before the kept ones.
     """
     # deferred: only this solver needs scipy.sparse, which costs about
-    # 40 ms of start-up
+    # 35 ms of start-up; a process whose general grids all have
+    # n <= DIRECT_MAX_N never loads it
     import scipy.sparse.linalg
 
     n = a.grid.n
@@ -331,10 +346,13 @@ def _certified_shift_invert(a: MatrixOp, levels: int) -> Spectrum | None:
 def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
     """The lowest ``levels`` eigenvalues of a band operator.
 
-    kind="general" uses certified ARPACK shift-invert on the band
-    (see _certified_shift_invert) and falls back to a dense nonsymmetric
-    solve when that is impossible (levels close to n) or uncertified;
-    above DENSE_MAX_N the fallback raises LinAlgError instead.
+    kind="general" picks its solver by grid size.  Up to DIRECT_MAX_N it
+    solves the dense nonsymmetric problem at once ("dense"): that finds
+    every eigenvalue, so none can be missed.  Above it, certified ARPACK
+    shift-invert runs on the band (see _certified_shift_invert) and falls
+    back to the dense solve ("dense-fallback") when that is impossible
+    (levels close to n) or uncertified; above DENSE_MAX_N the dense solve
+    raises LinAlgError instead.
     kind="selfadjoint-weighted" requires A to equal its weighted adjoint
     (within a small relative slack), symmetrizes via W^(1/2) A W^(-1/2),
     and solves the Hermitian band problem.
@@ -343,7 +361,10 @@ def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
     if not 0 < levels <= a.grid.n:
         raise ValueError(f"levels must be between 1 and n = {a.grid.n}")
     if kind == "general":
-        return _certified_shift_invert(a, levels) or _dense_spectrum(a, levels)
+        if a.grid.n <= DIRECT_MAX_N:
+            return _dense_spectrum(a, levels, "dense")
+        return (_certified_shift_invert(a, levels)
+                or _dense_spectrum(a, levels, "dense-fallback"))
     if kind == "selfadjoint-weighted":
         # largest entries: a sum of squares would overflow on a huge grid
         gap = np.abs(a.matrix - weighted_adjoint(a).matrix).max()

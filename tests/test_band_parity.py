@@ -3,12 +3,18 @@
 Every numeric check (probe residual, interior row residual, low-lying
 spectrum) is recomputed densely on grids of n <= 501 for the flat, the
 deformed and the broken-reality (omega^2 < 4*lambda*delta) models, and
-must agree to 1e-10 relative.  The certified fallback to the dense
-eigensolver is exercised and named, and the banded assembly and
-transforms are checked to stay O(n) in memory.
+must agree to 1e-10 relative.  The general eigensolver's two paths are
+checked against each other: the direct dense solve that small grids take
+and certified ARPACK on the sweep's grids, and the fallback from ARPACK
+to the dense solve above DIRECT_MAX_N is exercised and named.  The
+banded assembly and transforms are checked to stay O(n) in memory.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +29,8 @@ from swanson.checks import (
     check_spectrum,
 )
 from swanson.grids import (
+    DIRECT_MAX_N,
+    _certified_shift_invert,
     assemble_matrix,
     build_grid,
     eigs,
@@ -35,6 +43,7 @@ from swanson.model import (
     h0_momentum,
     has_real_ladder,
     make_params,
+    with_beta,
 )
 
 from oracles import dense_assemble, dense_eigs, dense_numeric_residual
@@ -92,18 +101,75 @@ def test_numeric_residual_matches_dense(case):
                                row_residual, rtol=PARITY_RTOL, atol=0.0)
 
 
+def _half_metric_image(params, grid):
+    """The operator check_spectrum hands to the general eigensolver."""
+    return similarity_transform(assemble_matrix(_hamiltonian_for(params), grid),
+                                _metric_for(params), half=True)
+
+
 def test_uncertified_spectrum_falls_back_to_dense():
     # omega < lambda + delta with a steep metric: the half-metric image is
     # far from normal on this grid, so the Gershgorin bound on the
     # imaginary parts is too wide to certify ARPACK's values
     params = make_params(1.0, 1.3, -0.2)
-    grid = build_grid(201, 10.0)
+    grid = build_grid(301, 10.0)
+    assert grid.n > DIRECT_MAX_N
+    operator = _half_metric_image(params, grid)
+    assert _certified_shift_invert(operator, 6) is None
     result, spectrum = check_spectrum(params, grid, 4, 6)
     assert result.details["solver"] == spectrum.solver == "dense-fallback"
-    operator = similarity_transform(assemble_matrix(_hamiltonian_for(params), grid),
-                                    _metric_for(params), half=True)
     expected = dense_eigs(operator.to_dense().real, grid, "general", 6)
     np.testing.assert_allclose(spectrum.eigenvalues, expected, rtol=PARITY_RTOL)
+
+
+# The sweep-small-n grids: the suite grid (n = 201, p_max = 20) and the
+# reality study's coarse grids at 1/3 and 2/3 of it.  At beta = 0.01 and
+# 0.03 ARPACK cannot certify these grids, so there is nothing to compare.
+SWEEP_GRIDS = ((69, 20.0 / 3.0), (135, 40.0 / 3.0), (201, 20.0))
+
+
+@pytest.mark.parametrize("beta", (0.1, 0.3, 1.0, 3.0))
+@pytest.mark.parametrize("n, p_max", SWEEP_GRIDS)
+def test_direct_dense_matches_certified_arpack(beta, n, p_max):
+    params = with_beta(make_params(1.0, -0.5, 0.5), beta)
+    operator = _half_metric_image(params, build_grid(n, p_max, beta))
+    # A backward-stable dense solve returns the eigenvalues of A + E with
+    # ||E|| of order eps*||A||, and these levels are well conditioned
+    # (eigenvector condition numbers below 2), so that is its absolute
+    # accuracy as well.  It binds only at beta = 3 on n = 201, where
+    # ||A||_F is 2e8 times the ground level and the two solvers differ
+    # by 2e-9 relative, 0.05 eps*||A||_F.
+    backward = np.finfo(float).eps * np.linalg.norm(operator.matrix)
+    for levels in (3, 6):
+        direct = eigs(operator, "general", levels)
+        certified = _certified_shift_invert(operator, levels)
+        assert direct.solver == "dense" and certified is not None
+        np.testing.assert_allclose(direct.eigenvalues, certified.eigenvalues,
+                                   rtol=PARITY_RTOL, atol=backward)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+LOADS_SPARSE = """
+import sys
+from swanson.cli import main
+code = main(sys.argv[1:] + ["--out", "{out}"])
+print(code, "scipy.sparse" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["sweep", "--omega", "1", "--lambda", "-0.5", "--delta", "0.5",
+      "--pmax", "20", "--n", "201", "--beta-grid", "0.01,1"], False),
+    (["verify", "--omega", "1.3", "--lambda", "0.2", "--delta", "-0.4",
+      "--beta", "0.05", "--pmax", "40", "--n", "501"], True),
+])
+def test_krylov_stack_loads_only_above_the_direct_size(argv, loads, tmp_path):
+    script = LOADS_SPARSE.format(out=tmp_path / "report.json")
+    done = subprocess.run([sys.executable, "-c", script, *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", str(loads)]
 
 
 def test_arpack_failure_falls_back_to_dense(monkeypatch):

@@ -326,6 +326,51 @@ class TestSuite:
         assert len(shared[0]) == 4
         assert all(shared[1][name] is check for name, check in shared[0].items())
 
+    def test_beta_independent_checks_run_once_per_params(self):
+        config = SuiteConfig(n=101, p_max=8.0, seed=3)
+        reports = [run_suite(with_beta(P1, beta), config)
+                   for beta in (0.0, 0.1, 0.3)]
+        names = ("expansion", "reduced_vs_variant", "momentum_adjoint",
+                 "pseudo_hermiticity_gaussian")
+        shared = [{c.name: c for c in r.checks if c.name in names}
+                  for r in reports]
+        assert len(shared[0]) == 4
+        for later in shared[1:]:
+            assert all(later[name] is check for name, check in shared[0].items())
+
+    def test_signed_zero_parameters_are_not_shared(self):
+        # -0.0 == 0.0, yet the two print differently in a report
+        params = [make_params(1.3, lam, -lam) for lam in (0.0, -0.0)]
+        for check in (check_expansion, check_variant_discrepancy,
+                      check_adjoint, check_pseudo_symbolic):
+            results = [check(p) for p in params]
+            assert results[0] is not results[1]
+            # repr, unlike ==, shows the sign of a zero
+            assert repr(results) == repr([check.__wrapped__(p) for p in params])
+        assert check_pseudo_symbolic(P1, 0.0) is not check_pseudo_symbolic(P1, -0.0)
+
+    def test_failed_checks_keep_their_anchor_and_tolerance(self, monkeypatch):
+        config = SuiteConfig(n=101, p_max=20.0)
+        expected = {
+            P1_DEFORMED: {"spectrum": None, "convergence_reality": 0.0},
+            P1: {"spectrum": 1e-4, "convergence_spectrum": 0.0},
+        }
+        anchors = {params: {c.name: c.paper_anchor
+                            for c in run_suite(params, config).checks}
+                   for params in expected}
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("no spectrum")
+
+        monkeypatch.setattr(swanson.checks, "eigs", broken)
+        for params, tolerances in expected.items():
+            failed = {c.name: c for c in run_suite(params, config).checks
+                      if not c.passed}
+            assert set(failed) == set(tolerances)
+            for name, tolerance in tolerances.items():
+                assert failed[name].tolerance == tolerance
+                assert failed[name].paper_anchor == anchors[params][name] != ""
+
     def test_only_numeric_errors_fail_a_check(self, monkeypatch):
         def raiser(error):
             def check_expansion(*args, **kwargs):

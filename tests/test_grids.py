@@ -332,20 +332,44 @@ class TestEigs:
 
     def test_dense_fallback_refuses_large_grids(self, monkeypatch):
         _, h0 = h0_momentum(P1)
-        a = assemble_matrix(h0, build_grid(101, 8.0), 4)
+        a = assemble_matrix(h0, build_grid(301, 8.0), 4)
+        assert a.grid.n > swanson.grids.DIRECT_MAX_N
         monkeypatch.setattr(swanson.grids, "_certified_shift_invert",
                             lambda a, levels: None)
         assert eigs(a, "general", 3).solver == "dense-fallback"
-        monkeypatch.setattr(swanson.grids, "DENSE_MAX_N", 99)
+        monkeypatch.setattr(swanson.grids, "DENSE_MAX_N", 299)
         with pytest.raises(np.linalg.LinAlgError,
-                           match=r"n = 101: it needs 163216 bytes.* at most 99"):
+                           match=r"n = 301: it needs 1449616 bytes.* at most 299"):
             eigs(a, "general", 3)
         # inside the suite the spectrum check fails by name
-        report = run_suite(with_beta(P1, 0.1), SuiteConfig(n=101, p_max=20.0))
+        report = run_suite(with_beta(P1, 0.1), SuiteConfig(n=301, p_max=20.0))
         spectrum = {c.name: c for c in report.checks}["spectrum"]
         assert not spectrum.passed
         assert spectrum.details["error"].startswith(
-            "LinAlgError: dense eigensolver fallback refused at n = 101")
+            "LinAlgError: dense eigensolver refused at n = 301")
+
+    def test_general_solver_is_chosen_by_grid_size(self, monkeypatch):
+        direct_max = swanson.grids.DIRECT_MAX_N
+        _, h0 = h0_momentum(P1)
+        # the half-metric image is nearly normal, so ARPACK certifies it
+        small, large = (similarity_transform(
+            assemble_matrix(h0, build_grid(n, 8.0), 4), gaussian_alpha(P1),
+            half=True) for n in (direct_max, direct_max + 2))
+        assert eigs(large, "general", 3).solver == "arpack-shift-invert"
+
+        def krylov(a, levels):
+            raise AssertionError("ARPACK ran on a grid it should not see")
+
+        monkeypatch.setattr(swanson.grids, "_certified_shift_invert", krylov)
+        spectrum = eigs(small, "general", 3)
+        assert spectrum.solver == "dense"
+        np.testing.assert_allclose(spectrum.eigenvalues.real,
+                                   oscillator_levels(P1, 3), atol=1e-4)
+        # DENSE_MAX_N caps the direct solve as well
+        monkeypatch.setattr(swanson.grids, "DENSE_MAX_N", direct_max - 2)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=rf"dense eigensolver refused at n = {direct_max}"):
+            eigs(small, "general", 3)
 
     def test_hermitized_general_and_selfadjoint_agree(self):
         _, h0 = h0_momentum(P1)
