@@ -39,7 +39,7 @@ grids = [build_grid(n, 10.0) for n in (501, 1001, 2001)]
 residuals = [check_numeric_residual(P1, g).residual for g in grids]
 for g, r in zip(grids, residuals):
     print(f"{g.n:>6} {g.h:>10.4f} {r:>20.3e}")
-study = convergence_order("convergence_residual", "", grids, residuals)
+study = convergence_order("convergence_residual", grids, residuals)
 print("fitted convergence order:", round(study.details["fitted_order"], 2))
 
 print()

@@ -36,8 +36,8 @@ from .model import (
     h_quadratic,
     h_reduced,
     h_variant,
-    has_real_ladder,
     in_reduced_regime,
+    ladder_obstruction,
     ladder_ops,
     make_params,
     metric_exponent,

@@ -276,8 +276,8 @@ def coeff_const(value, beta: float = 0.0) -> CoeffFn:
     return CoeffFn(Poly((value,)), 0, beta)
 
 
-def coeff_poly(coeffs: Iterable, beta: float = 0.0, upow: int = 0) -> CoeffFn:
-    return CoeffFn(Poly(tuple(coeffs)), upow, beta)
+def coeff_poly(coeffs: Iterable, beta: float = 0.0) -> CoeffFn:
+    return CoeffFn(Poly(tuple(coeffs)), 0, beta)
 
 
 @dataclass(frozen=True)

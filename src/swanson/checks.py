@@ -45,8 +45,8 @@ from .model import (
     h_quadratic,
     h_reduced,
     h_variant,
-    has_real_ladder,
     in_reduced_regime,
+    ladder_obstruction,
     make_params,
     metric_exponent,
     oscillator_levels,
@@ -56,6 +56,9 @@ from .model import (
 )
 
 SYMBOLIC_TOL = 1e-12
+
+# Errors that fail a check, as opposed to bugs, which propagate.
+NUMERIC_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
 
 # Reference probe residuals of the metric-conjugation identity measured at
 # h = 0.01 (n = 2001, p_max = 10) for the undeformed model; the check
@@ -130,12 +133,11 @@ class CheckResult:
 def _result(name: str, residual: float, tolerance: float | None,
             details: dict | None = None, anchor: str | None = None) -> CheckResult:
     """A check's outcome under its own anchor, ``_anchor(name)`` unless
-    given."""
+    given.  It passes when its residual is finite and, if it has a
+    tolerance, within it."""
     residual = float(residual)
-    if tolerance is None:
-        passed = math.isfinite(residual)
-    else:
-        passed = residual <= tolerance
+    passed = math.isfinite(residual) and (tolerance is None
+                                          or residual <= tolerance)
     return CheckResult(name, _anchor(name) if anchor is None else anchor,
                        residual, tolerance, passed, details or {})
 
@@ -166,12 +168,11 @@ def _check_rng(seed: int, stream: int) -> np.random.Generator:
 # own rng stream, stacks them into a ParamBatch and evaluates its identity
 # for all draws in one pass of the operator algebra; every per-draw
 # residual equals the one the scalar path computes for that draw.  The
-# checks depend on their arguments only (seed, draws, betas) and are
-# cached, one small entry per seed, so a sweep runs them once and not
-# once per beta.  The single-parameter symbolic checks are cached on their
-# arguments the same way: a sweep runs them on the same undeformed
-# parameters for every beta.  Callers share the cached results and must
-# not mutate their details.
+# symbolic checks depend on their arguments only and are cached on them:
+# a sweep runs the randomized ones (seed, draws, betas) and the
+# single-parameter ones (the undeformed parameters) once, not once per
+# beta.  Callers share the cached results and must not mutate their
+# details.
 
 
 def _cached_by_repr(check):
@@ -216,7 +217,7 @@ def _expansion_residuals(sample: list) -> np.ndarray:
     return _per_draw(_expansion_residual(stack_params(sample)), len(sample))
 
 
-@functools.cache
+@_cached_by_repr
 def check_expansion_randomized(seed: int, draws: int = 100) -> CheckResult:
     rng = _check_rng(seed, 1)
     sample = [draw_params(rng) for _ in range(draws)]
@@ -264,7 +265,7 @@ def _variant_residuals(sample: list) -> tuple[np.ndarray, np.ndarray]:
             _per_draw(difference.max_abs_coeff() <= SYMBOLIC_TOL, len(sample)))
 
 
-@functools.cache
+@_cached_by_repr
 def check_variant_discrepancy_randomized(seed: int, draws: int = 100) -> CheckResult:
     rng = _check_rng(seed, 2)
     sample = [make_params(1.3, 0.0, 0.0) if k == 0  # mu = 0 degenerate case
@@ -321,7 +322,7 @@ def _similarity_residuals(sample: list) -> np.ndarray:
     return _per_draw(_similarity_residual(batch, _metric_for(batch)), len(sample))
 
 
-@functools.cache
+@_cached_by_repr
 def check_gaussian_similarity_randomized(seed: int, draws: int = 100) -> CheckResult:
     rng = _check_rng(seed, 3)
     residuals = _similarity_residuals([draw_params(rng) for _ in range(draws)])
@@ -336,7 +337,7 @@ def _deformed_residuals(bases: list, betas) -> np.ndarray:
                      for beta in betas], axis=1)
 
 
-@functools.cache
+@_cached_by_repr
 def check_deformed_similarity_randomized(seed: int, draws: int = 30,
                                          betas=(0.01, 0.1, 1.0)) -> CheckResult:
     rng = _check_rng(seed, 4)
@@ -429,14 +430,10 @@ def check_numeric_residual(params: ModelParams, grid: Grid, fd_order: int = 4,
                    _residual_tolerance(params, grid, fd_order), details)
 
 
-def _has_ladder_oracle(params: ModelParams) -> bool:
-    return params.beta == 0.0 and has_real_ladder(params)
-
-
 def _spectrum_claim(params: ModelParams) -> tuple[str, float | None]:
     """Anchor and tolerance of the spectrum check: the closed-form ladder
     where it applies, else the report-only reality measurement."""
-    if _has_ladder_oracle(params):
+    if ladder_obstruction(params) is None:
         return ANCHORS["spectrum_ladder"], SPECTRUM_TOL
     return ANCHORS["spectrum"], None
 
@@ -449,7 +446,7 @@ def _spectrum_operator(params: ModelParams) -> DiffOp:
     if params.beta != 0.0:
         return h_deformed(params)
     _, h0 = h0_momentum(params)
-    if has_real_ladder(params):
+    if ladder_obstruction(params) is None:
         return h0.conjugate_gaussian(gaussian_alpha(params) / 2.0)
     return h0
 
@@ -469,7 +466,8 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
         operator = _spectrum_operator(params)
     a = assemble_matrix(operator, grid, fd_order)
     anchor, tolerance = _spectrum_claim(params)
-    if _has_ladder_oracle(params):
+    obstruction = ladder_obstruction(params)
+    if obstruction is None:
         spectrum = eigs(a, "selfadjoint-weighted", levels)
         oracle = np.array(oscillator_levels(params, levels))
         errors = np.abs(spectrum.eigenvalues.real - oracle)
@@ -480,35 +478,30 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
             "solver": spectrum.solver,
         }
         return _result("spectrum", errors.max(), tolerance, details, anchor), spectrum
-    if params.beta != 0.0:
-        reason = "deformed model has no closed-form oracle here"
-    elif params.omega * params.omega <= 4.0 * params.lam * params.delta:
-        reason = "omega^2 <= 4*lambda*delta"
-    else:
-        reason = "omega <= lambda + delta"
     # the half-metric similarity keeps the spectrum and makes the operator
     # nearly normal, which the certified banded solver relies on
-    spectrum = eigs(similarity_transform(a, _metric_for(params), half=True),
+    spectrum = eigs(similarity_transform(a, _metric_for(params) / 2.0),
                     "general", levels)
     values = spectrum.eigenvalues
     ratios = np.abs(values.imag) / np.maximum(np.abs(values.real), 1e-300)
     details = {
-        "oracle": f"unavailable: {reason}",
+        "oracle": f"unavailable: {obstruction}",
         "re": [float(v) for v in values.real],
         "im": [float(v) for v in values.imag],
         "reality_ratios": [float(r) for r in ratios],
         "solver": spectrum.solver,
     }
-    result = _result("spectrum", ratios.max() if len(ratios) else 0.0,
-                     tolerance, details, anchor)
-    return result, spectrum
+    return _result("spectrum", ratios.max() if len(ratios) else 0.0,
+                   tolerance, details, anchor), spectrum
 
 
-def convergence_order(name: str, anchor: str, grids: list[Grid], errors,
+def convergence_order(name: str, grids: list[Grid], errors,
                       fd_order: int = 4) -> CheckResult:
     """Fit the observed convergence order of ``errors``, one per grid, in
     the grid spacing h.  Needs >= 3 grids of distinct spacing and finite
-    errors, and passes when the fitted order is at least fd_order - 1."""
+    errors, and passes when the fitted order is at least fd_order - 1.
+    Errors that are all exactly 0.0 mean the discrete identity is exact:
+    the study passes with no fitted order."""
     if len(grids) < 3:
         raise ValueError("need at least 3 grids")
     hs = np.array([g.h for g in grids])
@@ -517,9 +510,12 @@ def convergence_order(name: str, anchor: str, grids: list[Grid], errors,
     errors = np.array(errors, dtype=float)
     if not np.all(np.isfinite(errors)):
         raise ValueError(f"cannot fit an order through errors {errors.tolist()}")
-    errors = np.maximum(errors, 1e-16)
-    order = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
-    residual = max(0.0, (fd_order - 1.0) - order)
+    if np.any(errors):
+        errors = np.maximum(errors, 1e-16)
+        order = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+        residual = max(0.0, (fd_order - 1.0) - order)
+    else:
+        order, residual = None, 0.0
     details = {
         "h": [float(h) for h in hs],
         "errors": [float(e) for e in errors],
@@ -527,7 +523,7 @@ def convergence_order(name: str, anchor: str, grids: list[Grid], errors,
         "required_order": fd_order - 1.0,
         "monotone": bool(np.all(np.diff(errors) < 0)),
     }
-    return _result(name, residual, 0.0, details, anchor)
+    return _result(name, residual, 0.0, details)
 
 
 def convergence_reality(grids: list[Grid],
@@ -549,6 +545,7 @@ def convergence_reality(grids: list[Grid],
         "spectra": [{"re": result.details["re"][:REALITY_LEVELS],
                      "im": result.details["im"][:REALITY_LEVELS]}
                     for result in results],
+        "solvers": [result.details["solver"] for result in results],
         "floor": REALITY_FLOOR,
     }
     return _result("convergence_reality", max(violations, default=0.0), 0.0,
@@ -605,13 +602,6 @@ class Report:
         }
 
 
-def _halved(n: int) -> int:
-    m = (n - 1) // 2 + 1
-    if m % 2 == 0:
-        m += 1
-    return max(m, 5)
-
-
 def _scaled_odd(n: int, fraction: float) -> int:
     m = int(round((n - 1) * fraction))
     if m % 2:
@@ -636,7 +626,7 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
         start = time.perf_counter()
         try:
             outcome = func()
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        except NUMERIC_ERRORS as exc:
             # an infinite residual fails under every tolerance
             outcome = _result(label, math.inf, tolerance,
                               {"error": f"{type(exc).__name__}: {exc}"}, anchor)
@@ -701,8 +691,9 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
     # Each study's finest grid is the suite grid: its last point is the
     # main check's result, and only the coarser grids are solved here.
     if params.beta == 0.0:
+        halved = _scaled_odd(config.n, 0.5)
         coarse = [build_grid(m, config.p_max)
-                  for m in (_halved(_halved(config.n)), _halved(config.n))]
+                  for m in (_scaled_odd(halved, 0.5), halved)]
     else:
         coarse = [build_grid(_scaled_odd(config.n, f), config.p_max * f,
                              params.beta) for f in (1.0 / 3.0, 2.0 / 3.0)]
@@ -718,13 +709,12 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
 
     if params.beta == 0.0:
         run("convergence_residual", lambda: convergence_order(
-            "convergence_residual", ANCHORS["convergence_residual"],
-            coarse + [grid], [r.residual for r in ladder(residual, residual_on)],
+            "convergence_residual", coarse + [grid],
+            [r.residual for r in ladder(residual, residual_on)],
             config.fd_order), tolerance=0.0)
-        if has_real_ladder(params):
+        if ladder_obstruction(params) is None:
             run("convergence_spectrum", lambda: convergence_order(
-                "convergence_spectrum", ANCHORS["convergence_spectrum"],
-                coarse + [grid],
+                "convergence_spectrum", coarse + [grid],
                 [r.details["errors"][0] for r in ladder(spectrum, spectrum_on(1))],
                 config.fd_order), tolerance=0.0)
     else:

@@ -17,9 +17,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-import numpy as np
-
-from .checks import SuiteConfig, check_spectrum, run_suite
+from .checks import NUMERIC_ERRORS, SuiteConfig, check_spectrum, run_suite
 from .grids import build_grid
 from .model import ModelParams, make_params, with_beta
 
@@ -201,19 +199,17 @@ def cmd_spectrum(config: JobConfig) -> int:
     try:
         result, spectrum = check_spectrum(config.params, grid, suite.fd_order,
                                           suite.levels)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except NUMERIC_ERRORS as exc:
         sys.stderr.write(f"eigensolver failure: {exc}\n")
         return 1
     # only a spectrum with a closed-form oracle carries per-level errors
     errors = result.details.get("errors")
     lines = ["n,re,im,oracle,abs_err"]
     for index, value in enumerate(spectrum.eigenvalues):
+        oracle = abs_err = ""
         if errors is not None:
             oracle = _fmt17(result.details["oracle"][index])
             abs_err = _fmt17(errors[index])
-        else:
-            oracle = ""
-            abs_err = ""
         lines.append(",".join([str(index), _fmt17(value.real),
                                _fmt17(value.imag), oracle, abs_err]))
     _write_text(config.out, "\n".join(lines) + "\n")

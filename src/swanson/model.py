@@ -349,13 +349,18 @@ def metric_exponent(params: ModelParams | ParamBatch):
     return _metric_exponent(params, params.beta if params.beta else 1.0)
 
 
-def has_real_ladder(params: ModelParams) -> bool:
-    """True when omega^2 > 4*lam*delta and omega > lam + delta: the
-    hermitized H0 is then a bona fide oscillator with a real ascending
-    ladder, and oscillator_levels applies."""
+def ladder_obstruction(params: ModelParams) -> str | None:
+    """None where the hermitized H0 is an oscillator with a real ascending
+    ladder (beta = 0, omega^2 > 4*lam*delta, omega > lam + delta), so
+    oscillator_levels applies; otherwise the first condition that fails."""
+    if params.beta != 0.0:
+        return "deformed model has no closed-form oracle here"
     # a product overflows to inf where ** would raise OverflowError
-    return (params.omega * params.omega > 4.0 * params.lam * params.delta
-            and params.omega - params.lam - params.delta > 0.0)
+    if not params.omega * params.omega > 4.0 * params.lam * params.delta:
+        return "omega^2 <= 4*lambda*delta"
+    if not params.omega - params.lam - params.delta > 0.0:
+        return "omega <= lambda + delta"
+    return None
 
 
 def oscillator_levels(params: ModelParams, count: int):
@@ -364,11 +369,11 @@ def oscillator_levels(params: ModelParams, count: int):
     Obtained by hermitizing H0 with the half-power Gaussian metric, which
     removes the p*D term and leaves Q*D^2 + (S - R^2/(4Q))*p^2 with
     |Q|*(S - R^2/(4Q)) = (omega^2 - 4*lam*delta)/4; m and hbar cancel.
-    Requires has_real_ladder(params).
+    Raises ValueError naming ladder_obstruction(params) if there is one.
     """
-    if not has_real_ladder(params):
-        raise ValueError("no real ascending oscillator ladder: needs "
-                         "omega^2 > 4*lambda*delta and omega > lambda + delta")
+    obstruction = ladder_obstruction(params)
+    if obstruction is not None:
+        raise ValueError(f"no real ascending oscillator ladder: {obstruction}")
     root = math.sqrt(params.omega * params.omega
                      - 4.0 * params.lam * params.delta)
     return [(n + 0.5) * root for n in range(count)]

@@ -165,7 +165,7 @@ def test_criterion_08_numeric_residual_and_order():
     grids = [build_grid(n, 10.0) for n in (501, 1001, 2001)]
     results = [check_numeric_residual(P1, grid) for grid in grids]
     fine = results[-1]
-    study = convergence_order("convergence_residual", "", grids,
+    study = convergence_order("convergence_residual", grids,
                               [r.residual for r in results])
     order = study.details["fitted_order"]
     passed = fine.residual < 1e-6 and order >= 3.0 and study.passed

@@ -41,7 +41,7 @@ from swanson.grids import (
 from swanson.model import (
     gaussian_alpha,
     h0_momentum,
-    has_real_ladder,
+    ladder_obstruction,
     make_params,
     with_beta,
 )
@@ -67,7 +67,7 @@ def _dense_spectrum(params, grid, levels):
     """The dense path: the hermitized operator's Hermitian eigenvalues
     where the ladder oracle applies, else the general eigenvalues of the
     untransformed operator."""
-    if params.beta == 0.0 and has_real_ladder(params):
+    if ladder_obstruction(params) is None:
         _, h0 = h0_momentum(params)
         hermitized = h0.conjugate_gaussian(gaussian_alpha(params) / 2.0)
         return dense_eigs(dense_assemble(hermitized, grid), grid,
@@ -83,7 +83,7 @@ def test_spectrum_matches_dense(case):
     expected = _dense_spectrum(params, grid, 6)
     np.testing.assert_allclose(spectrum.eigenvalues, expected,
                                rtol=PARITY_RTOL, atol=PARITY_RTOL)
-    ladder = params.beta == 0.0 and has_real_ladder(params)
+    ladder = ladder_obstruction(params) is None
     solver = "eig_banded" if ladder else "arpack-shift-invert"
     assert result.details["solver"] == spectrum.solver == solver
 
@@ -104,7 +104,7 @@ def test_numeric_residual_matches_dense(case):
 def _half_metric_image(params, grid):
     """The operator check_spectrum hands to the general eigensolver."""
     return similarity_transform(assemble_matrix(_hamiltonian_for(params), grid),
-                                _metric_for(params), half=True)
+                                _metric_for(params) / 2.0)
 
 
 def test_uncertified_spectrum_falls_back_to_dense():

@@ -7,6 +7,7 @@ import pytest
 
 import swanson.checks
 from swanson.checks import (
+    ANCHORS,
     CheckResult,
     SuiteConfig,
     check_adjoint,
@@ -192,7 +193,7 @@ def _e0_errors(params, grids):
 class TestConvergence:
     def test_spectrum_order(self):
         grids = [build_grid(n, 10.0) for n in (251, 501, 1001)]
-        result = convergence_order("convergence_spectrum", "", grids,
+        result = convergence_order("convergence_spectrum", grids,
                                    _e0_errors(P1, grids))
         assert result.passed
         assert result.details["fitted_order"] > 3.5
@@ -200,7 +201,7 @@ class TestConvergence:
 
     def test_residual_order(self):
         grids = [build_grid(n, 10.0) for n in (251, 501, 1001)]
-        result = convergence_order("convergence_residual", "", grids,
+        result = convergence_order("convergence_residual", grids,
                                    _residual_errors(P1, grids))
         assert result.passed
         assert result.details["fitted_order"] > 3.5
@@ -214,10 +215,31 @@ class TestConvergence:
         assert len(result.details["reality_ratios"]) == 3
         assert len(result.details["spectra"]) == 3
 
+    def test_exact_errors_pass_without_an_order(self):
+        grids = [build_grid(n, 10.0) for n in (51, 101, 201)]
+        result = convergence_order("convergence_residual", grids, [0.0] * 3)
+        assert result.passed and result.residual == 0.0
+        assert result.details["fitted_order"] is None
+        assert result.details["errors"] == [0.0, 0.0, 0.0]
+        assert result.paper_anchor == ANCHORS["convergence_residual"]
+        # one nonzero error is a measurement: the fit runs through the floor
+        fitted = convergence_order("convergence_residual", grids,
+                                   [0.0, 0.0, 1e-12])
+        assert not fitted.passed and fitted.details["fitted_order"] < 0
+
+    def test_reality_study_records_every_solver(self):
+        report = run_suite(P1_DEFORMED, SuiteConfig(n=401))
+        checks = {c.name: c for c in report.checks}
+        study = checks["convergence_reality"]
+        assert study.details["n"] == [135, 269, 401]
+        assert study.details["solvers"] == [
+            "dense", "arpack-shift-invert", "arpack-shift-invert"]
+        assert study.details["solvers"][-1] == checks["spectrum"].details["solver"]
+
     def test_needs_three_grids(self):
         grids = [build_grid(101, 10.0), build_grid(201, 10.0)]
         with pytest.raises(ValueError, match="3 grids"):
-            convergence_order("convergence_spectrum", "", grids,
+            convergence_order("convergence_spectrum", grids,
                               _e0_errors(P1, grids))
 
     def test_repeated_spacings_rejected(self):
@@ -225,13 +247,13 @@ class TestConvergence:
         grids = [build_grid(n, 10.0) for n in (5, 5, 7)]
         for errors in (_e0_errors(P1, grids), _residual_errors(P1, grids)):
             with pytest.raises(ValueError, match="3 distinct grid spacings"):
-                convergence_order("convergence_residual", "", grids, errors)
+                convergence_order("convergence_residual", grids, errors)
 
     def test_no_fit_through_non_finite_errors(self):
         grids = [build_grid(n, 10.0) for n in (51, 101, 201)]
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="cannot fit"):
-                convergence_order("convergence_residual", "", grids,
+                convergence_order("convergence_residual", grids,
                                   [1e-3, 1e-4, bad])
 
     def test_small_n_suite_fails_the_fits_by_name(self):
@@ -387,6 +409,45 @@ class TestSuite:
                             raiser(TypeError("programming error")))
         with pytest.raises(TypeError):
             run_suite(P1, config)
+
+    def test_identity_metric_suite_passes(self):
+        # lam = delta: the metric is the identity and the discrete
+        # conjugation is exact on every grid
+        config = SuiteConfig(n=301, p_max=8.0)
+        report = run_suite(make_params(1.0, 0.2, 0.2), config)
+        checks = {c.name: c for c in report.checks}
+        assert report.passed
+        study = checks["convergence_residual"]
+        assert study.details["errors"] == [0.0, 0.0, 0.0]
+        assert study.details["fitted_order"] is None
+        # the override negative control still fails the same study
+        control = run_suite(make_params(1.0, 0.2, 0.2),
+                            SuiteConfig(n=301, p_max=8.0, exponent_override=0.3))
+        failing = {c.name for c in control.checks if not c.passed}
+        assert {"numeric_residual", "convergence_residual"} <= failing
+
+    def test_pass_rule(self):
+        result = swanson.checks._result
+        assert result("metric_limit", 1.0, None).passed
+        assert result("metric_limit", 1.0, 1.0).passed
+        assert not result("metric_limit", 1.5, 1.0).passed
+        for residual in (math.inf, math.nan):
+            for tolerance in (None, 1.0, math.inf):
+                assert not result("metric_limit", residual, tolerance).passed
+
+    def test_every_symbolic_check_is_cached(self):
+        cached = [check_expansion, check_variant_discrepancy, check_adjoint,
+                  check_pseudo_symbolic, check_expansion_randomized,
+                  check_variant_discrepancy_randomized,
+                  check_gaussian_similarity_randomized,
+                  check_deformed_similarity_randomized]
+        for check in cached:
+            assert callable(check.cache_clear)
+        assert check_expansion_randomized(7, 3) is check_expansion_randomized(7, 3)
+        check_expansion_randomized.cache_clear()
+        first = check_expansion_randomized(7, 3)
+        check_expansion_randomized.cache_clear()
+        assert check_expansion_randomized(7, 3) is not first
 
     def test_invalid_params_rejected_before_any_check(self):
         with pytest.raises(ValueError):

@@ -138,6 +138,14 @@ class TestVerify:
         failing = [c["name"] for c in read_json(out)["checks"] if not c["passed"]]
         assert "pseudo_hermiticity_gaussian" in failing
 
+    def test_identity_metric_exit_zero(self, tmp_path):
+        # lam = delta: every probe residual is exactly 0.0, which passes
+        out = tmp_path / "report.json"
+        flags = ["--omega", "1", "--lambda", "0.2", "--delta", "0.2", *FAST,
+                 "--pmax", "8", "--out", str(out)]
+        assert main(["verify", *flags]) == 0
+        assert main(["verify", *flags, "--exponent-override", "0.3"]) == 1
+
     def test_zero_exponent_reported_as_positive_zero(self, tmp_path):
         # lam = delta > omega/2 gives 0.0/negative = -0.0 before normalising
         out = tmp_path / "report.json"

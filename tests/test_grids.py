@@ -2,6 +2,7 @@
 and eigen-solutions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from swanson.model import (
     gaussian_alpha,
     h0_adjoint_expected,
     h0_momentum,
+    h_deformed,
     h_quadratic,
     make_params,
     oscillator_levels,
@@ -262,7 +264,7 @@ class TestSimilarityTransform:
         a = assemble_matrix(h_quadratic(P1), grid, 4)
         exponent = 0.5
         before = eigs(a, "general", 41).eigenvalues
-        after = eigs(similarity_transform(a, exponent, half=True),
+        after = eigs(similarity_transform(a, exponent / 2.0),
                      "general", 41).eigenvalues
         np.testing.assert_allclose(after, before, rtol=1e-8, atol=1e-8)
 
@@ -314,6 +316,19 @@ class TestEigs:
         with pytest.raises(ValueError, match="self-adjoint"):
             eigs(from_dense(mat, grid), "selfadjoint-weighted", 2)
 
+    def test_selfadjoint_gap_is_the_weighted_adjoint_gap(self):
+        # at uniform weights the gap of the symmetrized band is that of
+        # A - A^+_w, entry for entry
+        _, h0 = h0_momentum(P1)
+        a = assemble_matrix(h0, build_grid(51, 5.0), 4)
+        gap = np.abs(a.matrix - weighted_adjoint(a).matrix).max()
+        with pytest.raises(ValueError, match=re.escape(f"gap {gap:.3e},")):
+            eigs(a, "selfadjoint-weighted", 2)
+        deformed = assemble_matrix(h_deformed(with_beta(P1, 0.1)),
+                                   build_grid(51, 5.0, 0.1), 4)
+        with pytest.raises(ValueError, match="self-adjoint"):
+            eigs(deformed, "selfadjoint-weighted", 2)
+
     def test_unknown_kind(self):
         grid = build_grid(5, 2.0)
         with pytest.raises(ValueError, match="kind"):
@@ -353,8 +368,8 @@ class TestEigs:
         _, h0 = h0_momentum(P1)
         # the half-metric image is nearly normal, so ARPACK certifies it
         small, large = (similarity_transform(
-            assemble_matrix(h0, build_grid(n, 8.0), 4), gaussian_alpha(P1),
-            half=True) for n in (direct_max, direct_max + 2))
+            assemble_matrix(h0, build_grid(n, 8.0), 4), gaussian_alpha(P1) / 2.0)
+            for n in (direct_max, direct_max + 2))
         assert eigs(large, "general", 3).solver == "arpack-shift-invert"
 
         def krylov(a, levels):

@@ -25,6 +25,7 @@ from swanson.model import (
     h_reduced,
     h_variant,
     in_reduced_regime,
+    ladder_obstruction,
     ladder_ops,
     make_params,
     metric_exponent,
@@ -296,3 +297,25 @@ class TestOscillatorLevels:
         params = make_params(1.0, 1.3, -0.2)  # real ladder but omega < lam+delta
         with pytest.raises(ValueError, match="ascending"):
             oscillator_levels(params, 1)
+
+
+class TestLadderObstruction:
+    def test_ladder_applies(self):
+        assert ladder_obstruction(P1) is None
+        assert ladder_obstruction(P2) is None
+
+    @pytest.mark.parametrize("params, reason", [
+        (with_beta(P1, 0.1), "deformed model has no closed-form oracle here"),
+        (make_params(0.5, 0.45, 0.45), "omega^2 <= 4*lambda*delta"),
+        (make_params(1.0, 1.3, -0.2), "omega <= lambda + delta"),
+        # both flat conditions fail: the first is named
+        (make_params(1.0, 0.8, 0.5), "omega^2 <= 4*lambda*delta"),
+        (make_params(1.0, 0.8, 0.5, beta=0.1),
+         "deformed model has no closed-form oracle here"),
+    ])
+    def test_names_the_first_failing_condition(self, params, reason):
+        assert ladder_obstruction(params) == reason
+        # oscillator_levels refuses with the same reason, also at beta > 0
+        with pytest.raises(ValueError) as raised:
+            oscillator_levels(params, 1)
+        assert str(raised.value).endswith(reason)
