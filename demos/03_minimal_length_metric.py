@@ -45,11 +45,11 @@ print("alpha =", alpha, " (exponent(beta) * beta = alpha exactly)")
 print()
 print(f"{'beta':>10} {'max rel deviation':>20} {'leading estimate':>20}")
 for beta in (1e-6, 1e-5, 1e-4):
-    result = check_metric_limit(P1, beta_small=beta, p_range=5.0)
+    result = check_metric_limit(with_beta(P1, beta))
     print(f"{beta:>10.0e} {result.residual:>20.4e} "
           f"{result.details['estimate']:>20.4e}")
 
-deviations = [check_metric_limit(P1, beta_small=b).residual
+deviations = [check_metric_limit(with_beta(P1, b)).residual
               for b in (1e-6, 1e-5, 1e-4)]
 slope = np.polyfit(np.log([1e-6, 1e-5, 1e-4]), np.log(deviations), 1)[0]
 print()

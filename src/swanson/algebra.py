@@ -48,7 +48,7 @@ import numpy as np
 # of numerical dust.
 PRUNE_EPS = 1e-15
 
-# Default absolute tolerance for operator comparisons.
+# Absolute tolerance of every operator comparison.
 DEFAULT_TOL = 1e-12
 
 
@@ -529,8 +529,8 @@ class OpComparison:
     difference: DiffOp
 
 
-def operators_equal(x: DiffOp, y: DiffOp, tol: float = DEFAULT_TOL) -> OpComparison:
+def operators_equal(x: DiffOp, y: DiffOp) -> OpComparison:
     _require_same_beta(x.beta, y.beta)
     difference = x - y
     residual = difference.max_abs_coeff()
-    return OpComparison(residual <= tol, residual, difference)
+    return OpComparison(residual <= DEFAULT_TOL, residual, difference)

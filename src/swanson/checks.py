@@ -7,7 +7,7 @@ CheckResult.  ``run_suite`` executes every applicable check in a fixed
 order and aggregates a Report.
 
 Symbolic checks are grid independent and exact up to float roundoff, so
-they carry the uniform tolerance 1e-12.  Numeric checks measure
+they carry the algebra's uniform DEFAULT_TOL.  Numeric checks measure
 discretization error; their absolute targets follow the stencil-order
 scaling model calibrated at h = 0.01 and the convergence studies are the
 authoritative pass criterion (for the deformed case the absolute numbers
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import DiffOp, operators_equal
+from .algebra import DEFAULT_TOL, DiffOp, operators_equal
 from .grids import (
     Grid,
     MatrixOp,
@@ -55,7 +55,7 @@ from .model import (
     with_beta,
 )
 
-SYMBOLIC_TOL = 1e-12
+SYMBOLIC_TOL = DEFAULT_TOL
 
 # Errors that fail a check, as opposed to bugs, which propagate.
 NUMERIC_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
@@ -80,6 +80,17 @@ PROBE_CENTERS = np.linspace(-PROBE_SPAN, PROBE_SPAN, 5)
 REALITY_LEVELS = 3
 REALITY_FLOOR = 1e-12
 
+# Draws of each randomized check; the deformed one repeats its draws at
+# each of DEFORMED_BETAS.
+DRAWS = 100
+DEFORMED_DRAWS = 30
+DEFORMED_BETAS = (0.01, 0.1, 1.0)
+
+# metric_limit compares the metrics on |p| <= METRIC_LIMIT_P_RANGE at the
+# model's beta, or at METRIC_LIMIT_BETA for the undeformed model.
+METRIC_LIMIT_P_RANGE = 5.0
+METRIC_LIMIT_BETA = 1e-6
+
 # The paper claim each check verifies, keyed by check name.  A randomized
 # check verifies the claim of its single-parameter form, and the spectrum
 # check verifies "spectrum_ladder" where the closed-form ladder applies.
@@ -87,8 +98,9 @@ ANCHORS = {
     "expansion": "ladder form equals the quadratic momentum form",
     "reduced_vs_variant": "reduced Hamiltonian differs from the full-strength "
                           "anticommutator variant by mu*p*D + mu/2",
-    "momentum_adjoint": "flat-measure adjoint of H0 flips the signs of the "
-                        "R and T terms",
+    "momentum_adjoint": "H0 with the printed coefficients is the quadratic "
+                        "Hamiltonian, and its flat-measure adjoint flips the "
+                        "signs of the R and T terms",
     "pseudo_hermiticity_gaussian": "Gaussian metric conjugation of H0 yields "
                                    "its adjoint",
     "pseudo_hermiticity_deformed": "power-law metric conjugation of the "
@@ -218,12 +230,12 @@ def _expansion_residuals(sample: list) -> np.ndarray:
 
 
 @_cached_by_repr
-def check_expansion_randomized(seed: int, draws: int = 100) -> CheckResult:
+def check_expansion_randomized(seed: int) -> CheckResult:
     rng = _check_rng(seed, 1)
-    sample = [draw_params(rng) for _ in range(draws)]
+    sample = [draw_params(rng) for _ in range(DRAWS)]
     residuals = _expansion_residuals(sample)
     worst = _worst(residuals)
-    details = {"draws": draws}
+    details = {"draws": DRAWS}
     if worst != 0.0:
         # argmax names the first draw that attains the maximum (or is NaN)
         details["worst_params"] = sample[int(np.argmax(residuals))].to_dict()
@@ -266,14 +278,14 @@ def _variant_residuals(sample: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 @_cached_by_repr
-def check_variant_discrepancy_randomized(seed: int, draws: int = 100) -> CheckResult:
+def check_variant_discrepancy_randomized(seed: int) -> CheckResult:
     rng = _check_rng(seed, 2)
     sample = [make_params(1.3, 0.0, 0.0) if k == 0  # mu = 0 degenerate case
-              else draw_params(rng, regime=True) for k in range(draws)]
+              else draw_params(rng, regime=True) for k in range(DRAWS)]
     residuals, identical = _variant_residuals(sample)
     expected = [abs(params.mu) <= SYMBOLIC_TOL for params in sample]
     consistent = bool(np.array_equal(identical, expected))
-    details = {"draws": draws, "discrepancy_iff_mu_nonzero": consistent}
+    details = {"draws": DRAWS, "discrepancy_iff_mu_nonzero": consistent}
     residual = _worst(residuals) if consistent else math.inf
     return _result("reduced_vs_variant_randomized", residual, SYMBOLIC_TOL,
                    details)
@@ -281,13 +293,18 @@ def check_variant_discrepancy_randomized(seed: int, draws: int = 100) -> CheckRe
 
 @_cached_by_repr
 def check_adjoint(params: ModelParams) -> CheckResult:
-    """Flat-measure adjoint of H0 against its closed form (R and T terms
+    """H0 built from its printed coefficients against the quadratic form,
+    and its flat-measure adjoint against its closed form (R and T terms
     flip sign, consistent with T = R/2)."""
     coeffs, h0 = h0_momentum(params)
-    cmp = operators_equal(h0.adjoint(), h0_adjoint_expected(params), SYMBOLIC_TOL)
+    r_representation = operators_equal(h0, h_quadratic(params)).residual
+    r_adjoint = operators_equal(h0.adjoint(), h0_adjoint_expected(params)).residual
     details = {"Q": coeffs.Q, "R": coeffs.R, "S": coeffs.S, "T": coeffs.T,
-               "T_minus_half_R": coeffs.T - coeffs.R / 2.0}
-    return _result("momentum_adjoint", cmp.residual, SYMBOLIC_TOL, details)
+               "T_minus_half_R": coeffs.T - coeffs.R / 2.0,
+               "representation_residual": r_representation,
+               "adjoint_residual": r_adjoint}
+    return _result("momentum_adjoint", np.maximum(r_representation, r_adjoint),
+                   SYMBOLIC_TOL, details)
 
 
 def _similarity_residual(params, exponent):
@@ -323,11 +340,11 @@ def _similarity_residuals(sample: list) -> np.ndarray:
 
 
 @_cached_by_repr
-def check_gaussian_similarity_randomized(seed: int, draws: int = 100) -> CheckResult:
+def check_gaussian_similarity_randomized(seed: int) -> CheckResult:
     rng = _check_rng(seed, 3)
-    residuals = _similarity_residuals([draw_params(rng) for _ in range(draws)])
+    residuals = _similarity_residuals([draw_params(rng) for _ in range(DRAWS)])
     return _result("pseudo_hermiticity_gaussian_randomized", _worst(residuals),
-                   SYMBOLIC_TOL, {"draws": draws})
+                   SYMBOLIC_TOL, {"draws": DRAWS})
 
 
 def _deformed_residuals(bases: list, betas) -> np.ndarray:
@@ -338,33 +355,33 @@ def _deformed_residuals(bases: list, betas) -> np.ndarray:
 
 
 @_cached_by_repr
-def check_deformed_similarity_randomized(seed: int, draws: int = 30,
-                                         betas=(0.01, 0.1, 1.0)) -> CheckResult:
+def check_deformed_similarity_randomized(seed: int) -> CheckResult:
     rng = _check_rng(seed, 4)
-    residuals = _deformed_residuals([draw_params(rng) for _ in range(draws)], betas)
+    residuals = _deformed_residuals(
+        [draw_params(rng) for _ in range(DEFORMED_DRAWS)], DEFORMED_BETAS)
     return _result("pseudo_hermiticity_deformed_randomized", _worst(residuals),
-                   SYMBOLIC_TOL, {"draws": draws, "betas": list(betas)})
+                   SYMBOLIC_TOL,
+                   {"draws": DEFORMED_DRAWS, "betas": list(DEFORMED_BETAS)})
 
 
-def check_metric_limit(params: ModelParams, beta_small: float = 1e-6,
-                       p_range: float = 5.0) -> CheckResult:
-    """Relative deviation between the power-law metric at a small
-    deformation and its Gaussian limit, evaluated in log space.
+def check_metric_limit(params: ModelParams) -> CheckResult:
+    """Relative deviation between the power-law metric at the model's beta
+    (METRIC_LIMIT_BETA at beta = 0) and its Gaussian limit, evaluated in
+    log space.
 
     The leading deviation is |alpha|*beta*p^4/2; the tolerance is three
     times that estimate at the edge of the window.
     """
-    if not beta_small > 0:
-        raise ValueError("beta_small must be > 0")
+    beta_small = params.beta if params.beta > 0.0 else METRIC_LIMIT_BETA
     alpha = gaussian_alpha(params)
     exponent = alpha / beta_small  # exponent(beta)*beta = alpha exactly
-    p = np.linspace(-p_range, p_range, 2001)
+    p = np.linspace(-METRIC_LIMIT_P_RANGE, METRIC_LIMIT_P_RANGE, 2001)
     log_ratio = exponent * np.log1p(beta_small * p * p) - alpha * p * p
     deviation = float(np.max(np.abs(np.expm1(log_ratio))))
-    estimate = abs(alpha) * beta_small * p_range ** 4 / 2.0
+    estimate = abs(alpha) * beta_small * METRIC_LIMIT_P_RANGE ** 4 / 2.0
     tolerance = 3.0 * estimate if estimate > 0 else SYMBOLIC_TOL
     return _result("metric_limit", deviation, tolerance,
-                   {"beta_small": beta_small, "p_range": p_range,
+                   {"beta_small": beta_small, "p_range": METRIC_LIMIT_P_RANGE,
                     "alpha": alpha, "estimate": estimate})
 
 
@@ -501,7 +518,7 @@ def convergence_order(name: str, grids: list[Grid], errors,
     the grid spacing h.  Needs >= 3 grids of distinct spacing and finite
     errors, and passes when the fitted order is at least fd_order - 1.
     Errors that are all exactly 0.0 mean the discrete identity is exact:
-    the study passes with no fitted order."""
+    the study passes with no fitted order and no monotone verdict."""
     if len(grids) < 3:
         raise ValueError("need at least 3 grids")
     hs = np.array([g.h for g in grids])
@@ -521,7 +538,7 @@ def convergence_order(name: str, grids: list[Grid], errors,
         "errors": [float(e) for e in errors],
         "fitted_order": order,
         "required_order": fd_order - 1.0,
-        "monotone": bool(np.all(np.diff(errors) < 0)),
+        "monotone": None if order is None else bool(np.all(np.diff(errors) < 0)),
     }
     return _result(name, residual, 0.0, details)
 
@@ -658,11 +675,7 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
     run("pseudo_hermiticity_deformed_randomized",
         lambda: check_deformed_similarity_randomized(config.seed))
     # metric_limit derives its tolerance from the alpha it measures
-    run("metric_limit",
-        lambda: check_metric_limit(
-            undeformed,
-            beta_small=params.beta if params.beta > 0.0 else 1e-6),
-        tolerance=None)
+    run("metric_limit", lambda: check_metric_limit(params), tolerance=None)
 
     def residual_on(g: Grid) -> CheckResult:
         return check_numeric_residual(params, g, config.fd_order,

@@ -2,10 +2,10 @@
 
 Configuration comes from flags, optionally seeded by a flat JSON config
 file (same keys as the flags with dashes turned into underscores; any
-other key is an error); flags override the file.  Reports are JSON,
-spectra are CSV with 17 significant digits so that 64-bit floats
-round-trip.  Exit codes: 0 all checks passed, 1 at least one
-verification failure, 2 usage/config/I-O error.
+other key or a boolean value is an error); flags override the file.
+Reports are JSON, spectra are CSV with 17 significant digits so that
+64-bit floats round-trip.  Exit codes: 0 all checks passed, 1 at least
+one verification failure, 2 usage/config/I-O error.
 """
 
 from __future__ import annotations
@@ -127,6 +127,9 @@ def parse(argv) -> JobConfig:
                 key = "lam"
             if key not in keys:
                 raise UsageError(f"unknown config-file key {raw_key!r}")
+            values = value if isinstance(value, list) else [value]
+            if any(isinstance(v, bool) for v in values):  # float(True) is 1.0
+                raise UsageError(f"config-file key {raw_key!r} takes no boolean")
             merged[key] = value
     merged.update(flags)
 
@@ -230,12 +233,11 @@ def cmd_sweep(config: JobConfig) -> int:
         reports.append(report)
         by_name = {check.name: check for check in report.checks}
         pseudo = by_name.get("pseudo_hermiticity_deformed",
-                             by_name.get("pseudo_hermiticity_gaussian"))
+                             by_name["pseudo_hermiticity_gaussian"])
         summary["beta"].append(beta)
         summary["metric_limit_deviation"].append(
             by_name["metric_limit"].residual)
-        summary["pseudo_hermiticity_residual"].append(
-            pseudo.residual if pseudo else None)
+        summary["pseudo_hermiticity_residual"].append(pseudo.residual)
         summary["numeric_residual"].append(by_name["numeric_residual"].residual)
         summary["passed"].append(report.passed)
         all_passed = all_passed and report.passed

@@ -42,6 +42,7 @@ GUARD_EPS = 1e-9
 # Tolerance used when deciding whether parameters sit in the reduced
 # regime m = hbar = 1, lam = -delta.
 REGIME_EPS = 1e-12
+_REDUCED_REGIME = "m = hbar = 1 and lambda = -delta"
 
 
 @dataclass(frozen=True)
@@ -129,14 +130,9 @@ def in_reduced_regime(params: ModelParams | ParamBatch) -> bool:
                        & (abs(params.lam + params.delta) <= REGIME_EPS)))
 
 
-def _require_undeformed(params: ModelParams, what: str) -> None:
-    if params.beta != 0.0:
-        raise ValueError(f"{what} requires beta = 0")
-
-
-def _require_deformed(params: ModelParams, what: str) -> None:
-    if params.beta == 0.0:
-        raise ValueError(f"{what} requires beta > 0")
+def _require(holds: bool, what: str, condition: str) -> None:
+    if not holds:
+        raise ValueError(f"{what} requires {condition}")
 
 
 # -- elementary operators -----------------------------------------------------
@@ -159,7 +155,7 @@ def ladder_ops(params: ModelParams) -> tuple[DiffOp, DiffOp]:
     a    = (p - i*omega*m*x) / sqrt(2*m*hbar*omega)
     adag = (p + i*omega*m*x) / sqrt(2*m*hbar*omega)
     """
-    _require_undeformed(params, "ladder_ops")
+    _require(params.beta == 0.0, "ladder_ops", "beta = 0")
     # np.sqrt is correctly rounded like math.sqrt, and takes a batch too
     c = 1.0 / np.sqrt(2.0 * params.m * params.hbar * params.omega)
     p = momentum_operator(params)
@@ -175,7 +171,7 @@ def ladder_ops(params: ModelParams) -> tuple[DiffOp, DiffOp]:
 def h_ladder(params: ModelParams) -> DiffOp:
     """omega*adag*a + lam*a^2 + delta*adag^2 + omega/2, expanded by
     operator composition."""
-    _require_undeformed(params, "h_ladder")
+    _require(params.beta == 0.0, "h_ladder", "beta = 0")
     a, adag = ladder_ops(params)
     return (params.omega * (adag * a)
             + params.lam * (a * a)
@@ -204,7 +200,7 @@ def _quadratic_form(params: ModelParams) -> DiffOp:
 
 def h_quadratic(params: ModelParams) -> DiffOp:
     """Undeformed quadratic form; equals h_ladder identically."""
-    _require_undeformed(params, "h_quadratic")
+    _require(params.beta == 0.0, "h_quadratic", "beta = 0")
     return _quadratic_form(params)
 
 
@@ -218,13 +214,8 @@ def h_deformed(params: ModelParams) -> DiffOp:
         - (omega*(omega-lam-delta)/2) * u^2*D^2
         - ((delta-lam+omega)/2) * u + omega/2,     u = 1 + beta*p^2.
     """
-    _require_deformed(params, "h_deformed")
+    _require(params.beta != 0.0, "h_deformed", "beta > 0")
     return _quadratic_form(params)
-
-
-def _require_reduced_regime(params: ModelParams, what: str) -> None:
-    if not in_reduced_regime(params):
-        raise ValueError(f"{what} requires m = hbar = 1 and lambda = -delta")
 
 
 def h_reduced(params: ModelParams) -> DiffOp:
@@ -235,7 +226,7 @@ def h_reduced(params: ModelParams) -> DiffOp:
     The commutator term contributes -omega/2 and cancels the additive
     omega/2, which fixes the sign convention x = +i*hbar*u*D.
     """
-    _require_reduced_regime(params, "h_reduced")
+    _require(in_reduced_regime(params), "h_reduced", _REDUCED_REGIME)
     om, mu = params.omega, params.mu
     p = momentum_operator(params)
     x = position_operator(params)
@@ -254,7 +245,7 @@ def h_variant(params: ModelParams) -> DiffOp:
     Differs from h_reduced by mu*p*u*D + (mu/2)*u (= mu*p*D + mu/2 at
     beta = 0); the two coincide exactly when mu = 0.
     """
-    _require_reduced_regime(params, "h_variant")
+    _require(in_reduced_regime(params), "h_variant", _REDUCED_REGIME)
     om, mu = params.omega, params.mu
     p = momentum_operator(params)
     x = position_operator(params)
@@ -265,7 +256,7 @@ def h_variant(params: ModelParams) -> DiffOp:
 
 def reduced_variant_difference(params: ModelParams) -> DiffOp:
     """Closed form of h_reduced - h_variant: mu*p*u*D + (mu/2)*u."""
-    _require_reduced_regime(params, "reduced_variant_difference")
+    _require(in_reduced_regime(params), "reduced_variant_difference", _REDUCED_REGIME)
     mu, beta = params.mu, params.beta
     return DiffOp.from_dict(beta, {
         1: CoeffFn(Poly((0.0, mu)), 1, beta),
@@ -297,28 +288,28 @@ def momentum_rep_coeffs(params: ModelParams) -> MomentumRepCoeffs:
     )
 
 
+def _momentum_form(Q, R, S, T) -> DiffOp:
+    """Q*D^2 + R*p*D + S*p^2 + T at beta = 0."""
+    return DiffOp.from_dict(0.0, {
+        2: coeff_const(Q),
+        1: coeff_poly((0.0, R)),
+        0: coeff_poly((T, 0.0, S)),
+    })
+
+
 def h0_momentum(params: ModelParams) -> tuple[MomentumRepCoeffs, DiffOp]:
     """Undeformed Hamiltonian assembled directly from its printed
     momentum-space coefficients."""
-    _require_undeformed(params, "h0_momentum")
+    _require(params.beta == 0.0, "h0_momentum", "beta = 0")
     c = momentum_rep_coeffs(params)
-    op = DiffOp.from_dict(0.0, {
-        2: coeff_const(c.Q),
-        1: coeff_poly((0.0, c.R)),
-        0: coeff_poly((c.T, 0.0, c.S)),
-    })
-    return c, op
+    return c, _momentum_form(c.Q, c.R, c.S, c.T)
 
 
 def h0_adjoint_expected(params: ModelParams) -> DiffOp:
     """Flat-measure adjoint of H0 in closed form: Q*D^2 - R*p*D + S*p^2 - T."""
-    _require_undeformed(params, "h0_adjoint_expected")
+    _require(params.beta == 0.0, "h0_adjoint_expected", "beta = 0")
     c = momentum_rep_coeffs(params)
-    return DiffOp.from_dict(0.0, {
-        2: coeff_const(c.Q),
-        1: coeff_poly((0.0, -c.R)),
-        0: coeff_poly((-c.T, 0.0, c.S)),
-    })
+    return _momentum_form(c.Q, -c.R, c.S, -c.T)
 
 
 # -- metric operators --------------------------------------------------------------

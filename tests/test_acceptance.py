@@ -134,8 +134,8 @@ def test_criterion_05_deformed_pseudo_hermiticity():
 
 
 def test_criterion_06_metric_limit():
-    result = check_metric_limit(P1, beta_small=1e-6, p_range=5.0)
-    deviations = [check_metric_limit(P1, beta_small=b, p_range=5.0).residual
+    result = check_metric_limit(P1)
+    deviations = [check_metric_limit(with_beta(P1, b)).residual
                   for b in (1e-6, 1e-5, 1e-4)]
     slope = float(np.polyfit(np.log([1e-6, 1e-5, 1e-4]),
                              np.log(deviations), 1)[0])

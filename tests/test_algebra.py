@@ -428,7 +428,7 @@ class TestEquality:
         assert operators_equal(lhs, d_op() * p_op()).residual == 0.0
 
     def test_difference_reported(self):
-        cmp = operators_equal(p_op() * d_op(), zero_op(), tol=1e-12)
+        cmp = operators_equal(p_op() * d_op(), zero_op())
         assert not cmp.passed
         assert cmp.residual == 1.0
         assert isinstance(cmp, OpComparison)

@@ -1,11 +1,13 @@
 """Tests for the verification checks and the suite runner."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import swanson.checks
+import swanson.model
 from swanson.checks import (
     ANCHORS,
     CheckResult,
@@ -68,6 +70,27 @@ class TestSymbolicChecks:
             assert result.passed
             assert abs(result.details["T_minus_half_R"]) < 1e-15
 
+    def test_adjoint_compares_h0_with_the_hamiltonian(self, monkeypatch):
+        details = check_adjoint(P1).details
+        assert details["representation_residual"] == 0.0
+        assert details["adjoint_residual"] == 0.0
+        printed = swanson.model.momentum_rep_coeffs
+
+        def wrong_s(params):
+            coeffs = printed(params)
+            return dataclasses.replace(coeffs, S=1.01 * coeffs.S)
+
+        monkeypatch.setattr(swanson.model, "momentum_rep_coeffs", wrong_s)
+        check_adjoint.cache_clear()
+        try:
+            result = check_adjoint(P1)
+        finally:
+            check_adjoint.cache_clear()
+        assert not result.passed
+        # the adjoint of the wrong H0 still flips its R and T terms
+        assert result.details["adjoint_residual"] == 0.0
+        assert result.residual == result.details["representation_residual"] > 1e-3
+
     def test_pseudo_symbolic_gaussian(self):
         result = check_pseudo_symbolic(P1)
         assert result.name == "pseudo_hermiticity_gaussian"
@@ -106,13 +129,13 @@ class TestSymbolicChecks:
 
 class TestMetricLimit:
     def test_small_beta_deviation(self):
-        result = check_metric_limit(P1, beta_small=1e-6, p_range=5.0)
+        result = check_metric_limit(P1)
         assert result.passed
         assert result.residual < 1e-3
         assert abs(result.details["estimate"] - 3.125e-4) < 1e-8
 
     def test_deviation_grows_with_beta(self):
-        deviations = [check_metric_limit(P1, beta_small=b).residual
+        deviations = [check_metric_limit(with_beta(P1, b)).residual
                       for b in (1e-6, 1e-5, 1e-4)]
         assert deviations[0] < deviations[1] < deviations[2]
         assert abs(deviations[1] - 3e-2) < 2e-2 or deviations[1] < 3e-2
@@ -121,9 +144,9 @@ class TestMetricLimit:
         result = check_metric_limit(make_params(1.0, 0.3, 0.3))
         assert result.passed and result.residual == 0.0
 
-    def test_positive_beta_required(self):
-        with pytest.raises(ValueError, match="beta_small"):
-            check_metric_limit(P1, beta_small=0.0)
+    def test_beta_small_is_the_models_beta(self):
+        assert check_metric_limit(P1).details["beta_small"] == 1e-6
+        assert check_metric_limit(P1_DEFORMED).details["beta_small"] == 0.1
 
 
 class TestNumericResidual:
@@ -426,6 +449,14 @@ class TestSuite:
         failing = {c.name for c in control.checks if not c.passed}
         assert {"numeric_residual", "convergence_residual"} <= failing
 
+    def test_exact_study_has_no_monotone_verdict(self):
+        report = run_suite(make_params(1.0, 0.2, 0.2), SuiteConfig(n=301))
+        study = {c.name: c for c in report.checks}["convergence_residual"]
+        assert study.passed and study.details["fitted_order"] is None
+        assert study.details["monotone"] is None
+        fitted = {c.name: c for c in run_suite(P1, SuiteConfig(n=301)).checks}
+        assert fitted["convergence_residual"].details["monotone"] is True
+
     def test_pass_rule(self):
         result = swanson.checks._result
         assert result("metric_limit", 1.0, None).passed
@@ -443,11 +474,11 @@ class TestSuite:
                   check_deformed_similarity_randomized]
         for check in cached:
             assert callable(check.cache_clear)
-        assert check_expansion_randomized(7, 3) is check_expansion_randomized(7, 3)
+        assert check_expansion_randomized(7) is check_expansion_randomized(7)
         check_expansion_randomized.cache_clear()
-        first = check_expansion_randomized(7, 3)
+        first = check_expansion_randomized(7)
         check_expansion_randomized.cache_clear()
-        assert check_expansion_randomized(7, 3) is not first
+        assert check_expansion_randomized(7) is not first
 
     def test_invalid_params_rejected_before_any_check(self):
         with pytest.raises(ValueError):

@@ -80,6 +80,16 @@ class TestParse:
         assert main(["spectrum", "--config", str(config_file)]) == 2
         assert f"{key} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("omega", True), ("seed", True),
+                                            ("beta_grid", [True, 0.1])])
+    def test_config_file_booleans_rejected(self, key, value, tmp_path, capsys):
+        # float(True) and int(True) would read a JSON boolean as 1
+        config_file = tmp_path / "job.json"
+        config_file.write_text(json.dumps({"omega": 1.0, "lambda": -0.5,
+                                           "delta": 0.5, "n": 11, key: value}))
+        assert main(["verify", "--config", str(config_file)]) == 2
+        assert f"config-file key {key!r} takes no boolean" in capsys.readouterr().err
+
     def test_missing_parameter(self):
         with pytest.raises(UsageError, match="omega"):
             parse(["verify", "--lambda", "-0.5", "--delta", "0.5"])
