@@ -1,10 +1,11 @@
 """Executable verification of the model's operator identities.
 
-Each check computes a residual -- the maximum absolute coefficient of a
+Each check measures its identity -- the maximum absolute coefficient of a
 canonical operator difference for symbolic checks, a weighted vector or
-matrix norm for numeric ones -- and packages it with its tolerance into a
-CheckResult.  ``run_suite`` executes every applicable check in a fixed
-order and aggregates a Report.
+matrix norm for numeric ones -- and hands its raw measurements with its
+tolerance to ``_result``.  The residual is the largest measurement, 0.0
+when there are none, and a NaN among them fails the check.  ``run_suite``
+executes every applicable check in a fixed order and aggregates a Report.
 
 Symbolic checks are grid independent and exact up to float roundoff, so
 they carry the algebra's uniform DEFAULT_TOL.  Numeric checks measure
@@ -142,12 +143,19 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-def _result(name: str, residual: float, tolerance: float | None,
+def _largest(measured) -> float:
+    """The largest of ``measured`` -- a number, a 1-D array, or a list of
+    numbers and arrays -- and 0.0; NaN if any of them is NaN."""
+    parts = measured if isinstance(measured, list) else [measured]
+    return float(np.hstack([0.0, *parts]).max())
+
+
+def _result(name: str, measured, tolerance: float | None,
             details: dict | None = None, anchor: str | None = None) -> CheckResult:
     """A check's outcome under its own anchor, ``_anchor(name)`` unless
-    given.  It passes when its residual is finite and, if it has a
-    tolerance, within it."""
-    residual = float(residual)
+    given.  Its residual is ``_largest(measured)``; it passes when that is
+    finite and, if it has a tolerance, within it."""
+    residual = _largest(measured)
     passed = math.isfinite(residual) and (tolerance is None
                                           or residual <= tolerance)
     return CheckResult(name, _anchor(name) if anchor is None else anchor,
@@ -204,17 +212,6 @@ def _cached_by_repr(check):
     return cached
 
 
-def _per_draw(values, draws: int) -> np.ndarray:
-    """A batched residual (or flag) as one entry per draw; an identity
-    whose difference vanished for every draw gives a scalar."""
-    return np.broadcast_to(values, (draws,))
-
-
-def _worst(residuals: np.ndarray) -> float:
-    """Largest residual, 0.0 for no draws; a NaN draw makes it NaN."""
-    return float(np.max(residuals, initial=0.0))
-
-
 def _expansion_residual(params):
     return operators_equal(h_ladder(params), h_quadratic(params)).residual
 
@@ -225,21 +222,16 @@ def check_expansion(params: ModelParams) -> CheckResult:
     return _result("expansion", _expansion_residual(params), SYMBOLIC_TOL)
 
 
-def _expansion_residuals(sample: list) -> np.ndarray:
-    return _per_draw(_expansion_residual(stack_params(sample)), len(sample))
-
-
 @_cached_by_repr
 def check_expansion_randomized(seed: int) -> CheckResult:
     rng = _check_rng(seed, 1)
     sample = [draw_params(rng) for _ in range(DRAWS)]
-    residuals = _expansion_residuals(sample)
-    worst = _worst(residuals)
+    residuals = _expansion_residual(stack_params(sample))
     details = {"draws": DRAWS}
-    if worst != 0.0:
+    if np.any(residuals):
         # argmax names the first draw that attains the maximum (or is NaN)
         details["worst_params"] = sample[int(np.argmax(residuals))].to_dict()
-    return _result("expansion_randomized", worst, SYMBOLIC_TOL, details)
+    return _result("expansion_randomized", residuals, SYMBOLIC_TOL, details)
 
 
 def _variant_parts(params):
@@ -266,15 +258,8 @@ def check_variant_discrepancy(params: ModelParams) -> CheckResult:
         "difference": str(difference),
         "variants_identical": difference.max_abs_coeff() <= SYMBOLIC_TOL,
     }
-    return _result("reduced_vs_variant", max(r_reduction, r_difference),
+    return _result("reduced_vs_variant", [r_reduction, r_difference],
                    SYMBOLIC_TOL, details)
-
-
-def _variant_residuals(sample: list) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw residuals and variants_identical flags."""
-    r_reduction, r_difference, difference = _variant_parts(stack_params(sample))
-    return (_per_draw(np.maximum(r_reduction, r_difference), len(sample)),
-            _per_draw(difference.max_abs_coeff() <= SYMBOLIC_TOL, len(sample)))
 
 
 @_cached_by_repr
@@ -282,12 +267,14 @@ def check_variant_discrepancy_randomized(seed: int) -> CheckResult:
     rng = _check_rng(seed, 2)
     sample = [make_params(1.3, 0.0, 0.0) if k == 0  # mu = 0 degenerate case
               else draw_params(rng, regime=True) for k in range(DRAWS)]
-    residuals, identical = _variant_residuals(sample)
+    r_reduction, r_difference, difference = _variant_parts(stack_params(sample))
+    # a difference that vanished for every draw is a scalar; == broadcasts
+    identical = difference.max_abs_coeff() <= SYMBOLIC_TOL
     expected = [abs(params.mu) <= SYMBOLIC_TOL for params in sample]
-    consistent = bool(np.array_equal(identical, expected))
+    consistent = bool(np.all(identical == np.array(expected)))
     details = {"draws": DRAWS, "discrepancy_iff_mu_nonzero": consistent}
-    residual = _worst(residuals) if consistent else math.inf
-    return _result("reduced_vs_variant_randomized", residual, SYMBOLIC_TOL,
+    measured = [r_reduction, r_difference] if consistent else math.inf
+    return _result("reduced_vs_variant_randomized", measured, SYMBOLIC_TOL,
                    details)
 
 
@@ -303,7 +290,7 @@ def check_adjoint(params: ModelParams) -> CheckResult:
                "T_minus_half_R": coeffs.T - coeffs.R / 2.0,
                "representation_residual": r_representation,
                "adjoint_residual": r_adjoint}
-    return _result("momentum_adjoint", np.maximum(r_representation, r_adjoint),
+    return _result("momentum_adjoint", [r_representation, r_adjoint],
                    SYMBOLIC_TOL, details)
 
 
@@ -334,32 +321,26 @@ def check_pseudo_symbolic(params: ModelParams,
                    {"exponent": exponent})
 
 
-def _similarity_residuals(sample: list) -> np.ndarray:
+def _similarity_residuals(sample: list):
     batch = stack_params(sample)
-    return _per_draw(_similarity_residual(batch, _metric_for(batch)), len(sample))
+    return _similarity_residual(batch, _metric_for(batch))
 
 
 @_cached_by_repr
 def check_gaussian_similarity_randomized(seed: int) -> CheckResult:
     rng = _check_rng(seed, 3)
     residuals = _similarity_residuals([draw_params(rng) for _ in range(DRAWS)])
-    return _result("pseudo_hermiticity_gaussian_randomized", _worst(residuals),
+    return _result("pseudo_hermiticity_gaussian_randomized", residuals,
                    SYMBOLIC_TOL, {"draws": DRAWS})
-
-
-def _deformed_residuals(bases: list, betas) -> np.ndarray:
-    """Residuals of the undeformed base draws deformed by each beta, one
-    row per draw and one column per beta (one batch per beta)."""
-    return np.stack([_similarity_residuals([with_beta(base, beta) for base in bases])
-                     for beta in betas], axis=1)
 
 
 @_cached_by_repr
 def check_deformed_similarity_randomized(seed: int) -> CheckResult:
     rng = _check_rng(seed, 4)
-    residuals = _deformed_residuals(
-        [draw_params(rng) for _ in range(DEFORMED_DRAWS)], DEFORMED_BETAS)
-    return _result("pseudo_hermiticity_deformed_randomized", _worst(residuals),
+    bases = [draw_params(rng) for _ in range(DEFORMED_DRAWS)]
+    residuals = [_similarity_residuals([with_beta(base, beta) for base in bases])
+                 for beta in DEFORMED_BETAS]
+    return _result("pseudo_hermiticity_deformed_randomized", residuals,
                    SYMBOLIC_TOL,
                    {"draws": DEFORMED_DRAWS, "betas": list(DEFORMED_BETAS)})
 
@@ -377,10 +358,9 @@ def check_metric_limit(params: ModelParams) -> CheckResult:
     exponent = alpha / beta_small  # exponent(beta)*beta = alpha exactly
     p = np.linspace(-METRIC_LIMIT_P_RANGE, METRIC_LIMIT_P_RANGE, 2001)
     log_ratio = exponent * np.log1p(beta_small * p * p) - alpha * p * p
-    deviation = float(np.max(np.abs(np.expm1(log_ratio))))
     estimate = abs(alpha) * beta_small * METRIC_LIMIT_P_RANGE ** 4 / 2.0
     tolerance = 3.0 * estimate if estimate > 0 else SYMBOLIC_TOL
-    return _result("metric_limit", deviation, tolerance,
+    return _result("metric_limit", np.abs(np.expm1(log_ratio)), tolerance,
                    {"beta_small": beta_small, "p_range": METRIC_LIMIT_P_RANGE,
                     "alpha": alpha, "estimate": estimate})
 
@@ -431,9 +411,10 @@ def check_numeric_residual(params: ModelParams, grid: Grid, fd_order: int = 4,
     probe_residuals = []
     for center in PROBE_CENTERS:
         psi = gaussian_state(grid, center, PROBE_WIDTH)
-        probe_residuals.append(
-            weighted_norm(grid, delta.apply(psi))
-            / weighted_norm(grid, a.apply(psi)))
+        scale = weighted_norm(grid, a.apply(psi))
+        # a probe over an infinite norm would read as exact: NaN fails it
+        probe_residuals.append(weighted_norm(grid, delta.apply(psi)) / scale
+                               if math.isfinite(scale) else math.nan)
     interior = np.abs(grid.points) <= grid.p_max / 2.0
     row_scale = a.abs_row_sums()[interior].max()
     row_residual = float(delta.abs_row_sums()[interior].max() / row_scale)
@@ -443,7 +424,7 @@ def check_numeric_residual(params: ModelParams, grid: Grid, fd_order: int = 4,
         "h": grid.h,
         "fd_order": fd_order,
     }
-    return _result("numeric_residual", max(probe_residuals),
+    return _result("numeric_residual", probe_residuals,
                    _residual_tolerance(params, grid, fd_order), details)
 
 
@@ -494,7 +475,7 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
             "errors": [float(v) for v in errors],
             "solver": spectrum.solver,
         }
-        return _result("spectrum", errors.max(), tolerance, details, anchor), spectrum
+        return _result("spectrum", errors, tolerance, details, anchor), spectrum
     # the half-metric similarity keeps the spectrum and makes the operator
     # nearly normal, which the certified banded solver relies on
     spectrum = eigs(similarity_transform(a, _metric_for(params) / 2.0),
@@ -508,8 +489,7 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
         "reality_ratios": [float(r) for r in ratios],
         "solver": spectrum.solver,
     }
-    return _result("spectrum", ratios.max() if len(ratios) else 0.0,
-                   tolerance, details, anchor), spectrum
+    return _result("spectrum", ratios, tolerance, details, anchor), spectrum
 
 
 def convergence_order(name: str, grids: list[Grid], errors,
@@ -530,9 +510,9 @@ def convergence_order(name: str, grids: list[Grid], errors,
     if np.any(errors):
         errors = np.maximum(errors, 1e-16)
         order = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
-        residual = max(0.0, (fd_order - 1.0) - order)
+        shortfall = [(fd_order - 1.0) - order]
     else:
-        order, residual = None, 0.0
+        order, shortfall = None, []
     details = {
         "h": [float(h) for h in hs],
         "errors": [float(e) for e in errors],
@@ -540,7 +520,7 @@ def convergence_order(name: str, grids: list[Grid], errors,
         "required_order": fd_order - 1.0,
         "monotone": None if order is None else bool(np.all(np.diff(errors) < 0)),
     }
-    return _result(name, residual, 0.0, details)
+    return _result(name, shortfall, 0.0, details)
 
 
 def convergence_reality(grids: list[Grid],
@@ -548,13 +528,13 @@ def convergence_reality(grids: list[Grid],
     """Judge the general-path spectrum results of ``check_spectrum``, one
     per grid of growing extent: the reality ratio of the lowest
     REALITY_LEVELS eigenvalues must not increase, with ratios below
-    REALITY_FLOOR treated as converged zeros."""
+    REALITY_FLOOR treated as converged zeros.  The residual is the largest
+    increase from one grid to the next."""
     if len(grids) < 3:
         raise ValueError("need at least 3 grids")
-    ratios = [max(result.details["reality_ratios"][:REALITY_LEVELS])
+    ratios = [_largest(result.details["reality_ratios"][:REALITY_LEVELS])
               for result in results]
-    floored = [r if r > REALITY_FLOOR else 0.0 for r in ratios]
-    violations = [b - a for a, b in zip(floored, floored[1:]) if b > a]
+    floored = [0.0 if r <= REALITY_FLOOR else r for r in ratios]  # keeps a NaN
     details = {
         "p_max": [float(g.p_max) for g in grids],
         "n": [g.n for g in grids],
@@ -565,8 +545,7 @@ def convergence_reality(grids: list[Grid],
         "solvers": [result.details["solver"] for result in results],
         "floor": REALITY_FLOOR,
     }
-    return _result("convergence_reality", max(violations, default=0.0), 0.0,
-                   details)
+    return _result("convergence_reality", np.diff(floored), 0.0, details)
 
 
 # -- suite ---------------------------------------------------------------------------

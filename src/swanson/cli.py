@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -76,6 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="emit the low-lying spectrum as CSV")
     subparsers.add_parser("sweep", parents=[common],
                           help="run the suite over a list of beta values")
+    # argparse reads only plain decimals such as -0.5 as negative values;
+    # the subcommands read every negative float literal (-5e-1, -inf) as one
+    for command in subparsers.choices.values():
+        command._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
     return parser
 
 

@@ -390,4 +390,11 @@ def gaussian_state(grid: Grid, center: float = 0.0, width: float = 1.0) -> np.nd
 
 
 def weighted_norm(grid: Grid, f: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(grid.weights * np.abs(f) ** 2)))
+    """sqrt(sum w*|f|^2), taken over f/max|f| where the squares overflow."""
+    with np.errstate(over="ignore"):
+        magnitude = np.abs(f)
+        total = np.sum(grid.weights * magnitude ** 2)
+        scale = magnitude.max()
+        if math.isfinite(total) or not scale < math.inf:
+            return float(np.sqrt(total))
+        return float(scale * np.sqrt(np.sum(grid.weights * (magnitude / scale) ** 2)))

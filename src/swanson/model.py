@@ -69,10 +69,15 @@ class ModelParams:
             raise ValueError("hbar must be > 0")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if abs(self.omega - self.lam - self.delta) <= GUARD_EPS:
-            raise ValueError("omega - lambda - delta too close to zero "
-                             "(metric exponent undefined)")
         object.__setattr__(self, "mu", self.delta - self.lam)
+        try:  # gaussian_alpha(self), untraced by perfbench
+            alpha = _metric_exponent(self, 1.0)
+        except ZeroDivisionError:  # its denominator underflowed to 0
+            alpha = math.nan
+        if (abs(self.omega - self.lam - self.delta) <= GUARD_EPS
+                or not math.isfinite(alpha)):
+            raise ValueError("m*hbar*omega*(omega - lambda - delta) too close "
+                             "to zero (metric exponent undefined)")
 
     def to_dict(self) -> dict:
         return {

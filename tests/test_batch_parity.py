@@ -29,6 +29,23 @@ def fresh_checks():
         check.cache_clear()
 
 
+def per_draw(values, sample):
+    """A batched residual or flag as one entry per draw of ``sample``; an
+    identity whose difference vanished for every draw gives a scalar."""
+    return np.broadcast_to(values, (len(sample),))
+
+
+def similarity_residuals(sample):
+    return per_draw(checks._similarity_residuals(sample), sample)
+
+
+def deformed_residuals(bases):
+    """The batched residuals of the base draws deformed by each of the
+    oracle's betas, one row per draw and one column per beta."""
+    return np.stack([similarity_residuals([with_beta(b, beta) for b in bases])
+                     for beta in (0.01, 0.1, 1.0)], axis=1)
+
+
 def poisoned(builder, draw):
     """``builder`` with a NaN added to the constant term of one draw."""
     def build(params):
@@ -84,7 +101,8 @@ class TestPerDrawParity:
     def test_expansion(self, seed):
         sample = oracles.expansion_sample(seed)
         expected = [oracles.expansion_residual(p) for p in sample]
-        assert np.array_equal(checks._expansion_residuals(sample), expected)
+        residuals = checks._expansion_residual(stack_params(sample))
+        assert np.array_equal(per_draw(residuals, sample), expected)
         worst, worst_params = oracles.first_strict_maximum(sample, expected)
         result = checks.check_expansion_randomized(seed)
         assert result.residual == worst
@@ -96,7 +114,11 @@ class TestPerDrawParity:
         sample = oracles.variant_sample(seed)
         assert sample[0].mu == 0.0
         expected = [oracles.variant_residual(p) for p in sample]
-        residuals, identical = checks._variant_residuals(sample)
+        r_reduction, r_difference, difference = checks._variant_parts(
+            stack_params(sample))
+        residuals = per_draw(np.maximum(r_reduction, r_difference), sample)
+        identical = per_draw(difference.max_abs_coeff() <= checks.SYMBOLIC_TOL,
+                             sample)
         assert np.array_equal(residuals, [r for r, _ in expected])
         assert np.array_equal(identical, [flag for _, flag in expected])
         assert identical[0] and not identical[1:].any()
@@ -107,7 +129,7 @@ class TestPerDrawParity:
     def test_gaussian(self, seed):
         sample = oracles.gaussian_sample(seed)
         expected = [oracles.gaussian_residual(p) for p in sample]
-        assert np.array_equal(checks._similarity_residuals(sample), expected)
+        assert np.array_equal(similarity_residuals(sample), expected)
         result = checks.check_gaussian_similarity_randomized(seed)
         assert result.residual == max(expected)
 
@@ -115,7 +137,7 @@ class TestPerDrawParity:
     def test_deformed(self, seed):
         bases = oracles.deformed_sample(seed)
         expected = oracles.deformed_residuals(bases)
-        batched = checks._deformed_residuals(bases, (0.01, 0.1, 1.0))
+        batched = deformed_residuals(bases)
         assert np.array_equal(batched, expected)
         result = checks.check_deformed_similarity_randomized(seed)
         assert result.residual == expected.max()
@@ -127,9 +149,8 @@ class TestPerDrawParity:
         bases[3] = make_params(1.2, 0.3, 0.3)
         bases[10] = make_params(0.8, -0.4, -0.4)
         expected = oracles.deformed_residuals(bases)
-        assert np.array_equal(checks._deformed_residuals(bases, (0.01, 0.1, 1.0)),
-                              expected)
-        assert np.array_equal(checks._similarity_residuals(bases),
+        assert np.array_equal(deformed_residuals(bases), expected)
+        assert np.array_equal(similarity_residuals(bases),
                               [oracles.gaussian_residual(p) for p in bases])
 
 

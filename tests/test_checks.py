@@ -28,6 +28,7 @@ from swanson.checks import (
     draw_params,
     run_suite,
 )
+from swanson.algebra import const_op
 from swanson.grids import build_grid
 from swanson.model import make_params, with_beta
 
@@ -58,6 +59,20 @@ class TestSymbolicChecks:
         result = check_variant_discrepancy(make_params(1.3, 0.0, 0.0))
         assert result.passed
         assert result.details["variants_identical"]
+
+    def test_nan_difference_fails_variant(self, monkeypatch):
+        closed_form = swanson.checks.reduced_variant_difference
+        monkeypatch.setattr(
+            swanson.checks, "reduced_variant_difference",
+            lambda params: closed_form(params) + const_op(math.nan, params.beta))
+        check_variant_discrepancy.cache_clear()
+        try:
+            result = check_variant_discrepancy(P1)
+        finally:
+            check_variant_discrepancy.cache_clear()
+        assert result.details["reduction_residual"] == 0.0
+        assert math.isnan(result.details["difference_form_residual"])
+        assert math.isnan(result.residual) and not result.passed
 
     def test_variant_randomized(self):
         result = check_variant_discrepancy_randomized(seed=42)
@@ -169,6 +184,20 @@ class TestNumericResidual:
         assert result.tolerance is None
         assert result.passed and math.isfinite(result.residual)
 
+    def test_nan_probe_fails(self, monkeypatch):
+        gaussian_state = swanson.checks.gaussian_state
+        third = swanson.checks.PROBE_CENTERS[2]
+
+        def nan_third_probe(grid, center, width):
+            psi = gaussian_state(grid, center, width)
+            return psi * math.nan if center == third else psi
+
+        monkeypatch.setattr(swanson.checks, "gaussian_state", nan_third_probe)
+        result = check_numeric_residual(P1, build_grid(401, 10.0))
+        probes = result.details["probe_residuals"]
+        assert math.isnan(probes[2]) and all(math.isfinite(r) for r in probes[3:])
+        assert math.isnan(result.residual) and not result.passed
+
     def test_override_breaks_the_identity(self):
         grid = build_grid(501, 10.0)
         result = check_numeric_residual(P1, grid, exponent_override=3.0)
@@ -237,6 +266,18 @@ class TestConvergence:
         assert result.passed
         assert len(result.details["reality_ratios"]) == 3
         assert len(result.details["spectra"]) == 3
+
+    def test_nan_ratio_fails_reality(self):
+        grids = [build_grid(n, pm, 0.1)
+                 for n, pm in ((21, 10.0), (41, 20.0), (61, 30.0))]
+        # a NaN second ratio on each grid, the others decreasing
+        results = [CheckResult("spectrum", "", 0.0, None, True, {
+            "reality_ratios": [ratio, math.nan, 0.0],
+            "re": [1.0, 2.0, 3.0], "im": [ratio, 0.0, 0.0], "solver": "dense"})
+            for ratio in (1e-3, 1e-4, 1e-5)]
+        result = convergence_reality(grids, results)
+        assert all(math.isnan(r) for r in result.details["reality_ratios"])
+        assert math.isnan(result.residual) and not result.passed
 
     def test_exact_errors_pass_without_an_order(self):
         grids = [build_grid(n, 10.0) for n in (51, 101, 201)]
@@ -465,6 +506,15 @@ class TestSuite:
         for residual in (math.inf, math.nan):
             for tolerance in (None, 1.0, math.inf):
                 assert not result("metric_limit", residual, tolerance).passed
+
+    def test_residual_is_the_largest_measurement(self):
+        result = swanson.checks._result
+        assert result("metric_limit", [], None).residual == 0.0
+        assert result("metric_limit", np.array([]), None).residual == 0.0
+        assert result("metric_limit", [1.0, np.array([3.0, 2.0])], 3.0).residual == 3.0
+        for measured in (math.nan, [1.0, np.array([math.nan, 2.0])],
+                         [np.array([1.0]), 5.0, math.nan]):
+            assert math.isnan(result("metric_limit", measured, None).residual)
 
     def test_every_symbolic_check_is_cached(self):
         cached = [check_expansion, check_variant_discrepancy, check_adjoint,

@@ -117,12 +117,26 @@ class TestParse:
         ["--seed", "-1"],
         ["--pmax", "1e200"],
         ["--pmax", "1e100", "--beta", "1"],
+        ["--m", "1e-200", "--hbar", "1e-200"],
+        ["--m", "1e-160", "--hbar", "1e-160"],
+        ["--m", "1e-310"],
     ])
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_range_values_exit_two(self, command, flags, capsys):
         assert main([command, *P1_FLAGS, "--n", "101", *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag, value", [("--delta", "-5e-1"),
+                                             ("--exponent-override", "-1e-3"),
+                                             ("--exponent-override", "-inf")])
+    def test_negative_values_in_exponent_form(self, flag, value):
+        # argparse alone reads only plain decimals such as -0.5 as values
+        argv = ["verify", "--omega", "1", "--lambda", "5e-1", "--delta", "0.2"]
+        spaced = parse([*argv, flag, value])
+        assert spaced == parse([*argv, f"{flag}={value}"])
+        assert float(value) in (spaced.params.delta,
+                                spaced.suite.exponent_override)
 
     def test_missing_config_file(self):
         with pytest.raises(UsageError, match="config"):
@@ -184,6 +198,17 @@ class TestVerify:
         checks = {c["name"]: c for c in read_json(out)["checks"]}
         assert ("non-finite transformed entries"
                 in checks["numeric_residual"]["details"]["error"])
+
+    @pytest.mark.parametrize("flags", [["--m", "1e-300"], ["--m", "1e-200"],
+                                       ["--hbar", "1e-300"], ["--pmax", "1e-100"]])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_scales_fail_without_warnings(self, flags, tmp_path, capsys):
+        # a tiny m*hbar or grid spacing makes |A psi|^2 overflow in a probe
+        # norm, although the norm itself is finite
+        out = tmp_path / "report.json"
+        assert main(["verify", *P1_FLAGS, "--n", "51", *flags,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
 
     def test_deformed_adds_power_metric_check(self, tmp_path):
         out = tmp_path / "report.json"
@@ -352,8 +377,8 @@ FLAGS = {
     "--beta-grid": st.none() | st.lists(st.floats(0.0, 1.0).map(repr),
                                         min_size=2, max_size=3).map(",".join),
 }
-EDGE = st.sampled_from(["nan", "inf", "-inf", "1e200", "-1e200", "0", "-1",
-                        "3", "70"])
+EDGE = st.sampled_from(["nan", "inf", "-inf", "1e200", "-1e200", "1e-300", "0",
+                        "-1", "3", "70"])
 CONFIG = st.none() | st.dictionaries(
     st.sampled_from(["omega", "lambda", "delta", "beta", "pmax", "levels",
                      "probes", "levls", "p_max"]),

@@ -404,6 +404,16 @@ class TestGaussianState:
             psi = gaussian_state(grid, 0.0, 1.0)
             assert abs(weighted_norm(grid, psi) - 1.0) < 1e-12
 
+    def test_norm_of_huge_entries_does_not_overflow(self):
+        # the squares overflow; the norm is rescaled, or inf past float range
+        grid = build_grid(501, 10.0, 0.5)
+        psi = gaussian_state(grid, 0.0, 1.0)
+        for scale in (1e200, -1e300j):
+            norm = weighted_norm(grid, scale * psi)
+            assert norm == pytest.approx(abs(scale), rel=1e-12)
+        assert weighted_norm(grid, np.full(grid.n, 1e308)) == math.inf
+        assert math.isnan(weighted_norm(grid, np.append(psi[1:], math.nan)))
+
     def test_disjoint_supports_overlap(self):
         grid = build_grid(1001, 10.0)
         left = gaussian_state(grid, -3.0, 0.4)

@@ -56,6 +56,13 @@ class TestParams:
         (dict(omega=1.0, lam=0.0, delta=0.1, m=0.0), "m must"),
         (dict(omega=1.0, lam=0.0, delta=0.1, hbar=-2.0), "hbar"),
         (dict(omega=1.0, lam=0.0, delta=0.1, beta=-0.5), "beta"),
+        # m*hbar*omega*(omega-lam-delta) underflows to 0, or alpha overflows
+        (dict(omega=1.0, lam=-0.5, delta=0.5, m=1e-200, hbar=1e-200),
+         "metric exponent undefined"),
+        (dict(omega=1.0, lam=-0.5, delta=0.5, m=1e-160, hbar=1e-160),
+         "metric exponent undefined"),
+        (dict(omega=1.0, lam=-0.5, delta=0.5, m=1e-310),
+         "metric exponent undefined"),
     ])
     def test_named_violations(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
