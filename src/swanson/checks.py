@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import pickle
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -191,21 +192,23 @@ def _check_rng(seed: int, stream: int) -> np.random.Generator:
 # symbolic checks depend on their arguments only and are cached on them:
 # a sweep runs the randomized ones (seed, draws, betas) and the
 # single-parameter ones (the undeformed parameters) once, not once per
-# beta.  Callers share the cached results and must not mutate their
-# details.
+# beta.  The two grid operators are cached the same way, so every grid of
+# a suite discretizes one build.  Callers share the cached results and
+# must not mutate them.
 
 
-def _cached_by_repr(check):
-    """Cache ``check`` on the repr of its arguments.  Unlike ==, the repr
-    tells -0.0 from 0.0, which compare equal but print differently in a
-    report, so a result is reused only for bit-identical arguments."""
+def _cached(build):
+    """Cache ``build`` on the pickled bytes of its arguments.  Unlike ==
+    or repr, they tell -0.0 from 0.0 and keep every bit of a ParamBatch's
+    arrays, so a result is reused only for bit-identical arguments.  An
+    exception is not cached."""
     results = {}
 
-    @functools.wraps(check)
+    @functools.wraps(build)
     def cached(*args, **kwargs):
-        key = repr((args, kwargs))
+        key = pickle.dumps((args, kwargs))
         if key not in results:
-            results[key] = check(*args, **kwargs)
+            results[key] = build(*args, **kwargs)
         return results[key]
 
     cached.cache_clear = results.clear
@@ -216,13 +219,13 @@ def _expansion_residual(params):
     return operators_equal(h_ladder(params), h_quadratic(params)).residual
 
 
-@_cached_by_repr
+@_cached
 def check_expansion(params: ModelParams) -> CheckResult:
     """Ladder-operator form versus the quadratic form in x and p."""
     return _result("expansion", _expansion_residual(params), SYMBOLIC_TOL)
 
 
-@_cached_by_repr
+@_cached
 def check_expansion_randomized(seed: int) -> CheckResult:
     rng = _check_rng(seed, 1)
     sample = [draw_params(rng) for _ in range(DRAWS)]
@@ -245,7 +248,7 @@ def _variant_parts(params):
     return r_reduction, r_difference, difference
 
 
-@_cached_by_repr
+@_cached
 def check_variant_discrepancy(params: ModelParams) -> CheckResult:
     """The reduced Hamiltonian is the quadratic form, yet differs from the
     full-strength anticommutator variant by exactly mu*p*D + mu/2; the two
@@ -262,7 +265,7 @@ def check_variant_discrepancy(params: ModelParams) -> CheckResult:
                    SYMBOLIC_TOL, details)
 
 
-@_cached_by_repr
+@_cached
 def check_variant_discrepancy_randomized(seed: int) -> CheckResult:
     rng = _check_rng(seed, 2)
     sample = [make_params(1.3, 0.0, 0.0) if k == 0  # mu = 0 degenerate case
@@ -278,7 +281,7 @@ def check_variant_discrepancy_randomized(seed: int) -> CheckResult:
                    details)
 
 
-@_cached_by_repr
+@_cached
 def check_adjoint(params: ModelParams) -> CheckResult:
     """H0 built from its printed coefficients against the quadratic form,
     and its flat-measure adjoint against its closed form (R and T terms
@@ -306,7 +309,7 @@ def _similarity_residual(params, exponent):
     return operators_equal(conjugated, h.adjoint()).residual
 
 
-@_cached_by_repr
+@_cached
 def check_pseudo_symbolic(params: ModelParams,
                           exponent_override: float | None = None) -> CheckResult:
     """Metric conjugation reproduces the adjoint: Gaussian family at
@@ -326,7 +329,7 @@ def _similarity_residuals(sample: list):
     return _similarity_residual(batch, _metric_for(batch))
 
 
-@_cached_by_repr
+@_cached
 def check_gaussian_similarity_randomized(seed: int) -> CheckResult:
     rng = _check_rng(seed, 3)
     residuals = _similarity_residuals([draw_params(rng) for _ in range(DRAWS)])
@@ -334,7 +337,7 @@ def check_gaussian_similarity_randomized(seed: int) -> CheckResult:
                    SYMBOLIC_TOL, {"draws": DRAWS})
 
 
-@_cached_by_repr
+@_cached
 def check_deformed_similarity_randomized(seed: int) -> CheckResult:
     rng = _check_rng(seed, 4)
     bases = [draw_params(rng) for _ in range(DEFORMED_DRAWS)]
@@ -376,7 +379,9 @@ def _metric_for(params, exponent_override: float | None = None):
     return exponent_override + 0.0
 
 
+@_cached
 def _hamiltonian_for(params: ModelParams):
+    """The model's Hamiltonian, which numeric_residual discretizes."""
     return h_quadratic(params) if params.beta == 0.0 else h_deformed(params)
 
 
@@ -391,8 +396,7 @@ def _residual_tolerance(params: ModelParams, grid: Grid,
 
 
 def check_numeric_residual(params: ModelParams, grid: Grid, fd_order: int = 4,
-                           exponent_override: float | None = None,
-                           hamiltonian: DiffOp | None = None) -> CheckResult:
+                           exponent_override: float | None = None) -> CheckResult:
     """Discrete pseudo-Hermiticity on probe states:
 
         r(psi) = ||(eta A eta^-1 - A^+_w) psi||_w / ||A psi||_w
@@ -400,12 +404,8 @@ def check_numeric_residual(params: ModelParams, grid: Grid, fd_order: int = 4,
     plus the relative row residual on the interior |p| <= p_max/2.  For
     the undeformed model the tolerance follows the calibrated
     (h/0.01)^fd_order scaling; the deformed measurement is report-only.
-    ``hamiltonian`` is the model's Hamiltonian for ``params``, built here
-    unless a caller that measures several grids passes it.
     """
-    if hamiltonian is None:
-        hamiltonian = _hamiltonian_for(params)
-    a = assemble_matrix(hamiltonian, grid, fd_order)
+    a = assemble_matrix(_hamiltonian_for(params), grid, fd_order)
     transformed = similarity_transform(a, _metric_for(params, exponent_override))
     delta = MatrixOp(transformed.matrix - weighted_adjoint(a).matrix, grid)
     probe_residuals = []
@@ -436,13 +436,14 @@ def _spectrum_claim(params: ModelParams) -> tuple[str, float | None]:
     return ANCHORS["spectrum"], None
 
 
+@_cached
 def _spectrum_operator(params: ModelParams) -> DiffOp:
     """The operator whose spectrum check_spectrum solves: H0 hermitized by
     the half-power Gaussian metric (which cancels the p*D term exactly)
     where the ladder oracle applies, else H0 at beta = 0 and the deformed
     Hamiltonian at beta > 0."""
     if params.beta != 0.0:
-        return h_deformed(params)
+        return _hamiltonian_for(params)
     _, h0 = h0_momentum(params)
     if ladder_obstruction(params) is None:
         return h0.conjugate_gaussian(gaussian_alpha(params) / 2.0)
@@ -450,19 +451,15 @@ def _spectrum_operator(params: ModelParams) -> DiffOp:
 
 
 def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
-                   levels: int = 6, operator: DiffOp | None = None):
+                   levels: int = 6):
     """Low-lying spectrum check; returns (CheckResult, Spectrum).
 
     Undeformed model with a real ascending ladder: solve the hermitized
     H0 as a weighted self-adjoint problem and compare against
     (n+1/2)*sqrt(omega^2-4*lam*delta).  Otherwise solve the general
     problem and report how real the lowest eigenvalues are.
-    ``operator`` is _spectrum_operator(params), built here unless a caller
-    that solves several grids passes it.
     """
-    if operator is None:
-        operator = _spectrum_operator(params)
-    a = assemble_matrix(operator, grid, fd_order)
+    a = assemble_matrix(_spectrum_operator(params), grid, fd_order)
     anchor, tolerance = _spectrum_claim(params)
     obstruction = ladder_obstruction(params)
     if obstruction is None:
@@ -630,11 +627,6 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
         checks.append(outcome)
         return outcome
 
-    # every grid of the suite discretizes the same two operators; each is
-    # built on first use, inside a check, so a build error fails that check
-    hamiltonian = functools.cache(lambda: _hamiltonian_for(params))
-    operator = functools.cache(lambda: _spectrum_operator(params))
-
     run("expansion", lambda: check_expansion(undeformed))
     run("expansion_randomized",
         lambda: check_expansion_randomized(config.seed))
@@ -658,7 +650,7 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
 
     def residual_on(g: Grid) -> CheckResult:
         return check_numeric_residual(params, g, config.fd_order,
-                                      config.exponent_override, hamiltonian())
+                                      config.exponent_override)
 
     try:
         residual_tolerance = _residual_tolerance(params, grid, config.fd_order)
@@ -669,7 +661,7 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
 
     def spectrum_check():
         result, spectrum = check_spectrum(params, grid, config.fd_order,
-                                          config.levels, operator())
+                                          config.levels)
         spectra["spectrum"] = {
             "re": [float(v) for v in spectrum.eigenvalues.real],
             "im": [float(v) for v in spectrum.eigenvalues.imag],
@@ -682,24 +674,18 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
 
     # Each study's finest grid is the suite grid: its last point is the
     # main check's result, and only the coarser grids are solved here.
-    if params.beta == 0.0:
-        halved = _scaled_odd(config.n, 0.5)
-        coarse = [build_grid(m, config.p_max)
-                  for m in (_scaled_odd(halved, 0.5), halved)]
-    else:
-        coarse = [build_grid(_scaled_odd(config.n, f), config.p_max * f,
-                             params.beta) for f in (1.0 / 3.0, 2.0 / 3.0)]
-
     def ladder(finest: CheckResult, measure) -> list[CheckResult]:
         if "error" in finest.details:  # it measured nothing to extend
             raise ValueError(f"{finest.name} failed: {finest.details['error']}")
         return [measure(g) for g in coarse] + [finest]
 
     def spectrum_on(levels: int):
-        return lambda g: check_spectrum(params, g, config.fd_order, levels,
-                                        operator())[0]
+        return lambda g: check_spectrum(params, g, config.fd_order, levels)[0]
 
     if params.beta == 0.0:
+        halved = _scaled_odd(config.n, 0.5)
+        coarse = [build_grid(m, config.p_max)
+                  for m in (_scaled_odd(halved, 0.5), halved)]
         run("convergence_residual", lambda: convergence_order(
             "convergence_residual", coarse + [grid],
             [r.residual for r in ladder(residual, residual_on)],
@@ -710,6 +696,8 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
                 [r.details["errors"][0] for r in ladder(spectrum, spectrum_on(1))],
                 config.fd_order), tolerance=0.0)
     else:
+        coarse = [build_grid(_scaled_odd(config.n, f), config.p_max * f,
+                             params.beta) for f in (1.0 / 3.0, 2.0 / 3.0)]
         run("convergence_reality", lambda: convergence_reality(
             coarse + [grid],
             ladder(spectrum, spectrum_on(min(config.levels, REALITY_LEVELS)))),

@@ -163,6 +163,11 @@ def parse(argv) -> JobConfig:
             exponent_override=None if override is None else float(override))
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(str(exc))
+    except MemoryError as exc:
+        raise UsageError(f"n = {n} is too large: {exc}")
+    if suite.exponent_override is not None and not math.isfinite(
+            suite.exponent_override):
+        raise UsageError("exponent-override must be finite")
     if suite.fd_order not in (2, 4):
         raise UsageError("fd-order must be 2 or 4")
     if not 1 <= suite.levels <= suite.n:
@@ -209,7 +214,8 @@ def cmd_spectrum(config: JobConfig) -> int:
         result, spectrum = check_spectrum(config.params, grid, suite.fd_order,
                                           suite.levels)
     except NUMERIC_ERRORS as exc:
-        sys.stderr.write(f"eigensolver failure: {exc}\n")
+        sys.stderr.write(
+            f"spectrum check failed: {type(exc).__name__}: {exc}\n")
         return 1
     # only a spectrum with a closed-form oracle carries per-level errors
     errors = result.details.get("errors")

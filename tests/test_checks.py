@@ -30,7 +30,7 @@ from swanson.checks import (
 )
 from swanson.algebra import const_op
 from swanson.grids import build_grid
-from swanson.model import make_params, with_beta
+from swanson.model import ModelParams, make_params, stack_params, with_beta
 
 P1 = make_params(1.0, -0.5, 0.5)
 P2 = make_params(2.0, 0.1, 0.4)
@@ -330,25 +330,35 @@ class TestConvergence:
                 assert "distinct grid spacings" in checks[name].details["error"]
 
     def _counted_suite(self, monkeypatch, params, config):
-        calls = {"assemble": 0, "eigs": 0}
+        """Run a suite on empty caches, counting grid assemblies,
+        eigensolves and single-parameter Hamiltonian builds."""
+        calls = {"assemble": 0, "eigs": 0, "h_quadratic": 0, "h_deformed": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
-                calls[key] += 1
+                if not key.startswith("h_") or isinstance(args[0], ModelParams):
+                    calls[key] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(swanson.checks, "assemble_matrix",
-                            counted("assemble", swanson.checks.assemble_matrix))
-        monkeypatch.setattr(swanson.checks, "eigs",
-                            counted("eigs", swanson.checks.eigs))
+        for key, name in (("assemble", "assemble_matrix"), ("eigs", "eigs"),
+                          ("h_quadratic", "h_quadratic"),
+                          ("h_deformed", "h_deformed")):
+            monkeypatch.setattr(swanson.checks, name,
+                                counted(key, getattr(swanson.checks, name)))
+        for value in vars(swanson.checks).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
         report = run_suite(params, config)
         return {c.name: c for c in report.checks}, calls
 
     def test_flat_studies_end_at_the_suite_grid(self, monkeypatch):
         checks, calls = self._counted_suite(monkeypatch, P1, SuiteConfig(n=301))
-        # suite grid: residual and spectrum; each coarse grid: both again
-        assert calls == {"assemble": 6, "eigs": 3}
+        # suite grid: residual and spectrum; each coarse grid: both again.
+        # expansion and momentum_adjoint build H; reduced_vs_variant and
+        # every grid share a third build
+        assert calls == {"assemble": 6, "eigs": 3, "h_quadratic": 3,
+                         "h_deformed": 0}
         assert (checks["convergence_residual"].details["errors"][-1]
                 == checks["numeric_residual"].residual)
         assert (checks["convergence_spectrum"].details["errors"][-1]
@@ -358,8 +368,11 @@ class TestConvergence:
     def test_deformed_study_ends_at_the_suite_grid(self, monkeypatch):
         checks, calls = self._counted_suite(
             monkeypatch, P1_DEFORMED, SuiteConfig(n=301, p_max=20.0))
-        # suite grid: residual and spectrum; each coarse grid: a spectrum
-        assert calls == {"assemble": 4, "eigs": 3}
+        # suite grid: residual and spectrum; each coarse grid: a spectrum.
+        # pseudo_hermiticity_deformed builds H and every grid shares a
+        # second build; the undeformed symbolic checks build H three times
+        assert calls == {"assemble": 4, "eigs": 3, "h_quadratic": 3,
+                         "h_deformed": 2}
         reality = checks["convergence_reality"].details
         spectrum = checks["spectrum"].details
         assert reality["reality_ratios"][-1] == max(spectrum["reality_ratios"][:3])
@@ -529,6 +542,15 @@ class TestSuite:
         first = check_expansion_randomized(7)
         check_expansion_randomized.cache_clear()
         assert check_expansion_randomized(7) is not first
+
+    def test_cache_keys_on_exact_argument_bytes(self):
+        build = swanson.checks._cached(lambda *args: object())
+        near = [stack_params([make_params(1.0, lam, -0.2)])
+                for lam in (0.1, 0.1 + 1e-12)]
+        assert repr(near[0]) == repr(near[1])
+        assert build(near[0]) is not build(near[1])
+        assert build(near[0]) is build(near[0])
+        assert build(0.0) is not build(-0.0)
 
     def test_invalid_params_rejected_before_any_check(self):
         with pytest.raises(ValueError):

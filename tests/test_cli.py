@@ -65,7 +65,8 @@ class TestParse:
     def test_config_file_values_are_checked(self, tmp_path):
         config_file = tmp_path / "job.json"
         for bad in ({"out": 1}, {"n": float("inf")},
-                    {"exponent_override": "steep"}):
+                    {"exponent_override": "steep"},
+                    {"exponent_override": math.nan}):
             config_file.write_text(json.dumps({"omega": 1.0, "lambda": -0.5,
                                                "delta": 0.5, **bad}))
             assert main(["verify", "--config", str(config_file)]) == 2
@@ -120,6 +121,9 @@ class TestParse:
         ["--m", "1e-200", "--hbar", "1e-200"],
         ["--m", "1e-160", "--hbar", "1e-160"],
         ["--m", "1e-310"],
+        ["--exponent-override", "nan"],
+        ["--exponent-override", "inf"],
+        ["--exponent-override", "-inf"],
     ])
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -129,7 +133,7 @@ class TestParse:
 
     @pytest.mark.parametrize("flag, value", [("--delta", "-5e-1"),
                                              ("--exponent-override", "-1e-3"),
-                                             ("--exponent-override", "-inf")])
+                                             ("--exponent-override", "-2.5e+1")])
     def test_negative_values_in_exponent_form(self, flag, value):
         # argparse alone reads only plain decimals such as -0.5 as values
         argv = ["verify", "--omega", "1", "--lambda", "5e-1", "--delta", "0.2"]
@@ -137,6 +141,14 @@ class TestParse:
         assert spaced == parse([*argv, f"{flag}={value}"])
         assert float(value) in (spaced.params.delta,
                                 spaced.suite.exponent_override)
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "sweep"])
+    def test_unallocatable_grid_exits_two(self, command, capsys):
+        # 2**56 + 1 points need 512 PiB, more than any 64-bit address space
+        n = 2 ** 56 + 1
+        argv = [command, *P1_FLAGS, "--n", str(n), "--beta-grid", "0,0.1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: n = {n} is too large")
 
     def test_missing_config_file(self):
         with pytest.raises(UsageError, match="config"):
@@ -311,6 +323,12 @@ class TestSpectrumCommand:
                             raiser(TypeError("programming error")))
         with pytest.raises(TypeError):
             main(["spectrum", *P1_FLAGS, "--n", "11"])
+
+    def test_failure_names_its_error(self, capsys):
+        # h^2 underflows to 0 in the stencil, before any eigensolve
+        assert main(["spectrum", *P1_FLAGS, "--n", "51", "--pmax", "1e-300"]) == 1
+        assert capsys.readouterr().err == (
+            "spectrum check failed: ZeroDivisionError: float division by zero\n")
 
 
 class TestSweep:
