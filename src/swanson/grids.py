@@ -16,6 +16,12 @@ forms an n x n array: on grids of n <= DIRECT_MAX_N, where one dense
 solve costs less than loading the Krylov stack, and as the fallback of
 certified ARPACK above that size.
 
+The dense solve is numpy's LAPACK *geev; scipy is loaded only by the
+solvers that need it, when they first run.  The banded Hermitian solver
+(eig_banded: self-adjoint spectra and the bound that certifies ARPACK)
+imports scipy.linalg, and ARPACK imports scipy.sparse.linalg.  A process
+whose grids all take the dense general path loads no scipy module.
+
 A metric is given by its exponent; the grid's beta picks the family, as
 it picks the weights: e^(exponent*p^2) at beta = 0, (1+beta*p^2)^exponent
 at beta > 0.  It is applied through its log-diagonal, diagonal by
@@ -29,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import DiffOp
 
@@ -46,11 +51,15 @@ SHIFT_DEPTH = 2.0
 
 # Largest grid the general eigensolver solves densely without trying
 # ARPACK: the largest n, in steps of 50, at which one dense solve costs
-# less than importing scipy.sparse.linalg.  On a 2-vCPU host with one
-# BLAS thread the import takes 30-42 ms; a dense solve takes 23-26 ms at
-# n = 251 and 34-38 ms at n = 301 (CHANGES.md has the table).  Up to
-# this size the dense solve computes every eigenvalue, so it needs no
-# certificate.
+# less than importing scipy.sparse.linalg once scipy.linalg is loaded.
+# On a 2-vCPU host with one BLAS thread that import takes 30-42 ms; a
+# dense solve takes 23-26 ms at n = 251 and 34-38 ms at n = 301
+# (CHANGES.md has the table).  Up to this size the dense solve computes
+# every eigenvalue, so it needs no certificate.  A process that solves
+# only such grids also skips scipy.linalg (0.22-0.41 s), but pricing
+# that import in would raise the cut towards n = 501, verify-deformed's
+# coarse grid, whose process loads ARPACK anyway for its finer grids and
+# would then pay a dense solve 2.4-4x the certified ARPACK one.
 DIRECT_MAX_N = 251
 
 # Largest grid any dense eigensolve accepts; its n x n complex matrix
@@ -251,9 +260,14 @@ class Spectrum:
     that produced them: "eig_banded" (self-adjoint), "dense" (general,
     n <= DIRECT_MAX_N), "arpack-shift-invert" (general, certified) or
     "dense-fallback" (general, ARPACK failed or could not certify).
-    Values repeat bit for bit per host and BLAS thread count; across
-    thread counts, general levels of steep deformed grids agree only to
-    about eps*||A||_F (2.1e-9 relative at beta = 3, n = 201, p_max = 20)."""
+    Values repeat bit for bit per host and BLAS thread count.  On the
+    sweep's nearly normal deformed grids (n <= 201, p_max <= 20, beta up
+    to 3) the "dense" levels were also bit for bit the same at one and two
+    BLAS threads, and scipy's *geev agreed with them within 0.163
+    eps*||A||_F.  Far from normal (omega < lambda + delta) the levels are
+    ill-conditioned and no such bound holds: at (1, 1.3, -0.2), n = 301,
+    scipy's *geev at two threads moved the lowest "dense-fallback" levels
+    by 26-65% relative, while numpy's were the same at one and two."""
 
     eigenvalues: np.ndarray
     solver: str
@@ -282,6 +296,11 @@ def _hermitian_and_skew(a: MatrixOp) -> tuple[np.ndarray, np.ndarray]:
 def _lowest_hermitian(band: np.ndarray, count: int) -> np.ndarray:
     """Lowest ``count`` eigenvalues of a Hermitian band matrix (LAPACK
     *hbevx / *sbevx on its upper half)."""
+    # deferred: only the band solvers need scipy.linalg, which costs
+    # 0.22-0.41 s of start-up on a 2-vCPU host; a process whose grids all
+    # take the dense general path never loads it
+    import scipy.linalg
+
     bw = (band.shape[0] - 1) // 2
     return scipy.linalg.eig_banded(_real_if_possible(band[:bw + 1]),
                                    eigvals_only=True, select="i",
@@ -296,7 +315,7 @@ def _dense_spectrum(a: MatrixOp, levels: int, solver: str) -> Spectrum:
         raise np.linalg.LinAlgError(
             f"dense eigensolver refused at n = {n}: it needs "
             f"{16 * n * n} bytes, and n may be at most {DENSE_MAX_N}")
-    vals = scipy.linalg.eigvals(_real_if_possible(a.to_dense()))
+    vals = np.linalg.eigvals(_real_if_possible(a.to_dense()))
     return Spectrum(_sorted_eigenvalues(vals)[:levels], solver)
 
 

@@ -135,9 +135,14 @@ def _sorted(values: np.ndarray) -> np.ndarray:
 
 def dense_eigs(mat: np.ndarray, grid: Grid, kind: str = "general",
                levels: int = 6) -> np.ndarray:
-    """Lowest ``levels`` eigenvalues by (Re, Im) from a dense solver."""
+    """Lowest ``levels`` eigenvalues by (Re, Im) from a dense solver.
+
+    The general branch calls numpy's *geev, as the library does: on a
+    far-from-normal matrix scipy's *geev returned levels 26-65% apart
+    from numpy's at two BLAS threads, while numpy's agreed with itself
+    at one and two."""
     if kind == "general":
-        return _sorted(scipy.linalg.eigvals(mat))[:levels]
+        return _sorted(np.linalg.eigvals(mat))[:levels]
     gap = np.linalg.norm(mat - dense_weighted_adjoint(mat, grid))
     if gap > SELFADJOINT_RTOL * max(np.linalg.norm(mat), 1.0):
         raise ValueError("matrix is not self-adjoint under the grid inner product")

@@ -6,8 +6,10 @@ deformed and the broken-reality (omega^2 < 4*lambda*delta) models, and
 must agree to 1e-10 relative.  The general eigensolver's two paths are
 checked against each other: the direct dense solve that small grids take
 and certified ARPACK on the sweep's grids, and the fallback from ARPACK
-to the dense solve above DIRECT_MAX_N is exercised and named.  The
-banded assembly and transforms are checked to stay O(n) in memory.
+to the dense solve above DIRECT_MAX_N is exercised and named.  numpy's
+dense solve is checked against scipy's on the sweep's grids, and child
+processes show which scipy modules each solver path loads.  The banded
+assembly and transforms are checked to stay O(n) in memory.
 """
 
 import os
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from swanson.checks import (
@@ -148,28 +151,69 @@ def test_direct_dense_matches_certified_arpack(beta, n, p_max):
                                    rtol=PARITY_RTOL, atol=backward)
 
 
+@pytest.mark.parametrize("beta", (0.01, 0.03, 0.1, 0.3, 1.0, 3.0))
+@pytest.mark.parametrize("n, p_max", SWEEP_GRIDS)
+def test_numpy_and_scipy_dense_solves_agree(beta, n, p_max):
+    # The direct path calls numpy's *geev; scipy's is the reference, and
+    # the two carry separate OpenBLAS builds.  On these nearly normal
+    # grids their lowest levels agree within eps*||A||_F: bit for bit at
+    # one BLAS thread, within 0.163 of the bound at two.  Far-from-normal
+    # grids (omega < lambda + delta) are outside this bound: see
+    # test_uncertified_spectrum_falls_back_to_dense.
+    params = with_beta(make_params(1.0, -0.5, 0.5), beta)
+    operator = _half_metric_image(params, build_grid(n, p_max, beta))
+    dense = operator.to_dense().real
+    assert not np.any(operator.matrix.imag)
+    backward = np.finfo(float).eps * np.linalg.norm(operator.matrix)
+    np.testing.assert_allclose(dense_eigs(dense, operator.grid, "general", 6),
+                               np.sort_complex(scipy.linalg.eigvals(dense))[:6],
+                               rtol=0.0, atol=backward)
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
-LOADS_SPARSE = """
+SCIPY_MODULES = ("scipy", "scipy.linalg", "scipy.sparse")
+LOADED_SCIPY = """
 import sys
 from swanson.cli import main
 code = main(sys.argv[1:] + ["--out", "{out}"])
-print(code, "scipy.sparse" in sys.modules)
+print(code, *(name in sys.modules for name in {modules}))
 """
 
 
-@pytest.mark.parametrize("argv, loads", [
-    (["sweep", "--omega", "1", "--lambda", "-0.5", "--delta", "0.5",
-      "--pmax", "20", "--n", "201", "--beta-grid", "0.01,1"], False),
-    (["verify", "--omega", "1.3", "--lambda", "0.2", "--delta", "-0.4",
-      "--beta", "0.05", "--pmax", "40", "--n", "501"], True),
-])
-def test_krylov_stack_loads_only_above_the_direct_size(argv, loads, tmp_path):
-    script = LOADS_SPARSE.format(out=tmp_path / "report.json")
-    done = subprocess.run([sys.executable, "-c", script, *argv],
+def _child(args):
+    done = subprocess.run([sys.executable, *args],
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", str(loads)]
+    return done.stdout.split()
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    # every grid takes the dense general path, solved by numpy
+    pytest.param(["sweep", "--omega", "1", "--lambda", "-0.5", "--delta", "0.5",
+                  "--pmax", "20", "--n", "201", "--beta-grid", "0.01,1"], (),
+                 id="small-sweep"),
+    # the hermitized spectrum needs eig_banded (p_max 6: at the default 10
+    # the n = 201 grid misses the ladder by more than its 1e-4 tolerance)
+    pytest.param(["verify", "--omega", "1", "--lambda", "-0.5", "--delta", "0.5",
+                  "--pmax", "6", "--n", "201"], ("scipy", "scipy.linalg"),
+                 id="flat-verify"),
+    # grids above DIRECT_MAX_N take certified ARPACK
+    pytest.param(["verify", "--omega", "1.3", "--lambda", "0.2", "--delta", "-0.4",
+                  "--beta", "0.05", "--pmax", "40", "--n", "501"], SCIPY_MODULES,
+                 id="deformed-verify"),
+])
+def test_krylov_stack_loads_only_above_the_direct_size(argv, loaded, tmp_path):
+    script = LOADED_SCIPY.format(out=tmp_path / "report.json",
+                                 modules=SCIPY_MODULES)
+    assert _child(["-c", script, *argv]) == (
+        ["0"] + [str(name in loaded) for name in SCIPY_MODULES])
+
+
+def test_importing_the_cli_loads_no_scipy():
+    script = ("import sys, swanson.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _child(["-c", script]) == ["[]"]
 
 
 def test_arpack_failure_falls_back_to_dense(monkeypatch):

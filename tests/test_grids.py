@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import swanson.grids
-from swanson.checks import SuiteConfig, run_suite
+from swanson.checks import NUMERIC_ERRORS, SuiteConfig, run_suite
 from swanson.grids import (
     assemble_matrix,
     build_grid,
@@ -333,6 +333,17 @@ class TestEigs:
         grid = build_grid(5, 2.0)
         with pytest.raises(ValueError, match="kind"):
             eigs(from_dense(np.eye(5, dtype=complex), grid), "sparse", 2)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_nonfinite_dense_solve_fails_as_a_numeric_error(self, bad):
+        # numpy raises LinAlgError (scipy's solver raises ValueError); as
+        # a numeric error it fails the check that meets it by name
+        _, h0 = h0_momentum(P1)
+        a = assemble_matrix(h0, build_grid(51, 5.0), 4)
+        assert a.grid.n <= swanson.grids.DIRECT_MAX_N
+        a.matrix[2, 25] = bad
+        with pytest.raises(NUMERIC_ERRORS):
+            eigs(a, "general", 3)
 
     def test_nonhermitized_general_spectrum_is_real(self):
         # pseudo-Hermiticity consequence: even without hermitizing, the

@@ -1,9 +1,12 @@
 """The benchmark's tracer wraps swanson functions by name; these tests
-fail when a rename or a signature change would break it."""
+fail when a rename or a signature change would break it, and when a
+traced benchmark run fails its own output check or self-test."""
 
 import dataclasses
 import importlib.util
 import inspect
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,7 +15,8 @@ import pytest
 import swanson.checks
 import swanson.grids
 
-TRACE_CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "trace_child.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACE_CHILD = PERFBENCH / "trace_child.py"
 
 
 @pytest.fixture
@@ -41,3 +45,23 @@ def test_eigs_takes_kind_second():
 def test_report_keeps_its_timings():
     # the tracer collects each suite's timings from the returned Report
     assert "timings" in {f.name for f in dataclasses.fields(swanson.checks.Report)}
+
+
+def test_result_types_are_classes():
+    # the tracer sorts each wrapped call's result with isinstance
+    assert inspect.isclass(swanson.grids.MatrixOp)
+    assert inspect.isclass(swanson.checks.Report)
+
+
+@pytest.mark.parametrize("workload",
+                         ("verify-flat", "verify-deformed", "sweep-small-n"))
+def test_traced_benchmark_run_is_correct(workload):
+    # the smallest traced run: two untraced and two traced invocations,
+    # each report checked and compared, and the tracer's self-test
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=170)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, done.stdout + done.stderr
