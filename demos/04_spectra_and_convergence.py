@@ -24,10 +24,10 @@ print("=" * 64)
 print("Hermitized spectrum vs (n+1/2)*sqrt(omega^2 - 4*lam*delta)")
 print("=" * 64)
 grid = build_grid(1501, 10.0)
-result, spectrum = check_spectrum(P1, grid, fd_order=4, levels=6)
+result = check_spectrum(P1, grid, fd_order=4, levels=6)
 oracle = oscillator_levels(P1, 6)
 print(f"{'n':>3} {'computed':>18} {'oracle':>18} {'abs err':>12}")
-for k, (value, expected) in enumerate(zip(spectrum.eigenvalues.real, oracle)):
+for k, (value, expected) in enumerate(zip(result.details["re"], oracle)):
     print(f"{k:>3} {value:>18.12f} {expected:>18.12f} {abs(value-expected):>12.2e}")
 
 print()
@@ -50,7 +50,7 @@ params = with_beta(P1, 0.1)
 grids = [build_grid(n, pm, 0.1)
          for n, pm in ((401, 20.0), (801, 40.0), (1201, 60.0))]
 study = convergence_reality(
-    grids, [check_spectrum(params, g, levels=3)[0] for g in grids])
+    grids, [check_spectrum(params, g, levels=3) for g in grids])
 print(f"{'p_max':>8} {'n':>6} {'lowest 3 Re(E)':>42} {'max |Im/Re|':>12}")
 for pm, n, spec, ratio in zip(study.details["p_max"], study.details["n"],
                               study.details["spectra"],

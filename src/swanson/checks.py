@@ -92,6 +92,14 @@ DEFORMED_BETAS = (0.01, 0.1, 1.0)
 # model's beta, or at METRIC_LIMIT_BETA for the undeformed model.
 METRIC_LIMIT_P_RANGE = 5.0
 METRIC_LIMIT_BETA = 1e-6
+# Round-off bound of the metric_limit measurement in units of
+# eps*|alpha|*p^2.  Both terms of its log ratio are about alpha*p^2.  The
+# first rounds p*p, beta*p^2, alpha/beta and the product, each by at most
+# eps/2 relative, and log1p (a library function, within one ulp) by at
+# most eps: 3*eps.  The second rounds alpha*p and then *p: eps.  The
+# difference and expm1 round only the result, which is smaller than
+# either term.
+METRIC_LIMIT_ROUNDOFF = 4.0
 
 # The paper claim each check verifies, keyed by check name.  A randomized
 # check verifies the claim of its single-parameter form, and the spectrum
@@ -354,7 +362,8 @@ def check_metric_limit(params: ModelParams) -> CheckResult:
     log space.
 
     The leading deviation is |alpha|*beta*p^4/2; the tolerance is three
-    times that estimate at the edge of the window.
+    times that estimate at the edge of the window, and no less than the
+    round-off METRIC_LIMIT_ROUNDOFF*eps*|alpha|*p^2 of the measurement.
     """
     beta_small = params.beta if params.beta > 0.0 else METRIC_LIMIT_BETA
     alpha = gaussian_alpha(params)
@@ -362,7 +371,9 @@ def check_metric_limit(params: ModelParams) -> CheckResult:
     p = np.linspace(-METRIC_LIMIT_P_RANGE, METRIC_LIMIT_P_RANGE, 2001)
     log_ratio = exponent * np.log1p(beta_small * p * p) - alpha * p * p
     estimate = abs(alpha) * beta_small * METRIC_LIMIT_P_RANGE ** 4 / 2.0
-    tolerance = 3.0 * estimate if estimate > 0 else SYMBOLIC_TOL
+    roundoff = (METRIC_LIMIT_ROUNDOFF * float(np.finfo(float).eps)
+                * abs(alpha) * METRIC_LIMIT_P_RANGE ** 2)
+    tolerance = max(3.0 * estimate, roundoff) if estimate > 0 else SYMBOLIC_TOL
     return _result("metric_limit", np.abs(np.expm1(log_ratio)), tolerance,
                    {"beta_small": beta_small, "p_range": METRIC_LIMIT_P_RANGE,
                     "alpha": alpha, "estimate": estimate})
@@ -451,12 +462,13 @@ def _spectrum_operator(params: ModelParams) -> DiffOp:
 
 
 def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
-                   levels: int = 6):
-    """Low-lying spectrum check; returns (CheckResult, Spectrum).
+                   levels: int = 6) -> CheckResult:
+    """Low-lying spectrum check; its details carry the levels as ``re``
+    and ``im``, and the ``solver`` that found them.
 
     Undeformed model with a real ascending ladder: solve the hermitized
-    H0 as a weighted self-adjoint problem and compare against
-    (n+1/2)*sqrt(omega^2-4*lam*delta).  Otherwise solve the general
+    H0 as a weighted self-adjoint problem (``im`` all 0.0) and compare
+    against (n+1/2)*sqrt(omega^2-4*lam*delta).  Otherwise solve the general
     problem and report how real the lowest eigenvalues are.
     """
     a = assemble_matrix(_spectrum_operator(params), grid, fd_order)
@@ -464,15 +476,17 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
     obstruction = ladder_obstruction(params)
     if obstruction is None:
         spectrum = eigs(a, "selfadjoint-weighted", levels)
+        values = spectrum.eigenvalues
         oracle = np.array(oscillator_levels(params, levels))
-        errors = np.abs(spectrum.eigenvalues.real - oracle)
+        errors = np.abs(values.real - oracle)
         details = {
-            "eigenvalues": [float(v) for v in spectrum.eigenvalues.real],
+            "re": [float(v) for v in values.real],
+            "im": [float(v) for v in values.imag],
             "oracle": [float(v) for v in oracle],
             "errors": [float(v) for v in errors],
             "solver": spectrum.solver,
         }
-        return _result("spectrum", errors, tolerance, details, anchor), spectrum
+        return _result("spectrum", errors, tolerance, details, anchor)
     # the half-metric similarity keeps the spectrum and makes the operator
     # nearly normal, which the certified banded solver relies on
     spectrum = eigs(similarity_transform(a, _metric_for(params) / 2.0),
@@ -486,7 +500,7 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
         "reality_ratios": [float(r) for r in ratios],
         "solver": spectrum.solver,
     }
-    return _result("spectrum", ratios, tolerance, details, anchor), spectrum
+    return _result("spectrum", ratios, tolerance, details, anchor)
 
 
 def convergence_order(name: str, grids: list[Grid], errors,
@@ -610,7 +624,6 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
     grid = build_grid(config.n, config.p_max, params.beta)
 
     checks: list[CheckResult] = []
-    spectra: dict = {}
     timings: dict = {}
 
     def run(label, func, tolerance=SYMBOLIC_TOL, anchor=None) -> CheckResult:
@@ -659,18 +672,10 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
     residual = run("numeric_residual", lambda: residual_on(grid),
                    tolerance=residual_tolerance)
 
-    def spectrum_check():
-        result, spectrum = check_spectrum(params, grid, config.fd_order,
-                                          config.levels)
-        spectra["spectrum"] = {
-            "re": [float(v) for v in spectrum.eigenvalues.real],
-            "im": [float(v) for v in spectrum.eigenvalues.imag],
-        }
-        return result
-
     anchor, tolerance = _spectrum_claim(params)
-    spectrum = run("spectrum", spectrum_check, tolerance=tolerance,
-                   anchor=anchor)
+    spectrum = run("spectrum", lambda: check_spectrum(
+        params, grid, config.fd_order, config.levels),
+        tolerance=tolerance, anchor=anchor)
 
     # Each study's finest grid is the suite grid: its last point is the
     # main check's result, and only the coarser grids are solved here.
@@ -680,7 +685,7 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
         return [measure(g) for g in coarse] + [finest]
 
     def spectrum_on(levels: int):
-        return lambda g: check_spectrum(params, g, config.fd_order, levels)[0]
+        return lambda g: check_spectrum(params, g, config.fd_order, levels)
 
     if params.beta == 0.0:
         halved = _scaled_odd(config.n, 0.5)
@@ -703,6 +708,9 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
             ladder(spectrum, spectrum_on(min(config.levels, REALITY_LEVELS)))),
             tolerance=0.0)
 
+    # a spectrum check that raised recorded its error, not its levels
+    spectra = None if "error" in spectrum.details else {
+        "spectrum": {key: spectrum.details[key] for key in ("re", "im")}}
     return Report(params=params, grid_summary=config.grid_summary(params.beta),
-                  checks=checks, spectra=spectra or None,
+                  checks=checks, spectra=spectra,
                   timings=timings, seed=config.seed)

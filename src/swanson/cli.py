@@ -89,12 +89,9 @@ def _parse_beta_grid(value) -> tuple:
     chunks = value if isinstance(value, (list, tuple)) else [
         chunk for chunk in str(value).split(",") if chunk.strip()]
     try:
-        entries = [float(v) for v in chunks]
+        return tuple(float(v) for v in chunks)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad beta-grid value: {exc}")
-    if not all(v >= 0 and math.isfinite(v) for v in entries):
-        raise UsageError("beta-grid values must be finite and >= 0")
-    return tuple(entries)
 
 
 def _integer(key: str, value) -> int:
@@ -154,6 +151,8 @@ def parse(argv) -> JobConfig:
     try:
         params = make_params(merged["omega"], merged["lam"], merged["delta"],
                              merged["m"], merged["hbar"], merged["beta"])
+        for beta in beta_grid or ():  # each sweep point validates its beta
+            with_beta(params, beta)
         # the largest beta in use bounds the grid's coefficients
         grid = build_grid(n, float(merged["pmax"]),
                           max((params.beta, *(beta_grid or ()))))
@@ -211,22 +210,23 @@ def cmd_spectrum(config: JobConfig) -> int:
     suite = config.suite
     grid = build_grid(suite.n, suite.p_max, config.params.beta)
     try:
-        result, spectrum = check_spectrum(config.params, grid, suite.fd_order,
-                                          suite.levels)
+        result = check_spectrum(config.params, grid, suite.fd_order,
+                                suite.levels)
     except NUMERIC_ERRORS as exc:
         sys.stderr.write(
             f"spectrum check failed: {type(exc).__name__}: {exc}\n")
         return 1
+    details = result.details
     # only a spectrum with a closed-form oracle carries per-level errors
-    errors = result.details.get("errors")
+    errors = details.get("errors")
     lines = ["n,re,im,oracle,abs_err"]
-    for index, value in enumerate(spectrum.eigenvalues):
+    for index, (real, imag) in enumerate(zip(details["re"], details["im"])):
         oracle = abs_err = ""
         if errors is not None:
-            oracle = _fmt17(result.details["oracle"][index])
+            oracle = _fmt17(details["oracle"][index])
             abs_err = _fmt17(errors[index])
-        lines.append(",".join([str(index), _fmt17(value.real),
-                               _fmt17(value.imag), oracle, abs_err]))
+        lines.append(",".join([str(index), _fmt17(real), _fmt17(imag), oracle,
+                               abs_err]))
     _write_text(config.out, "\n".join(lines) + "\n")
     return 0 if result.passed else 1
 

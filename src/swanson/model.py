@@ -70,12 +70,14 @@ class ModelParams:
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
         object.__setattr__(self, "mu", self.delta - self.lam)
-        try:  # gaussian_alpha(self), untraced by perfbench
-            alpha = _metric_exponent(self, 1.0)
-        except ZeroDivisionError:  # its denominator underflowed to 0
-            alpha = math.nan
+        try:  # gaussian_alpha(self) and metric_exponent(self), untraced
+            # by perfbench; alpha/beta overflows for a tiny enough beta
+            exponents = (_metric_exponent(self, 1.0),
+                         _metric_exponent(self, self.beta or 1.0))
+        except ZeroDivisionError:  # a denominator underflowed to 0
+            exponents = (math.nan,)
         if (abs(self.omega - self.lam - self.delta) <= GUARD_EPS
-                or not math.isfinite(alpha)):
+                or not all(map(math.isfinite, exponents))):
             raise ValueError("m*hbar*omega*(omega - lambda - delta) too close "
                              "to zero (metric exponent undefined)")
 

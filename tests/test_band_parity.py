@@ -32,6 +32,7 @@ from swanson.checks import (
     check_spectrum,
 )
 from swanson.grids import (
+    ARPACK_EXTRA,
     DIRECT_MAX_N,
     _certified_shift_invert,
     assemble_matrix,
@@ -79,16 +80,21 @@ def _dense_spectrum(params, grid, levels):
                       "general", levels)
 
 
+def _levels(result):
+    """The complex levels a spectrum check recorded."""
+    return np.array(result.details["re"]) + 1j * np.array(result.details["im"])
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_spectrum_matches_dense(case):
     params, grid = CASES[case]
-    result, spectrum = check_spectrum(params, grid, 4, 6)
+    result = check_spectrum(params, grid, 4, 6)
     expected = _dense_spectrum(params, grid, 6)
-    np.testing.assert_allclose(spectrum.eigenvalues, expected,
+    np.testing.assert_allclose(_levels(result), expected,
                                rtol=PARITY_RTOL, atol=PARITY_RTOL)
     ladder = ladder_obstruction(params) is None
     solver = "eig_banded" if ladder else "arpack-shift-invert"
-    assert result.details["solver"] == spectrum.solver == solver
+    assert result.details["solver"] == solver
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -119,10 +125,10 @@ def test_uncertified_spectrum_falls_back_to_dense():
     assert grid.n > DIRECT_MAX_N
     operator = _half_metric_image(params, grid)
     assert _certified_shift_invert(operator, 6) is None
-    result, spectrum = check_spectrum(params, grid, 4, 6)
-    assert result.details["solver"] == spectrum.solver == "dense-fallback"
+    result = check_spectrum(params, grid, 4, 6)
+    assert result.details["solver"] == "dense-fallback"
     expected = dense_eigs(operator.to_dense().real, grid, "general", 6)
-    np.testing.assert_allclose(spectrum.eigenvalues, expected, rtol=PARITY_RTOL)
+    np.testing.assert_allclose(_levels(result), expected, rtol=PARITY_RTOL)
 
 
 # The sweep-small-n grids: the suite grid (n = 201, p_max = 20) and the
@@ -223,9 +229,9 @@ def test_arpack_failure_falls_back_to_dense(monkeypatch):
         raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
-    result, spectrum = check_spectrum(params, grid, 4, 3)
+    result = check_spectrum(params, grid, 4, 3)
     assert result.details["solver"] == "dense-fallback"
-    np.testing.assert_allclose(spectrum.eigenvalues,
+    np.testing.assert_allclose(_levels(result),
                                _dense_spectrum(params, grid, 3),
                                rtol=PARITY_RTOL, atol=PARITY_RTOL)
 
@@ -236,6 +242,24 @@ def test_levels_beyond_grid_rejected():
     with pytest.raises(ValueError, match="levels"):
         eigs(a, "general", 12)
     assert len(eigs(a, "general", 11).eigenvalues) == 11
+
+
+@pytest.mark.parametrize("spare, solver", [(0, "arpack-shift-invert"),
+                                           (1, "dense-fallback")])
+def test_arpack_needs_room_beyond_the_levels(spare, solver):
+    # ARPACK computes levels + ARPACK_EXTRA eigenvalues and needs that
+    # below n - 1; at n - 1 the general solve falls back to dense
+    params = make_params(1.0, -0.5, 0.5, beta=0.1)
+    grid = build_grid(261, 20.0, 0.1)
+    assert grid.n > DIRECT_MAX_N
+    operator = _half_metric_image(params, grid)
+    levels = grid.n - 2 - ARPACK_EXTRA + spare
+    spectrum = eigs(operator, "general", levels)
+    assert spectrum.solver == solver
+    np.testing.assert_allclose(
+        spectrum.eigenvalues,
+        dense_eigs(operator.to_dense(), grid, "general", levels),
+        rtol=PARITY_RTOL, atol=PARITY_RTOL)
 
 
 def test_banded_assembly_and_transforms_are_linear_in_memory():

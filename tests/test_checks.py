@@ -207,29 +207,30 @@ class TestNumericResidual:
 class TestSpectrum:
     def test_oracle_path(self):
         grid = build_grid(1001, 10.0)
-        result, spectrum = check_spectrum(P1, grid, 4, 6)
+        result = check_spectrum(P1, grid, 4, 6)
         assert result.passed
         assert result.tolerance == 1e-4
-        assert len(spectrum.eigenvalues) == 6
+        assert len(result.details["re"]) == 6
+        assert result.details["im"] == [0.0] * 6
         assert result.details["oracle"][0] == pytest.approx(math.sqrt(2) / 2)
 
     def test_oscillator_levels(self):
         params = make_params(1.0, 0.0, 0.0)
         grid = build_grid(1001, 10.0)
-        result, _ = check_spectrum(params, grid, 4, 4)
+        result = check_spectrum(params, grid, 4, 4)
         np.testing.assert_allclose(result.details["oracle"], [0.5, 1.5, 2.5, 3.5])
 
     def test_broken_reality_is_distinct_outcome(self):
         params = make_params(0.5, 0.45, 0.45)  # omega^2 < 4*lam*delta
         grid = build_grid(301, 10.0)
-        result, spectrum = check_spectrum(params, grid, 4, 4)
+        result = check_spectrum(params, grid, 4, 4)
         assert result.details["oracle"].startswith("unavailable")
         assert math.isfinite(result.residual)
-        assert len(spectrum.eigenvalues) == 4
+        assert len(result.details["re"]) == len(result.details["im"]) == 4
 
     def test_deformed_reports_reality(self):
         grid = build_grid(301, 20.0, 0.1)
-        result, _ = check_spectrum(P1_DEFORMED, grid, 4, 3)
+        result = check_spectrum(P1_DEFORMED, grid, 4, 3)
         assert result.tolerance is None
         assert "reality_ratios" in result.details
 
@@ -239,7 +240,7 @@ def _residual_errors(params, grids):
 
 
 def _e0_errors(params, grids):
-    return [check_spectrum(params, g, 4, 1)[0].details["errors"][0] for g in grids]
+    return [check_spectrum(params, g, 4, 1).details["errors"][0] for g in grids]
 
 
 class TestConvergence:
@@ -262,7 +263,7 @@ class TestConvergence:
         grids = [build_grid(n, pm, 0.1)
                  for n, pm in ((201, 10.0), (401, 20.0), (601, 30.0))]
         result = convergence_reality(
-            grids, [check_spectrum(P1_DEFORMED, g, 4, 3)[0] for g in grids])
+            grids, [check_spectrum(P1_DEFORMED, g, 4, 3) for g in grids])
         assert result.passed
         assert len(result.details["reality_ratios"]) == 3
         assert len(result.details["spectra"]) == 3

@@ -91,6 +91,13 @@ class TestParse:
         assert main(["verify", "--config", str(config_file)]) == 2
         assert f"config-file key {key!r} takes no boolean" in capsys.readouterr().err
 
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        config_file = tmp_path / "job.json"
+        config_file.write_text("[1, 2]")
+        assert main(["verify", "--config", str(config_file)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config file must hold a flat JSON object\n")
+
     def test_missing_parameter(self):
         with pytest.raises(UsageError, match="omega"):
             parse(["verify", "--lambda", "-0.5", "--delta", "0.5"])
@@ -124,6 +131,9 @@ class TestParse:
         ["--exponent-override", "nan"],
         ["--exponent-override", "inf"],
         ["--exponent-override", "-inf"],
+        ["--beta", "1e-320"],                 # alpha/beta overflows
+        ["--beta", "1e-309"],
+        ["--beta-grid", "1e-320,1e-300"],
     ])
     @pytest.mark.parametrize("command", ["verify", "spectrum"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -221,6 +231,19 @@ class TestVerify:
         assert main(["verify", *P1_FLAGS, "--n", "51", *flags,
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--beta", "1e-18", "--pmax", "20", "--n", "401"],
+        ["--n", "51", "--beta", "1e-300"],
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_metric_limit_at_tiny_beta_passes(self, flags, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", *P1_FLAGS, *flags, "--out", str(out)]) == 0
+        limit = {c["name"]: c for c in read_json(out)["checks"]}["metric_limit"]
+        # the deviation there is round-off, above three times the estimate
+        assert (3.0 * limit["details"]["estimate"] < limit["residual"]
+                <= limit["tolerance"])
 
     def test_deformed_adds_power_metric_check(self, tmp_path):
         out = tmp_path / "report.json"
@@ -341,6 +364,18 @@ class TestSweep:
         deviations = payload["summary"]["metric_limit_deviation"]
         assert deviations[0] < deviations[1] < deviations[2]
         assert len(payload["reports"]) == 3
+
+    @pytest.mark.parametrize("beta_grid, message", [
+        ("1e-320,1e-300", "(metric exponent undefined)"),
+        ("0.1,abc", "bad beta-grid value"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bad_beta_grid_exits_two(self, beta_grid, message, capsys):
+        argv = ["sweep", *P1_FLAGS, "--n", "51", "--beta-grid", beta_grid]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_single_beta_rejected(self):
         assert main(["sweep", *P1_FLAGS, "--beta-grid", "0"]) == 2
