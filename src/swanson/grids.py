@@ -12,15 +12,17 @@ Every operator of the model has derivative order <= 2, so its image is a
 band matrix of half-bandwidth bw = fd_order/2 (pentadiagonal at fourth
 order).  It is stored, transformed and diagonalised as its 2*bw+1
 diagonals: memory and assembly are O(n).  Only the general eigensolver
-forms an n x n array: on grids of n <= DIRECT_MAX_N, where one dense
-solve costs less than loading the Krylov stack, and as the fallback of
-certified ARPACK above that size.
+forms an n x n array: on grids of n <= DIRECT_MAX_N, where a process can
+skip scipy altogether, and as the fallback of the certified shift-invert
+solver above that size.
 
 The dense solve is numpy's LAPACK *geev; scipy is loaded only by the
 solvers that need it, when they first run.  The banded Hermitian solver
-(eig_banded: self-adjoint spectra and the bound that certifies ARPACK)
-imports scipy.linalg, and ARPACK imports scipy.sparse.linalg.  A process
-whose grids all take the dense general path loads no scipy module.
+(eig_banded: self-adjoint spectra and the bound that certifies
+shift-invert) and the band LU that shift-invert runs on (*gbtrf, *gbtrs)
+import scipy.linalg; its Arnoldi iteration is numpy.  A process whose
+grids all take the dense general path loads no scipy module, and no
+process loads scipy.sparse.
 
 A metric is given by its exponent; the grid's beta picks the family, as
 it picks the weights: e^(exponent*p^2) at beta = 0, (1+beta*p^2)^exponent
@@ -41,25 +43,34 @@ from .algebra import DiffOp
 # Relative symmetry slack accepted by the weighted self-adjoint eigensolver.
 SELFADJOINT_RTOL = 1e-10
 
-# Eigenvalues ARPACK returns beyond the requested levels, and the shift's
-# depth below the bound lo in units of the bound s (see
-# _certified_shift_invert).  Both widen the certified region; these
+# Eigenvalues the shift-invert solver converges beyond the requested
+# levels, and the shift's depth below the bound lo in units of the bound s
+# (see _certified_shift_invert).  Both widen the certified region; these
 # values certify the deformed grids of the verify workloads, all above
 # DIRECT_MAX_N.
-ARPACK_EXTRA = 8
+KRYLOV_EXTRA = 8
 SHIFT_DEPTH = 2.0
 
+# Convergence of a Ritz value theta: residual at most KRYLOV_RTOL*|theta|.
+# Vectors added to the Arnoldi basis between two checks, at least, and the
+# most it holds per eigenvalue sought.  The grids the tests certify need
+# at most 6.5 vectors per eigenvalue (72 for 11 eigenvalues on a flat
+# n = 253 grid); the verify-deformed grids need 2.5.
+KRYLOV_RTOL = 1e-12
+KRYLOV_STEP = 8
+KRYLOV_CAP = 8
+
 # Largest grid the general eigensolver solves densely without trying
-# ARPACK: the largest n, in steps of 50, at which one dense solve costs
-# less than importing scipy.sparse.linalg once scipy.linalg is loaded.
-# On a 2-vCPU host with one BLAS thread that import takes 30-42 ms; a
-# dense solve takes 23-26 ms at n = 251 and 34-38 ms at n = 301
-# (CHANGES.md has the table).  Up to this size the dense solve computes
-# every eigenvalue, so it needs no certificate.  A process that solves
-# only such grids also skips scipy.linalg (0.22-0.41 s), but pricing
-# that import in would raise the cut towards n = 501, verify-deformed's
-# coarse grid, whose process loads ARPACK anyway for its finer grids and
-# would then pay a dense solve 2.4-4x the certified ARPACK one.
+# shift-invert.  Up to this size the dense solve computes every
+# eigenvalue, so it needs no certificate, and a process that solves only
+# such grids skips scipy.linalg (0.22-0.41 s of start-up).  Once
+# scipy.linalg is loaded, shift-invert costs less than the dense solve
+# from about n = 200 on: on a 2-vCPU host with one BLAS thread, medians
+# of 9 solves of 6 levels over three half-metric operators (CHANGES.md
+# has the table) take 21-23 ms dense against 5-12 ms at n = 251, 33-37
+# against 5-13 at n = 301 and 70-103 against 4-11 at n = 451.  The cut
+# stays at 251: no grid of the benchmark workloads lies between 201 and
+# 501, so moving it would change no workload.
 DIRECT_MAX_N = 251
 
 # Largest grid any dense eigensolve accepts; its n x n complex matrix
@@ -258,8 +269,8 @@ def similarity_transform(a: MatrixOp, exponent: float) -> MatrixOp:
 class Spectrum:
     """Low-lying eigenvalues sorted by (Re, Im) ascending, and the solver
     that produced them: "eig_banded" (self-adjoint), "dense" (general,
-    n <= DIRECT_MAX_N), "arpack-shift-invert" (general, certified) or
-    "dense-fallback" (general, ARPACK failed or could not certify).
+    n <= DIRECT_MAX_N), "shift-invert" (general, certified) or
+    "dense-fallback" (general, shift-invert failed or could not certify).
     Values repeat bit for bit per host and BLAS thread count.  On the
     sweep's nearly normal deformed grids (n <= 201, p_max <= 20, beta up
     to 3) the "dense" levels were also bit for bit the same at one and two
@@ -319,26 +330,85 @@ def _dense_spectrum(a: MatrixOp, levels: int, solver: str) -> Spectrum:
     return Spectrum(_sorted_eigenvalues(vals)[:levels], solver)
 
 
-def _certified_shift_invert(a: MatrixOp, levels: int) -> Spectrum | None:
-    """Lowest ``levels`` eigenvalues by ARPACK shift-invert, or None when
-    ARPACK fails or the result cannot be certified.
+def _band_lu_solver(band: np.ndarray, sigma: float):
+    """x -> (A - sigma*I)^(-1) x for the band matrix A in MatrixOp layout,
+    through LAPACK's band LU (*gbtrf and *gbtrs), or None when the factor
+    is singular."""
+    # deferred for the reason _lowest_hermitian gives
+    import scipy.linalg
 
+    bw = (band.shape[0] - 1) // 2
+    # *gbtrf takes the band below bw spare rows, where pivoting fills in
+    ab = np.zeros((3 * bw + 1, band.shape[1]), dtype=band.dtype)
+    ab[bw:] = band
+    ab[2 * bw] -= sigma
+    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    lu, pivots, info = gbtrf(ab, bw, bw, overwrite_ab=True)
+    if info > 0:  # U[info-1, info-1] is exactly zero
+        return None
+    return lambda x: gbtrs(lu, bw, bw, x, pivots)[0]
+
+
+def _largest_ritz_values(solve, n: int, k: int, dtype) -> np.ndarray | None:
+    """The k eigenvalues of largest modulus of the operator ``solve`` on
+    C^n (or R^n), by Arnoldi from a fixed start vector, or None when they
+    do not converge before the basis reaches its cap.
+
+    The basis grows to 2k vectors, then by KRYLOV_STEP or an eighth at a
+    time, and the Ritz values are checked at each of those sizes m: they
+    have converged when every residual |h[m, m-1] * y[m-1]| is at most
+    KRYLOV_RTOL*|theta|.  The basis stops at KRYLOV_CAP*k vectors, or at n,
+    where it spans the space and the factorization is exact.  The sizes
+    checked depend on n and k alone.
+    """
+    cap = min(n, KRYLOV_CAP * k)
+    # a fixed start vector keeps reports reproducible within a process
+    start = np.random.default_rng(0).standard_normal(n)
+    basis = (start / np.linalg.norm(start)).astype(dtype)[None]
+    hess = np.zeros((1, 0), dtype=dtype)
+    m, size = 0, min(cap, 2 * k)
+    while True:
+        # grown per check, so memory follows the basis actually built
+        basis = np.pad(basis, ((0, size + 1 - len(basis)), (0, 0)))
+        hess = np.pad(hess, ((0, size + 1 - len(hess)), (0, size - m)))
+        for j in range(m, size):
+            w = solve(basis[j])
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                h = basis[:j + 1].conj() @ w
+                w -= h @ basis[:j + 1]
+                hess[:j + 1, j] += h
+            if j + 1 < n:  # at n vectors nothing is left over
+                hess[j + 1, j] = norm = np.linalg.norm(w)
+                basis[j + 1] = w / norm
+        m = size
+        theta, vectors = np.linalg.eig(hess[:m, :m])
+        largest = np.argsort(-np.abs(theta), kind="stable")[:k]
+        residual = np.abs(hess[m, m - 1] * vectors[m - 1, largest])
+        if np.all(residual <= KRYLOV_RTOL * np.abs(theta[largest])):
+            return theta[largest]
+        if m == cap:
+            return None
+        size = min(cap, m + max(KRYLOV_STEP, m // 8))
+
+
+def _certified_shift_invert(a: MatrixOp, levels: int) -> Spectrum | None:
+    """Lowest ``levels`` eigenvalues by shift-invert Arnoldi, or None when
+    the shifted band is singular, the Ritz values do not converge or the
+    result cannot be certified.
+
+    (A - sigma*I)^(-1) is applied through one band LU factorization, and
+    its k = levels + KRYLOV_EXTRA eigenvalues theta of largest modulus
+    give the k eigenvalues sigma + 1/theta of A nearest sigma.
     With S = W^(1/2) A W^(-1/2), every eigenvalue has Re >= lo, the lowest
     eigenvalue of the Hermitian part of S, and |Im| <= s, a Gershgorin
-    bound on its skew part.  The shift sigma sits below lo, so ARPACK
-    returns the k eigenvalues nearest sigma; every other one lies at
-    distance >= r_k (the largest returned distance), hence has
-    (Re - sigma)^2 >= r_k^2 - s^2.  When that exceeds (x_L - sigma)^2,
-    x_L the real part of the last kept level, no eigenvalue left out can
-    sort before the kept ones.
+    bound on its skew part.  The shift sigma sits below lo; every
+    eigenvalue left out lies at distance >= r_k (the largest returned
+    distance), hence has (Re - sigma)^2 >= r_k^2 - s^2.  When that exceeds
+    (x_L - sigma)^2, x_L the real part of the last kept level, no
+    eigenvalue left out can sort before the kept ones.
     """
-    # deferred: only this solver needs scipy.sparse, which costs about
-    # 35 ms of start-up; a process whose general grids all have
-    # n <= DIRECT_MAX_N never loads it
-    import scipy.sparse.linalg
-
     n = a.grid.n
-    k = levels + ARPACK_EXTRA
+    k = levels + KRYLOV_EXTRA
     if k >= n - 1:
         return None
     herm, skew = _hermitian_and_skew(a)
@@ -346,21 +416,19 @@ def _certified_shift_invert(a: MatrixOp, levels: int) -> Spectrum | None:
     # |skew| is symmetric, so its column sums are its Gershgorin row sums
     s = float(np.abs(skew).sum(axis=0).max())
     sigma = lo - SHIFT_DEPTH * max(s, 1e-3 * max(1.0, abs(lo)))
-    # a fixed start vector keeps reports reproducible within a process
-    v0 = np.random.default_rng(0).standard_normal(n)
-    offsets = a.bw - np.arange(a.matrix.shape[0])
-    matrix = scipy.sparse.dia_array((_real_if_possible(a.matrix), offsets),
-                                    shape=(n, n)).tocsc()
-    try:
-        values = scipy.sparse.linalg.eigs(matrix, k=k, sigma=sigma, v0=v0,
-                                          return_eigenvectors=False)
-    except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
+    band = _real_if_possible(a.matrix)
+    solve = _band_lu_solver(band, sigma)
+    if solve is None:
         return None
+    theta = _largest_ritz_values(solve, n, k, band.dtype)
+    if theta is None:
+        return None
+    values = sigma + 1.0 / theta
     kept = _sorted_eigenvalues(values)[:levels]
     r_k = float(np.abs(values - sigma).max())
     if r_k ** 2 - s ** 2 < (kept[-1].real - sigma) ** 2:
         return None
-    return Spectrum(kept, "arpack-shift-invert")
+    return Spectrum(kept, "shift-invert")
 
 
 def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
@@ -368,11 +436,12 @@ def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
 
     kind="general" picks its solver by grid size.  Up to DIRECT_MAX_N it
     solves the dense nonsymmetric problem at once ("dense"): that finds
-    every eigenvalue, so none can be missed.  Above it, certified ARPACK
-    shift-invert runs on the band (see _certified_shift_invert) and falls
-    back to the dense solve ("dense-fallback") when that is impossible
-    (levels close to n) or uncertified; above DENSE_MAX_N the dense solve
-    raises LinAlgError instead.
+    every eigenvalue, so none can be missed.  Above it, certified
+    shift-invert Arnoldi runs on the band's LU factors ("shift-invert",
+    see _certified_shift_invert) and falls back to the dense solve
+    ("dense-fallback") when that is impossible (levels close to n, a
+    singular shifted band), unconverged or uncertified; above DENSE_MAX_N
+    the dense solve raises LinAlgError instead.
     kind="selfadjoint-weighted" symmetrizes via S = W^(1/2) A W^(-1/2),
     requires S to be Hermitian (A equal to its weighted adjoint) within a
     small relative slack, and solves the Hermitian band problem.

@@ -5,11 +5,14 @@ spectrum) is recomputed densely on grids of n <= 501 for the flat, the
 deformed and the broken-reality (omega^2 < 4*lambda*delta) models, and
 must agree to 1e-10 relative.  The general eigensolver's two paths are
 checked against each other: the direct dense solve that small grids take
-and certified ARPACK on the sweep's grids, and the fallback from ARPACK
-to the dense solve above DIRECT_MAX_N is exercised and named.  numpy's
-dense solve is checked against scipy's on the sweep's grids, and child
-processes show which scipy modules each solver path loads.  The banded
-assembly and transforms are checked to stay O(n) in memory.
+and the certified shift-invert Arnoldi on the sweep's grids.  Above
+DIRECT_MAX_N its fallback to the dense solve is exercised and named for
+each way it can fail: a singular shifted band, Ritz values that do not
+converge, too little room beyond the levels and an uncertified result.
+numpy's dense solve is checked against scipy's on the sweep's grids, and
+child processes show which scipy modules each solver path loads: none
+on small grids, scipy.linalg alone above them, and never scipy.sparse.
+The banded assembly and transforms are checked to stay O(n) in memory.
 """
 
 import os
@@ -21,7 +24,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 from swanson.checks import (
     PROBE_CENTERS,
@@ -32,8 +34,10 @@ from swanson.checks import (
     check_spectrum,
 )
 from swanson.grids import (
-    ARPACK_EXTRA,
     DIRECT_MAX_N,
+    KRYLOV_EXTRA,
+    MatrixOp,
+    _band_lu_solver,
     _certified_shift_invert,
     assemble_matrix,
     build_grid,
@@ -93,7 +97,7 @@ def test_spectrum_matches_dense(case):
     np.testing.assert_allclose(_levels(result), expected,
                                rtol=PARITY_RTOL, atol=PARITY_RTOL)
     ladder = ladder_obstruction(params) is None
-    solver = "eig_banded" if ladder else "arpack-shift-invert"
+    solver = "eig_banded" if ladder else "shift-invert"
     assert result.details["solver"] == solver
 
 
@@ -119,7 +123,7 @@ def _half_metric_image(params, grid):
 def test_uncertified_spectrum_falls_back_to_dense():
     # omega < lambda + delta with a steep metric: the half-metric image is
     # far from normal on this grid, so the Gershgorin bound on the
-    # imaginary parts is too wide to certify ARPACK's values
+    # imaginary parts is too wide to certify the shift-invert values
     params = make_params(1.0, 1.3, -0.2)
     grid = build_grid(301, 10.0)
     assert grid.n > DIRECT_MAX_N
@@ -133,7 +137,8 @@ def test_uncertified_spectrum_falls_back_to_dense():
 
 # The sweep-small-n grids: the suite grid (n = 201, p_max = 20) and the
 # reality study's coarse grids at 1/3 and 2/3 of it.  At beta = 0.01 and
-# 0.03 ARPACK cannot certify these grids, so there is nothing to compare.
+# 0.03 shift-invert cannot certify these grids, so there is nothing to
+# compare.
 SWEEP_GRIDS = ((69, 20.0 / 3.0), (135, 40.0 / 3.0), (201, 20.0))
 
 
@@ -177,12 +182,13 @@ def test_numpy_and_scipy_dense_solves_agree(beta, n, p_max):
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SCIPY_MODULES = ("scipy", "scipy.linalg", "scipy.sparse")
+SCIPY_MODULES = ("scipy", "scipy.linalg")
 LOADED_SCIPY = """
 import sys
 from swanson.cli import main
 code = main(sys.argv[1:] + ["--out", "{out}"])
-print(code, *(name in sys.modules for name in {modules}))
+sparse = any(name.startswith("scipy.sparse") for name in sys.modules)
+print(code, *(name in sys.modules for name in {modules}), sparse)
 """
 
 
@@ -204,7 +210,7 @@ def _child(args):
     pytest.param(["verify", "--omega", "1", "--lambda", "-0.5", "--delta", "0.5",
                   "--pmax", "6", "--n", "201"], ("scipy", "scipy.linalg"),
                  id="flat-verify"),
-    # grids above DIRECT_MAX_N take certified ARPACK
+    # grids above DIRECT_MAX_N take certified shift-invert on the band LU
     pytest.param(["verify", "--omega", "1.3", "--lambda", "0.2", "--delta", "-0.4",
                   "--beta", "0.05", "--pmax", "40", "--n", "501"], SCIPY_MODULES,
                  id="deformed-verify"),
@@ -212,8 +218,9 @@ def _child(args):
 def test_krylov_stack_loads_only_above_the_direct_size(argv, loaded, tmp_path):
     script = LOADED_SCIPY.format(out=tmp_path / "report.json",
                                  modules=SCIPY_MODULES)
+    # no path loads any scipy.sparse module
     assert _child(["-c", script, *argv]) == (
-        ["0"] + [str(name in loaded) for name in SCIPY_MODULES])
+        ["0"] + [str(name in loaded) for name in SCIPY_MODULES] + ["False"])
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -223,17 +230,30 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_arpack_failure_falls_back_to_dense(monkeypatch):
+    # no Ritz value meets a zero tolerance, so the basis reaches its cap
     params, grid = CASES["deformed"]
-
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    monkeypatch.setattr("swanson.grids.KRYLOV_RTOL", 0.0)
     result = check_spectrum(params, grid, 4, 3)
     assert result.details["solver"] == "dense-fallback"
     np.testing.assert_allclose(_levels(result),
                                _dense_spectrum(params, grid, 3),
                                rtol=PARITY_RTOL, atol=PARITY_RTOL)
+
+
+def test_singular_shifted_band_takes_dense_fallback(monkeypatch):
+    # On a diagonal operator the bound lo is its lowest entry; at zero
+    # depth the shift equals it and *gbtrf meets an exactly zero pivot
+    grid = build_grid(261, 10.0)
+    assert grid.n > DIRECT_MAX_N
+    band = np.zeros((5, grid.n), dtype=complex)
+    band[2] = np.arange(grid.n)
+    operator = MatrixOp(band, grid)
+    assert _band_lu_solver(band, 0.0) is None
+    assert eigs(operator, "general", 3).solver == "shift-invert"
+    monkeypatch.setattr("swanson.grids.SHIFT_DEPTH", 0.0)
+    spectrum = eigs(operator, "general", 3)
+    assert spectrum.solver == "dense-fallback"
+    np.testing.assert_array_equal(spectrum.eigenvalues, [0.0, 1.0, 2.0])
 
 
 def test_levels_beyond_grid_rejected():
@@ -244,16 +264,17 @@ def test_levels_beyond_grid_rejected():
     assert len(eigs(a, "general", 11).eigenvalues) == 11
 
 
-@pytest.mark.parametrize("spare, solver", [(0, "arpack-shift-invert"),
+@pytest.mark.parametrize("spare, solver", [(0, "shift-invert"),
                                            (1, "dense-fallback")])
 def test_arpack_needs_room_beyond_the_levels(spare, solver):
-    # ARPACK computes levels + ARPACK_EXTRA eigenvalues and needs that
-    # below n - 1; at n - 1 the general solve falls back to dense
+    # shift-invert converges levels + KRYLOV_EXTRA eigenvalues and needs
+    # that below n - 1; at n - 1 the general solve falls back to dense.
+    # At n - 2 the first basis is the whole space, an exact factorization.
     params = make_params(1.0, -0.5, 0.5, beta=0.1)
     grid = build_grid(261, 20.0, 0.1)
     assert grid.n > DIRECT_MAX_N
     operator = _half_metric_image(params, grid)
-    levels = grid.n - 2 - ARPACK_EXTRA + spare
+    levels = grid.n - 2 - KRYLOV_EXTRA + spare
     spectrum = eigs(operator, "general", levels)
     assert spectrum.solver == solver
     np.testing.assert_allclose(

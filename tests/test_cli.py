@@ -7,7 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -323,10 +322,8 @@ class TestSpectrumCommand:
         certified, fallback = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main([*flags, "--out", str(certified)]) == 0
 
-        def arpack_error(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackError(-9999)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", arpack_error)
+        # no Ritz value meets a zero tolerance, so the basis reaches its cap
+        monkeypatch.setattr("swanson.grids.KRYLOV_RTOL", 0.0)
         assert main([*flags, "--out", str(fallback)]) == 0
         read = lambda path: np.loadtxt(path, delimiter=",", skiprows=1,
                                        usecols=(1, 2))

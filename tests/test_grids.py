@@ -377,14 +377,14 @@ class TestEigs:
     def test_general_solver_is_chosen_by_grid_size(self, monkeypatch):
         direct_max = swanson.grids.DIRECT_MAX_N
         _, h0 = h0_momentum(P1)
-        # the half-metric image is nearly normal, so ARPACK certifies it
+        # the half-metric image is nearly normal, so shift-invert certifies it
         small, large = (similarity_transform(
             assemble_matrix(h0, build_grid(n, 8.0), 4), gaussian_alpha(P1) / 2.0)
             for n in (direct_max, direct_max + 2))
-        assert eigs(large, "general", 3).solver == "arpack-shift-invert"
+        assert eigs(large, "general", 3).solver == "shift-invert"
 
         def krylov(a, levels):
-            raise AssertionError("ARPACK ran on a grid it should not see")
+            raise AssertionError("shift-invert ran on a grid it must not see")
 
         monkeypatch.setattr(swanson.grids, "_certified_shift_invert", krylov)
         spectrum = eigs(small, "general", 3)

@@ -8,7 +8,11 @@ tree as ``python -W error::RuntimeWarning -m swanson ...`` with that
 tree's ``src`` on ``PYTHONPATH``, one BLAS thread and a fixed hash seed.
 Its stdout (with ``"generated_at"`` masked), stderr and exit code must be
 byte-identical between the trees.  One line is printed per argv, and the
-exit code is 1 if any argv differs.
+exit code is 1 if any argv differs.  A stdout difference is named by its
+first differing line, or as ``numbers only, max rel <x> at <path>`` when
+both outputs parse (a JSON report or a CSV with a header) and differ in
+numbers alone: <x> is the largest relative difference and <path> where
+it is, such as ``checks[3].details.re[0]`` or ``[0].re`` (row, column).
 
 The argvs are the benchmark workloads (from ``perfbench/run.py``, at
 seed 1) and runs that reach the other solver paths, failure records and
@@ -18,6 +22,8 @@ edge cases of the report.
 from __future__ import annotations
 
 import importlib.util
+import json
+import math
 import os
 import re
 import subprocess
@@ -81,6 +87,71 @@ def run(tree: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
             done.stderr)
 
 
+def _parse(text: bytes):
+    """The JSON document, or the CSV as one dict per row keyed by its
+    header with numeric cells as floats; None when it is neither."""
+    try:
+        return json.loads(text)
+    except ValueError:  # includes undecodable bytes
+        pass
+    header, *lines = text.decode(errors="replace").splitlines() or [""]
+    names = header.split(",")
+    rows = [line.split(",") for line in lines]
+    if len(names) < 2 or any(len(row) != len(names) for row in rows):
+        return None
+    return [{name: _number_or_text(cell) for name, cell in zip(names, row)}
+            for row in rows]
+
+
+def _number_or_text(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _relative(old: float, new: float) -> float:
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    scale, gap = max(abs(old), abs(new)), abs(old - new)
+    return gap / scale if math.isfinite(gap) and scale > 0 else math.inf
+
+
+def _number_differences(old, new, path: str, found: list) -> bool:
+    """Append (relative difference, path) for every number that differs
+    between the documents; False when anything else differs."""
+    if _is_number(old) and _is_number(new):
+        if rel := _relative(old, new):
+            found.append((rel, path))
+        return True
+    if isinstance(old, dict) and isinstance(new, dict):
+        return list(old) == list(new) and all(
+            _number_differences(old[key], new[key], f"{path}.{key}", found)
+            for key in old)
+    if isinstance(old, list) and isinstance(new, list):
+        return len(old) == len(new) and all(
+            _number_differences(a, b, f"{path}[{i}]", found)
+            for i, (a, b) in enumerate(zip(old, new)))
+    return old == new
+
+
+def classify(old: bytes, new: bytes) -> str | None:
+    """"numbers only, max rel <x> at <path>" when both outputs parse and
+    differ in numbers alone, else None."""
+    old_doc, new_doc = _parse(old), _parse(new)
+    found: list = []
+    if old_doc is None or new_doc is None:
+        return None
+    if not _number_differences(old_doc, new_doc, "", found) or not found:
+        return None
+    rel, path = max(found)
+    return f"numbers only, max rel {rel:.1e} at {path.lstrip('.')}"
+
+
 def _first_difference(old: bytes, new: bytes) -> int:
     """1-based number of the first line where ``old`` and ``new`` differ."""
     pairs = zip(old.splitlines(), new.splitlines())
@@ -102,8 +173,8 @@ def main(argv: list[str] | None = None) -> int:
         if old[0] != new[0]:
             parts.append(f"exit {old[0]} -> {new[0]}")
         if old[1] != new[1]:
-            line = _first_difference(old[1], new[1])
-            parts.append(f"stdout from line {line}")
+            parts.append(classify(old[1], new[1]) or "stdout from line "
+                         f"{_first_difference(old[1], new[1])}")
         if old[2] != new[2]:
             parts.append("stderr")
         differs = differs or bool(parts)
