@@ -11,18 +11,16 @@ available as exact matrix operations with respect to those weights.
 Every operator of the model has derivative order <= 2, so its image is a
 band matrix of half-bandwidth bw = fd_order/2 (pentadiagonal at fourth
 order).  It is stored, transformed and diagonalised as its 2*bw+1
-diagonals: memory and assembly are O(n).  Only the general eigensolver
-forms an n x n array: on grids of n <= DIRECT_MAX_N, where a process can
-skip scipy altogether, and as the fallback of the certified shift-invert
-solver above that size.
+diagonals: memory and assembly are O(n).  Only the dense eigensolves
+form an n x n array: on grids of n <= DIRECT_MAX_N, and as the fallback
+of the certified shift-invert solver above that size.
 
-The dense solve is numpy's LAPACK *geev; scipy is loaded only by the
-solvers that need it, when they first run.  The banded Hermitian solver
-(eig_banded: self-adjoint spectra and the bound that certifies
-shift-invert) and the band LU that shift-invert runs on (*gbtrf, *gbtrs)
-import scipy.linalg; its Arnoldi iteration is numpy.  A process whose
-grids all take the dense general path loads no scipy module, and no
-process loads scipy.sparse.
+Every solver is numpy.  The dense solves are numpy's LAPACK *geev
+(general) and *syevd/*heevd (self-adjoint).  Above DIRECT_MAX_N both
+kinds run shift-invert Arnoldi on one O(n) band factorization by nested
+Schur complements (_schur_solver), shifted below a floor that Cholesky
+factorizations of the same kind certify (_hermitian_floor).  No module
+of the package imports scipy.
 
 A metric is given by its exponent; the grid's beta picks the family, as
 it picks the weights: e^(exponent*p^2) at beta = 0, (1+beta*p^2)^exponent
@@ -44,12 +42,28 @@ from .algebra import DiffOp
 SELFADJOINT_RTOL = 1e-10
 
 # Eigenvalues the shift-invert solver converges beyond the requested
-# levels, and the shift's depth below the bound lo in units of the bound s
+# levels, and the shift's depth below the floor lo in units of the bound s
 # (see _certified_shift_invert).  Both widen the certified region; these
 # values certify the deformed grids of the verify workloads, all above
 # DIRECT_MAX_N.
 KRYLOV_EXTRA = 8
 SHIFT_DEPTH = 2.0
+
+# The floor lo under the Hermitian part aims within FLOOR_RTOL*max(1, |lo|)
+# of its lowest eigenvalue, which is also the shift's least depth in those
+# units.  Each round of _hermitian_floor takes FLOOR_KRYLOV Arnoldi steps,
+# and it makes at most FLOOR_FACTORS factorizations: the grids the tests
+# and the workloads solve need 2-5.
+FLOOR_RTOL = 1e-3
+FLOOR_KRYLOV = 12
+FLOOR_FACTORS = 16
+
+# Rows of one interior block of the Schur-complement band factorization
+# (_schur_solver).  Inverting the interiors costs O(n*SCHUR_ROWS^2), a
+# solve O(n*SCHUR_ROWS) plus a few numpy calls per level, and fewer rows
+# mean more levels.  On the verify workloads' operators and at n = 6001,
+# 16 and 20 gave the fastest eigs calls; 8 and 32 took 15-20% longer.
+SCHUR_ROWS = 16
 
 # Convergence of a Ritz value theta: residual at most KRYLOV_RTOL*|theta|.
 # Vectors added to the Arnoldi basis between two checks, at least, and the
@@ -60,17 +74,20 @@ KRYLOV_RTOL = 1e-12
 KRYLOV_STEP = 8
 KRYLOV_CAP = 8
 
-# Largest grid the general eigensolver solves densely without trying
+# Largest grid either eigensolver kind solves densely without trying
 # shift-invert.  Up to this size the dense solve computes every
-# eigenvalue, so it needs no certificate, and a process that solves only
-# such grids skips scipy.linalg (0.22-0.41 s of start-up).  Once
-# scipy.linalg is loaded, shift-invert costs less than the dense solve
-# from about n = 200 on: on a 2-vCPU host with one BLAS thread, medians
-# of 9 solves of 6 levels over three half-metric operators (CHANGES.md
-# has the table) take 21-23 ms dense against 5-12 ms at n = 251, 33-37
-# against 5-13 at n = 301 and 70-103 against 4-11 at n = 451.  The cut
-# stays at 251: no grid of the benchmark workloads lies between 201 and
-# 501, so moving it would change no workload.
+# eigenvalue, so it needs no certificate.  On a 2-vCPU host with one BLAS
+# thread, medians of 9 solves of 6 levels over three half-metric
+# operators (P1 = (1, -0.5, 0.5) at beta 0.1 and 1 with p_max 20, and
+# verify-deformed's at beta 0.05 with p_max 40) took 8-13 ms dense
+# against 11-23 ms by shift-invert at n = 201, 13-17 against 12-18 at
+# n = 251, 26-32 against 13-18 at n = 301 and 60-84 against 12-21 at
+# n = 451.  The self-adjoint dense solve is cheaper: on hermitized P1
+# with p_max 10 it took 2.0, 3.4, 5.7 and 13.2 ms at those sizes against
+# 9.4-14.7 ms, so it leads up to about n = 400.  The cut stays at 251: no
+# grid of the benchmark workloads lies between 201 and 501, and moving it
+# would change the reports of runs that do (n = 301 and 401 in
+# tools/compare_reports.py).
 DIRECT_MAX_N = 251
 
 # Largest grid any dense eigensolve accepts; its n x n complex matrix
@@ -268,14 +285,14 @@ def similarity_transform(a: MatrixOp, exponent: float) -> MatrixOp:
 @dataclass(frozen=True)
 class Spectrum:
     """Low-lying eigenvalues sorted by (Re, Im) ascending, and the solver
-    that produced them: "eig_banded" (self-adjoint), "dense" (general,
-    n <= DIRECT_MAX_N), "shift-invert" (general, certified) or
-    "dense-fallback" (general, shift-invert failed or could not certify).
-    Values repeat bit for bit per host and BLAS thread count.  On the
-    sweep's nearly normal deformed grids (n <= 201, p_max <= 20, beta up
-    to 3) the "dense" levels were also bit for bit the same at one and two
-    BLAS threads, and scipy's *geev agreed with them within 0.163
-    eps*||A||_F.  Far from normal (omega < lambda + delta) the levels are
+    that produced them, for either kind of eigs: "dense" (n <=
+    DIRECT_MAX_N), "shift-invert" (certified) or "dense-fallback"
+    (shift-invert impossible, unconverged or uncertified).  Self-adjoint
+    eigenvalues are real.  Values repeat bit for bit per host and BLAS
+    thread count.  On the sweep's nearly normal deformed grids (n <= 201,
+    p_max <= 20, beta up to 3) the "dense" levels were also bit for bit
+    the same at one and two BLAS threads, and scipy's *geev agreed with
+    them within 0.163 eps*||A||_F.  Far from normal (omega < lambda + delta) the levels are
     ill-conditioned and no such bound holds: at (1, 1.3, -0.2), n = 301,
     scipy's *geev at two threads moved the lowest "dense-fallback" levels
     by 26-65% relative, while numpy's were the same at one and two."""
@@ -304,71 +321,152 @@ def _hermitian_and_skew(a: MatrixOp) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (sym + sym_h), 0.5 * (sym - sym_h)
 
 
-def _lowest_hermitian(band: np.ndarray, count: int) -> np.ndarray:
-    """Lowest ``count`` eigenvalues of a Hermitian band matrix (LAPACK
-    *hbevx / *sbevx on its upper half)."""
-    # deferred: only the band solvers need scipy.linalg, which costs
-    # 0.22-0.41 s of start-up on a 2-vCPU host; a process whose grids all
-    # take the dense general path never loads it
-    import scipy.linalg
-
-    bw = (band.shape[0] - 1) // 2
-    return scipy.linalg.eig_banded(_real_if_possible(band[:bw + 1]),
-                                   eigvals_only=True, select="i",
-                                   select_range=(0, count - 1))
-
-
-def _dense_spectrum(a: MatrixOp, levels: int, solver: str) -> Spectrum:
-    """Every eigenvalue of the dense matrix, the lowest ``levels`` kept and
-    reported under ``solver``; refused above DENSE_MAX_N."""
+def _dense_spectrum(a: MatrixOp, levels: int, solver: str,
+                    hermitian: bool) -> Spectrum:
+    """Every eigenvalue of the dense matrix (numpy's *syevd/*heevd when
+    ``hermitian``, else *geev), the lowest ``levels`` kept and reported
+    under ``solver``; refused above DENSE_MAX_N."""
     n = a.grid.n
     if n > DENSE_MAX_N:
         raise np.linalg.LinAlgError(
             f"dense eigensolver refused at n = {n}: it needs "
             f"{16 * n * n} bytes, and n may be at most {DENSE_MAX_N}")
-    vals = np.linalg.eigvals(_real_if_possible(a.to_dense()))
-    return Spectrum(_sorted_eigenvalues(vals)[:levels], solver)
+    dense = _real_if_possible(a.to_dense())
+    if hermitian:
+        return Spectrum(np.linalg.eigvalsh(dense)[:levels], solver)
+    return Spectrum(_sorted_eigenvalues(np.linalg.eigvals(dense))[:levels],
+                    solver)
 
 
-def _band_lu_solver(band: np.ndarray, sigma: float):
-    """x -> (A - sigma*I)^(-1) x for the band matrix A in MatrixOp layout,
-    through LAPACK's band LU (*gbtrf and *gbtrs), or None when the factor
-    is singular."""
-    # deferred for the reason _lowest_hermitian gives
-    import scipy.linalg
+def _matvec(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """blocks[p] @ x[p] for every p of a stack."""
+    return (blocks @ x[..., None])[..., 0]
 
+
+def _block_tridiagonal(band: np.ndarray, shift: float):
+    """A - shift*I for the band matrix A in MatrixOp layout, as a block
+    tridiagonal matrix of bw x bw blocks: the stacks D (diagonal), L
+    (block row t, column t-1) and U (row t, column t+1).  Rows past n are
+    padded out as an identity."""
     bw = (band.shape[0] - 1) // 2
-    # *gbtrf takes the band below bw spare rows, where pivoting fills in
-    ab = np.zeros((3 * bw + 1, band.shape[1]), dtype=band.dtype)
-    ab[bw:] = band
-    ab[2 * bw] -= sigma
-    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-    lu, pivots, info = gbtrf(ab, bw, bw, overwrite_ab=True)
-    if info > 0:  # U[info-1, info-1] is exactly zero
-        return None
-    return lambda x: gbtrs(lu, bw, bw, x, pivots)[0]
+    n = band.shape[1]
+    count = -(-n // bw)
+    rows = np.arange(count)[:, None, None] * bw + np.arange(bw)[:, None]
+    stacks = []
+    for offset in (-1, 0, 1):
+        cols = rows.transpose(0, 2, 1) + offset * bw
+        diagonal = rows - cols
+        inside = ((np.abs(diagonal) <= bw) & (cols >= 0) & (cols < n)
+                  & (rows < n))
+        entries = band[np.clip(bw + diagonal, 0, 2 * bw),
+                       np.clip(cols, 0, n - 1)]
+        stacks.append(np.where(inside, entries, 0.0))
+    lower, diag, upper = stacks
+    pivots = np.arange(bw)
+    diag[:, pivots, pivots] -= np.where(rows[:, :, 0] < n, shift, -1.0)
+    return diag, lower, upper
 
 
-def _largest_ritz_values(solve, n: int, k: int, dtype) -> np.ndarray | None:
-    """The k eigenvalues of largest modulus of the operator ``solve`` on
-    C^n (or R^n), by Arnoldi from a fixed start vector, or None when they
-    do not converge before the basis reaches its cap.
+def _schur_solver(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                  definite: bool):
+    """f -> M^(-1) f for the block tridiagonal M of ``_block_tridiagonal``,
+    by nested Schur complements; None when ``definite`` and M is not
+    Hermitian positive definite.  f may be shorter than M, standing for
+    its leading rows with zeros below.
 
-    The basis grows to 2k vectors, then by KRYLOV_STEP or an eighth at a
-    time, and the Ritz values are checked at each of those sizes m: they
-    have converged when every residual |h[m, m-1] * y[m-1]| is at most
-    KRYLOV_RTOL*|theta|.  The basis stops at KRYLOV_CAP*k vectors, or at n,
-    where it spans the space and the factorization is exact.  The sizes
-    checked depend on n and k alone.
+    The blocks are grouped into interiors of g = SCHUR_ROWS/b blocks, each
+    followed by one separator block.  No two interiors touch, so all are
+    inverted at once as one (P, g*b, g*b) stack; eliminating them leaves
+    the separators' Schur complement, again block tridiagonal with b x b
+    blocks and about 1/(g+1) as many, which is factored the same way.
+    Every level is O(n), and a solve is a few stacked products per level.
+
+    Without pivoting this needs every interior and every Schur complement
+    to be invertible.  It is when the Hermitian part of M is positive
+    definite, as it is for the shifts used here: Schur complements keep
+    that property, and with it the growth of the elimination is bounded
+    (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.4).  When M
+    is Hermitian, it is positive definite exactly when every interior
+    stack and the last Schur complement have a Cholesky factor (Sylvester's
+    law of inertia), which ``definite`` tests.
     """
-    cap = min(n, KRYLOV_CAP * k)
+    count, b = diag.shape[:2]
+    g = min(count, max(1, SCHUR_ROWS // b))
+    parts = -(-(count + 1) // (g + 1))
+    # identity blocks fill the last interior, and one spare separator ends it
+    pad = parts * (g + 1) - count
+    eye = np.broadcast_to(np.eye(b, dtype=diag.dtype), (pad, b, b))
+    zero = np.zeros((pad, b, b), dtype=diag.dtype)
+    diag, lower, upper = (np.concatenate([stack, filler]).reshape(
+        parts, g + 1, b, b) for stack, filler in ((diag, eye), (lower, zero),
+                                                  (upper, zero)))
+    interior = np.zeros((parts, g, b, g, b), dtype=diag.dtype)
+    k = np.arange(g)
+    interior[:, k, :, k] = diag[:, :g].swapaxes(0, 1)
+    interior[:, k[1:], :, k[:-1]] = lower[:, 1:g].swapaxes(0, 1)
+    interior[:, k[:-1], :, k[1:]] = upper[:, :g - 1].swapaxes(0, 1)
+    interior = interior.reshape(parts, g * b, g * b)
+    if definite:
+        try:
+            np.linalg.cholesky(interior)
+        except np.linalg.LinAlgError:
+            return None
+    inverse = np.linalg.inv(interior)
+    if parts == 1:  # one interior holds every block
+        def solve_one(f: np.ndarray) -> np.ndarray:
+            x = np.zeros(g * b, dtype=np.result_type(f, inverse))
+            x[:len(f)] = f
+            return (inverse[0] @ x)[:len(f)]
+
+        return solve_one
+    # couplings of each separator to the interiors before and after it, and
+    # each interior's response to the separators before and after it
+    sep_lower, sep_upper = lower[:-1, g], upper[:-1, g]
+    before = inverse[:, :, :b] @ lower[:, 0]
+    after = inverse[:, :, -b:] @ upper[:, g - 1]
+    inner = _schur_solver(diag[:-1, g] - sep_lower @ after[:-1, -b:]
+                          - sep_upper @ before[1:, :b],
+                          -sep_lower @ before[:-1, -b:],
+                          -sep_upper @ after[1:, :b], definite)
+    if inner is None:
+        return None
+
+    def solve(f: np.ndarray) -> np.ndarray:
+        x = np.zeros((parts, g + 1, b), dtype=np.result_type(f, inverse))
+        x.reshape(-1)[:len(f)] = f
+        y = _matvec(inverse, x[:, :g].reshape(parts, g * b))
+        sep = inner((x[:-1, g] - _matvec(sep_lower, y[:-1, -b:])
+                     - _matvec(sep_upper, y[1:, :b])).reshape(-1))
+        sep = sep.reshape(parts - 1, b)
+        y[1:] -= _matvec(before[1:], sep)
+        y[:-1] -= _matvec(after[:-1], sep)
+        x[:, :g] = y.reshape(parts, g, b)
+        x[:-1, g] = sep
+        return x.reshape(-1)[:len(f)]
+
+    return solve
+
+
+def _band_solver(band: np.ndarray, shift: float, definite: bool = False):
+    """x -> (A - shift*I)^(-1) x for the band matrix A in MatrixOp layout,
+    or None when ``definite`` and A - shift*I is not Hermitian positive
+    definite (see _schur_solver)."""
+    return _schur_solver(*_block_tridiagonal(band, shift), definite)
+
+
+def _arnoldi(solve, n: int, dtype, sizes):
+    """Arnoldi factorizations of the operator ``solve`` on C^n (or R^n)
+    from a fixed start vector: for each basis size m of the increasing
+    ``sizes``, the (m+1) x m Hessenberg matrix, whose last row is zero
+    once m = n (the basis spans the space and the factorization is
+    exact)."""
     # a fixed start vector keeps reports reproducible within a process
     start = np.random.default_rng(0).standard_normal(n)
     basis = (start / np.linalg.norm(start)).astype(dtype)[None]
     hess = np.zeros((1, 0), dtype=dtype)
-    m, size = 0, min(cap, 2 * k)
-    while True:
-        # grown per check, so memory follows the basis actually built
+    m = 0
+    for size in sizes:
+        # grown per size, so memory follows the basis actually built
         basis = np.pad(basis, ((0, size + 1 - len(basis)), (0, 0)))
         hess = np.pad(hess, ((0, size + 1 - len(hess)), (0, size - m)))
         for j in range(m, size):
@@ -381,28 +479,111 @@ def _largest_ritz_values(solve, n: int, k: int, dtype) -> np.ndarray | None:
                 hess[j + 1, j] = norm = np.linalg.norm(w)
                 basis[j + 1] = w / norm
         m = size
-        theta, vectors = np.linalg.eig(hess[:m, :m])
-        largest = np.argsort(-np.abs(theta), kind="stable")[:k]
-        residual = np.abs(hess[m, m - 1] * vectors[m - 1, largest])
-        if np.all(residual <= KRYLOV_RTOL * np.abs(theta[largest])):
-            return theta[largest]
-        if m == cap:
-            return None
-        size = min(cap, m + max(KRYLOV_STEP, m // 8))
+        yield hess
 
 
-def _certified_shift_invert(a: MatrixOp, levels: int) -> Spectrum | None:
-    """Lowest ``levels`` eigenvalues by shift-invert Arnoldi, or None when
-    the shifted band is singular, the Ritz values do not converge or the
-    result cannot be certified.
+def _largest_ritz(hess: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k Ritz values of largest modulus of an (m+1) x m Arnoldi
+    factorization, and their residuals |h[m, m-1] * y[m-1]|."""
+    m = hess.shape[1]
+    theta, vectors = np.linalg.eig(hess[:m])
+    largest = np.argsort(-np.abs(theta), kind="stable")[:k]
+    return theta[largest], np.abs(hess[m, m - 1] * vectors[m - 1, largest])
 
-    (A - sigma*I)^(-1) is applied through one band LU factorization, and
-    its k = levels + KRYLOV_EXTRA eigenvalues theta of largest modulus
-    give the k eigenvalues sigma + 1/theta of A nearest sigma.
-    With S = W^(1/2) A W^(-1/2), every eigenvalue has Re >= lo, the lowest
-    eigenvalue of the Hermitian part of S, and |Im| <= s, a Gershgorin
-    bound on its skew part.  The shift sigma sits below lo; every
-    eigenvalue left out lies at distance >= r_k (the largest returned
+
+def _largest_ritz_values(solve, n: int, k: int, dtype) -> np.ndarray | None:
+    """The k eigenvalues of largest modulus of the operator ``solve``, or
+    None when they do not converge before the basis reaches its cap.
+
+    The basis grows to 2k vectors, then by KRYLOV_STEP or an eighth at a
+    time, and the Ritz values are checked at each of those sizes: they
+    have converged when every residual is at most KRYLOV_RTOL*|theta|.
+    The basis stops at KRYLOV_CAP*k vectors, or at n.  The sizes checked
+    depend on n and k alone.
+    """
+    cap = min(n, KRYLOV_CAP * k)
+    sizes = [min(cap, 2 * k)]
+    while sizes[-1] < cap:
+        sizes.append(min(cap, sizes[-1] + max(KRYLOV_STEP, sizes[-1] // 8)))
+    for hess in _arnoldi(solve, n, dtype, sizes):
+        theta, residual = _largest_ritz(hess, k)
+        if np.all(residual <= KRYLOV_RTOL * np.abs(theta)):
+            return theta
+    return None
+
+
+def _floor_tolerance(x: float) -> float:
+    return FLOOR_RTOL * max(1.0, abs(x))
+
+
+def _hermitian_floor(herm: np.ndarray) -> float | None:
+    """A point x below every eigenvalue of the Hermitian band ``herm``,
+    certified by a Cholesky factorization of herm - x*I, and within about
+    _floor_tolerance of the lowest; None when the band is not finite or
+    even the Gershgorin bound fails the test.
+
+    The lowest eigenvalue lies between x, which starts a little below
+    the Gershgorin bound, and an upper bound hi, which starts at the least
+    diagonal entry.  After each new factorization, FLOOR_KRYLOV Arnoldi
+    steps on (herm - x*I)^(-1) give its largest Ritz value theta with
+    residual r: x + 1/theta is an upper bound, and x + 1/(theta + r)
+    estimates the eigenvalue from below.  That estimate, at most
+    hi - tolerance/2, is tested next.  Where the test passes it becomes x;
+    where it fails it becomes hi, and the midpoint of x and hi is tested
+    next.  The search stops when hi - x is within the tolerance or after
+    FLOOR_FACTORS factorizations; x is certified either way.
+    """
+    band = _real_if_possible(herm)
+    n, bw = band.shape[1], (band.shape[0] - 1) // 2
+    # |herm| is symmetric, so its column sums are its Gershgorin row sums;
+    # the least diagonal entry is a Rayleigh quotient, so an upper bound
+    radius = np.abs(band).sum(axis=0) - np.abs(band[bw])
+    lo = float((band[bw].real - radius).min())
+    if not math.isfinite(lo):  # a non-finite band: the dense fallback fails
+        return None
+    lo -= _floor_tolerance(lo)
+    hi = float(band[bw].real.min())
+    solve = _band_solver(band, lo, definite=True)
+    if solve is None:
+        return None
+    for _ in range(FLOOR_FACTORS - 1):
+        if solve is not None and hi - lo > _floor_tolerance(hi):
+            hess = next(_arnoldi(solve, n, band.dtype, [min(n, FLOOR_KRYLOV)]))
+            theta, residual = (float(v[0].real)
+                               for v in _largest_ritz(hess, 1))
+            hi = min(hi, lo + 1.0 / theta)
+            trial = min(lo + 1.0 / (theta + residual),
+                        hi - 0.5 * _floor_tolerance(hi))
+        if hi - lo <= _floor_tolerance(hi):
+            break
+        solve = _band_solver(band, trial, definite=True)
+        if solve is None:
+            hi, trial = trial, 0.5 * (lo + trial)
+        else:
+            lo = trial
+    return lo
+
+
+def _certified_shift_invert(a: MatrixOp, levels: int,
+                            hermitian: bool = False) -> Spectrum | None:
+    """Lowest ``levels`` eigenvalues of A by shift-invert Arnoldi, or None
+    when k = levels + KRYLOV_EXTRA is n - 1 or more, the floor lo cannot
+    be certified, the Ritz values do not converge or the result cannot be
+    certified.
+    ``hermitian`` means A is a Hermitian band (S itself, as eigs
+    symmetrizes it), and the values are real.
+
+    The solve runs on S = W^(1/2) A W^(-1/2) = herm + skew, split by
+    _hermitian_and_skew.  (S - sigma*I)^(-1) is applied through one band
+    factorization (_band_solver), and its k eigenvalues theta of largest
+    modulus give the k eigenvalues sigma + 1/theta of S nearest sigma.
+    Every eigenvalue has Re >= lo, a certified floor under the Hermitian
+    part (_hermitian_floor), and |Im| <= s, a Gershgorin bound on the skew
+    part (0 when Hermitian).
+    The shift sigma sits below lo, so herm - sigma*I >= SHIFT_DEPTH*s*I
+    while ||skew|| <= s: the factored matrix has a positive definite
+    Hermitian part and needs no pivoting.
+    Every eigenvalue left out lies at distance >= r_k (the largest returned
     distance), hence has (Re - sigma)^2 >= r_k^2 - s^2.  When that exceeds
     (x_L - sigma)^2, x_L the real part of the last kept level, no
     eigenvalue left out can sort before the kept ones.
@@ -411,19 +592,20 @@ def _certified_shift_invert(a: MatrixOp, levels: int) -> Spectrum | None:
     k = levels + KRYLOV_EXTRA
     if k >= n - 1:
         return None
-    herm, skew = _hermitian_and_skew(a)
-    lo = float(_lowest_hermitian(herm, 1)[0])
-    # |skew| is symmetric, so its column sums are its Gershgorin row sums
-    s = float(np.abs(skew).sum(axis=0).max())
-    sigma = lo - SHIFT_DEPTH * max(s, 1e-3 * max(1.0, abs(lo)))
-    band = _real_if_possible(a.matrix)
-    solve = _band_lu_solver(band, sigma)
-    if solve is None:
+    herm, skew = (a.matrix, None) if hermitian else _hermitian_and_skew(a)
+    lo = _hermitian_floor(herm)
+    if lo is None:
         return None
-    theta = _largest_ritz_values(solve, n, k, band.dtype)
+    # |skew| is symmetric, so its column sums are its Gershgorin row sums
+    s = 0.0 if skew is None else float(np.abs(skew).sum(axis=0).max())
+    sigma = lo - SHIFT_DEPTH * max(s, _floor_tolerance(lo))
+    band = _real_if_possible(herm if skew is None else herm + skew)
+    theta = _largest_ritz_values(_band_solver(band, sigma), n, k, band.dtype)
     if theta is None:
         return None
     values = sigma + 1.0 / theta
+    if skew is None:
+        values = values.real
     kept = _sorted_eigenvalues(values)[:levels]
     r_k = float(np.abs(values - sigma).max())
     if r_k ** 2 - s ** 2 < (kept[-1].real - sigma) ** 2:
@@ -434,27 +616,25 @@ def _certified_shift_invert(a: MatrixOp, levels: int) -> Spectrum | None:
 def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
     """The lowest ``levels`` eigenvalues of a band operator.
 
-    kind="general" picks its solver by grid size.  Up to DIRECT_MAX_N it
-    solves the dense nonsymmetric problem at once ("dense"): that finds
-    every eigenvalue, so none can be missed.  Above it, certified
-    shift-invert Arnoldi runs on the band's LU factors ("shift-invert",
-    see _certified_shift_invert) and falls back to the dense solve
-    ("dense-fallback") when that is impossible (levels close to n, a
-    singular shifted band), unconverged or uncertified; above DENSE_MAX_N
-    the dense solve raises LinAlgError instead.
-    kind="selfadjoint-weighted" symmetrizes via S = W^(1/2) A W^(-1/2),
-    requires S to be Hermitian (A equal to its weighted adjoint) within a
-    small relative slack, and solves the Hermitian band problem.
+    kind="general" solves A; kind="selfadjoint-weighted" requires
+    S = W^(1/2) A W^(-1/2) to be Hermitian (A equal to its weighted
+    adjoint) within a small relative slack, and solves S as a Hermitian
+    problem with real eigenvalues.  Either kind picks its solver by grid
+    size.  Up to DIRECT_MAX_N it solves the dense problem at once
+    ("dense"): that finds every eigenvalue, so none can be missed.  Above
+    it, certified shift-invert Arnoldi runs on a band factorization
+    ("shift-invert", see _certified_shift_invert) and falls back to the
+    dense solve ("dense-fallback") when that is impossible (levels close
+    to n), unconverged or uncertified; above DENSE_MAX_N the dense solve
+    raises LinAlgError instead.
     """
     levels = int(levels)
     if not 0 < levels <= a.grid.n:
         raise ValueError(f"levels must be between 1 and n = {a.grid.n}")
-    if kind == "general":
-        if a.grid.n <= DIRECT_MAX_N:
-            return _dense_spectrum(a, levels, "dense")
-        return (_certified_shift_invert(a, levels)
-                or _dense_spectrum(a, levels, "dense-fallback"))
-    if kind == "selfadjoint-weighted":
+    if kind not in ("general", "selfadjoint-weighted"):
+        raise ValueError(f"unknown eigensolver kind {kind!r}")
+    hermitian = kind == "selfadjoint-weighted"
+    if hermitian:
         herm, skew = _hermitian_and_skew(a)
         # largest entries: a sum of squares would overflow on a huge grid;
         # S - S^H = 2*skew, which is A - A^+_w itself at uniform weights
@@ -463,9 +643,11 @@ def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
         if gap > SELFADJOINT_RTOL * max(norm, 1.0):
             raise ValueError("matrix is not self-adjoint under the grid "
                              f"inner product (gap {gap:.3e}, norm {norm:.3e})")
-        vals = _lowest_hermitian(herm, levels)
-        return Spectrum(np.asarray(vals, dtype=complex), "eig_banded")
-    raise ValueError(f"unknown eigensolver kind {kind!r}")
+        a = MatrixOp(herm, a.grid)
+    if a.grid.n <= DIRECT_MAX_N:
+        return _dense_spectrum(a, levels, "dense", hermitian)
+    return (_certified_shift_invert(a, levels, hermitian)
+            or _dense_spectrum(a, levels, "dense-fallback", hermitian))
 
 
 def gaussian_state(grid: Grid, center: float = 0.0, width: float = 1.0) -> np.ndarray:

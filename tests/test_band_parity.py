@@ -7,11 +7,12 @@ must agree to 1e-10 relative.  The general eigensolver's two paths are
 checked against each other: the direct dense solve that small grids take
 and the certified shift-invert Arnoldi on the sweep's grids.  Above
 DIRECT_MAX_N its fallback to the dense solve is exercised and named for
-each way it can fail: a singular shifted band, Ritz values that do not
-converge, too little room beyond the levels and an uncertified result.
-numpy's dense solve is checked against scipy's on the sweep's grids, and
-child processes show which scipy modules each solver path loads: none
-on small grids, scipy.linalg alone above them, and never scipy.sparse.
+each way it can fail: Ritz values that do not converge, too little room
+beyond the levels and an uncertified result.  The kernels under
+shift-invert are checked against dense solves: the Schur-complement band
+solve, and the certified floor under the Hermitian part that places the
+shift.  numpy's dense solve is checked against scipy's on the sweep's
+grids, and child processes show that no command loads any scipy module.
 The banded assembly and transforms are checked to stay O(n) in memory.
 """
 
@@ -30,15 +31,20 @@ from swanson.checks import (
     PROBE_WIDTH,
     _hamiltonian_for,
     _metric_for,
+    _spectrum_operator,
     check_numeric_residual,
     check_spectrum,
 )
 from swanson.grids import (
     DIRECT_MAX_N,
     KRYLOV_EXTRA,
+    SCHUR_ROWS,
     MatrixOp,
-    _band_lu_solver,
+    _band_solver,
     _certified_shift_invert,
+    _floor_tolerance,
+    _hermitian_and_skew,
+    _hermitian_floor,
     assemble_matrix,
     build_grid,
     eigs,
@@ -96,9 +102,8 @@ def test_spectrum_matches_dense(case):
     expected = _dense_spectrum(params, grid, 6)
     np.testing.assert_allclose(_levels(result), expected,
                                rtol=PARITY_RTOL, atol=PARITY_RTOL)
-    ladder = ladder_obstruction(params) is None
-    solver = "eig_banded" if ladder else "shift-invert"
-    assert result.details["solver"] == solver
+    # every case is above DIRECT_MAX_N, ladder (Hermitian) or not
+    assert result.details["solver"] == "shift-invert"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -182,13 +187,11 @@ def test_numpy_and_scipy_dense_solves_agree(beta, n, p_max):
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SCIPY_MODULES = ("scipy", "scipy.linalg")
 LOADED_SCIPY = """
 import sys
 from swanson.cli import main
 code = main(sys.argv[1:] + ["--out", "{out}"])
-sparse = any(name.startswith("scipy.sparse") for name in sys.modules)
-print(code, *(name in sys.modules for name in {modules}), sparse)
+print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
@@ -200,27 +203,32 @@ def _child(args):
     return done.stdout.split()
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    # every grid takes the dense general path, solved by numpy
+@pytest.mark.parametrize("argv", [
+    # every grid takes the dense general path
     pytest.param(["sweep", "--omega", "1", "--lambda", "-0.5", "--delta", "0.5",
-                  "--pmax", "20", "--n", "201", "--beta-grid", "0.01,1"], (),
+                  "--pmax", "20", "--n", "201", "--beta-grid", "0.01,1"],
                  id="small-sweep"),
-    # the hermitized spectrum needs eig_banded (p_max 6: at the default 10
-    # the n = 201 grid misses the ladder by more than its 1e-4 tolerance)
+    # the hermitized spectrum on a small grid: the dense Hermitian solve
+    # (p_max 6: at the default 10 the n = 201 grid misses the ladder by
+    # more than its 1e-4 tolerance)
     pytest.param(["verify", "--omega", "1", "--lambda", "-0.5", "--delta", "0.5",
-                  "--pmax", "6", "--n", "201"], ("scipy", "scipy.linalg"),
-                 id="flat-verify"),
-    # grids above DIRECT_MAX_N take certified shift-invert on the band LU
+                  "--pmax", "6", "--n", "201"], id="flat-verify"),
+    # the verify-flat workload: Hermitian shift-invert on n = 501..2001
+    pytest.param(["verify", "--omega", "1", "--lambda", "-0.5", "--delta", "0.5",
+                  "--n", "2001"], id="flat-verify-large"),
+    # general grids above DIRECT_MAX_N take certified shift-invert
     pytest.param(["verify", "--omega", "1.3", "--lambda", "0.2", "--delta", "-0.4",
-                  "--beta", "0.05", "--pmax", "40", "--n", "501"], SCIPY_MODULES,
+                  "--beta", "0.05", "--pmax", "40", "--n", "501"],
                  id="deformed-verify"),
+    pytest.param(["spectrum", "--omega", "1", "--lambda", "-0.5", "--delta", "0.5",
+                  "--beta", "0.1", "--pmax", "20", "--n", "401"],
+                 id="deformed-spectrum"),
 ])
-def test_krylov_stack_loads_only_above_the_direct_size(argv, loaded, tmp_path):
-    script = LOADED_SCIPY.format(out=tmp_path / "report.json",
-                                 modules=SCIPY_MODULES)
-    # no path loads any scipy.sparse module
-    assert _child(["-c", script, *argv]) == (
-        ["0"] + [str(name in loaded) for name in SCIPY_MODULES] + ["False"])
+def test_krylov_stack_loads_only_above_the_direct_size(argv, tmp_path):
+    # the name is kept from when grids above DIRECT_MAX_N loaded scipy;
+    # now no command loads any scipy module, at any grid size
+    script = LOADED_SCIPY.format(out=tmp_path / "report.json")
+    assert _child(["-c", script, *argv]) == ["0", "[]"]
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -240,20 +248,70 @@ def test_arpack_failure_falls_back_to_dense(monkeypatch):
                                rtol=PARITY_RTOL, atol=PARITY_RTOL)
 
 
-def test_singular_shifted_band_takes_dense_fallback(monkeypatch):
-    # On a diagonal operator the bound lo is its lowest entry; at zero
-    # depth the shift equals it and *gbtrf meets an exactly zero pivot
+def test_zero_shift_depth_certifies_the_diagonal_operator(monkeypatch):
+    # On a diagonal operator the Gershgorin bound is its lowest entry, 0.
+    # The floor is certified strictly below it, so even at zero depth the
+    # shifted band is nonsingular and shift-invert certifies the levels.
     grid = build_grid(261, 10.0)
     assert grid.n > DIRECT_MAX_N
     band = np.zeros((5, grid.n), dtype=complex)
     band[2] = np.arange(grid.n)
     operator = MatrixOp(band, grid)
-    assert _band_lu_solver(band, 0.0) is None
-    assert eigs(operator, "general", 3).solver == "shift-invert"
+    lo = _hermitian_floor(band)
+    assert -_floor_tolerance(0.0) <= lo < 0.0
     monkeypatch.setattr("swanson.grids.SHIFT_DEPTH", 0.0)
-    spectrum = eigs(operator, "general", 3)
-    assert spectrum.solver == "dense-fallback"
-    np.testing.assert_array_equal(spectrum.eigenvalues, [0.0, 1.0, 2.0])
+    for kind in ("general", "selfadjoint-weighted"):
+        spectrum = eigs(operator, kind, 3)
+        assert spectrum.solver == "shift-invert"
+        np.testing.assert_allclose(spectrum.eigenvalues, [0.0, 1.0, 2.0],
+                                   rtol=0.0, atol=1e-10)
+
+
+def _random_band(rng, bw, n, complex_entries):
+    """A diagonally dominant band in MatrixOp layout, zero outside the
+    matrix, and its dense image."""
+    band = rng.standard_normal((2 * bw + 1, n))
+    if complex_entries:
+        band = band + 1j * rng.standard_normal((2 * bw + 1, n))
+    band[bw] += 4.0 * bw + 4.0
+    operator = MatrixOp(band, build_grid(n, 1.0))
+    band[~operator.slot_rows()[1]] = 0.0
+    return band, operator.to_dense()
+
+
+# n = 5 and 13 fit in one interior of SCHUR_ROWS rows; 301 and 1201 are
+# no multiple of an interior and its separator (SCHUR_ROWS + bw rows),
+# and take three levels of Schur complements
+@pytest.mark.parametrize("complex_entries", (False, True), ids=("real", "complex"))
+@pytest.mark.parametrize("n", (5, 13, 301, 1201))
+@pytest.mark.parametrize("bw", (1, 2))
+def test_band_solve_matches_dense(bw, n, complex_entries):
+    assert n < SCHUR_ROWS or n % (SCHUR_ROWS + bw)
+    rng = np.random.default_rng(n + bw)
+    band, dense = _random_band(rng, bw, n, complex_entries)
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    shift = 0.5
+    expected = np.linalg.solve(dense - shift * np.eye(n), rhs)
+    got = _band_solver(band, shift)(rhs)
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_hermitian_floor_is_certified_and_tight(case):
+    params, grid = CASES[case]
+    operator = assemble_matrix(_spectrum_operator(params), grid)
+    if ladder_obstruction(params) is not None:
+        operator = similarity_transform(operator, _metric_for(params) / 2.0)
+    herm, _ = _hermitian_and_skew(operator)
+    lowest = scipy.linalg.eigvalsh(MatrixOp(herm, grid).to_dense(),
+                                   subset_by_index=(0, 0))[0]
+    lo = _hermitian_floor(herm)
+    assert lowest - _floor_tolerance(lowest) <= lo < lowest
+    # the positive definite test is sharp: just above the lowest
+    # eigenvalue the shifted band has no Cholesky factor
+    assert _band_solver(herm, lo, definite=True) is not None
+    above = lowest + 1e-6 * max(1.0, abs(lowest))
+    assert _band_solver(herm, above, definite=True) is None
 
 
 def test_levels_beyond_grid_rejected():

@@ -345,6 +345,19 @@ class TestEigs:
         with pytest.raises(NUMERIC_ERRORS):
             eigs(a, "general", 3)
 
+    @pytest.mark.parametrize("kind", ("general", "selfadjoint-weighted"))
+    def test_nonfinite_band_above_the_direct_size_fails_in_the_fallback(
+            self, kind):
+        # shift-invert gives up on a band it cannot bound, and the dense
+        # fallback raises numpy's LinAlgError, a numeric error
+        _, h0 = h0_momentum(P1)
+        grid = build_grid(301, 5.0)
+        a = assemble_matrix(h0.conjugate_gaussian(gaussian_alpha(P1) / 2.0), grid)
+        assert grid.n > swanson.grids.DIRECT_MAX_N
+        a.matrix[2, 150] = math.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            eigs(a, kind, 3)
+
     def test_nonhermitized_general_spectrum_is_real(self):
         # pseudo-Hermiticity consequence: even without hermitizing, the
         # low-lying eigenvalues of the assembled operator are real and
@@ -361,7 +374,7 @@ class TestEigs:
         a = assemble_matrix(h0, build_grid(301, 8.0), 4)
         assert a.grid.n > swanson.grids.DIRECT_MAX_N
         monkeypatch.setattr(swanson.grids, "_certified_shift_invert",
-                            lambda a, levels: None)
+                            lambda *args: None)
         assert eigs(a, "general", 3).solver == "dense-fallback"
         monkeypatch.setattr(swanson.grids, "DENSE_MAX_N", 299)
         with pytest.raises(np.linalg.LinAlgError,
@@ -383,7 +396,7 @@ class TestEigs:
             for n in (direct_max, direct_max + 2))
         assert eigs(large, "general", 3).solver == "shift-invert"
 
-        def krylov(a, levels):
+        def krylov(*args):
             raise AssertionError("shift-invert ran on a grid it must not see")
 
         monkeypatch.setattr(swanson.grids, "_certified_shift_invert", krylov)
