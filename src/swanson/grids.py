@@ -11,9 +11,10 @@ available as exact matrix operations with respect to those weights.
 Every operator of the model has derivative order <= 2, so its image is a
 band matrix of half-bandwidth bw = fd_order/2 (pentadiagonal at fourth
 order).  It is stored, transformed and diagonalised as its 2*bw+1
-diagonals: memory and assembly are O(n).  Only the dense eigensolves
-form an n x n array: on grids of n <= DIRECT_MAX_N, and as the fallback
-of the certified shift-invert solver above that size.
+diagonals, aligned by matrix row: memory and assembly are O(n).  Only
+the dense eigensolves form an n x n array: on grids of n <=
+DIRECT_MAX_N, and as the fallback of the certified shift-invert solver
+above that size.
 
 Every solver is numpy.  The dense solves are numpy's LAPACK *geev
 (general) and *syevd/*heevd (self-adjoint).  Above DIRECT_MAX_N both
@@ -144,10 +145,10 @@ def build_grid(n: int, p_max: float, beta: float = 0.0) -> Grid:
 class MatrixOp:
     """Complex band-matrix image of an operator on a grid.
 
-    ``matrix`` has shape (2*bw+1, n) and holds the diagonals in LAPACK
-    general-band layout, ``matrix[bw + i - j, j] = A[i, j]``: row r is the
-    diagonal i - j = r - bw, aligned by column.  Slots that fall outside
-    the n x n matrix are zero.
+    ``matrix`` has shape (2*bw+1, n) and holds the diagonals aligned by
+    matrix row, ``matrix[bw + i - j, i] = A[i, j]``: row r is the diagonal
+    i - j = r - bw, and column i is row i of A, the operator's stencil at
+    p_i.  Slots that fall outside the n x n matrix are zero.
     """
 
     matrix: np.ndarray
@@ -157,47 +158,37 @@ class MatrixOp:
     def bw(self) -> int:
         return (self.matrix.shape[0] - 1) // 2
 
-    def slot_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Matrix row i of every band slot (clipped into range) and the
+    def slot_cols(self) -> tuple[np.ndarray, np.ndarray]:
+        """Matrix column j of every band slot (clipped into range) and the
         mask of slots inside the matrix."""
         bw, n = self.bw, self.grid.n
-        rows = np.arange(n) + np.arange(-bw, bw + 1)[:, None]
-        inside = (rows >= 0) & (rows < n)
-        return np.clip(rows, 0, n - 1), inside
+        cols = np.arange(n) + np.arange(bw, -bw - 1, -1)[:, None]
+        inside = (cols >= 0) & (cols < n)
+        return np.clip(cols, 0, n - 1), inside
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         """Matrix-vector product A @ vector."""
-        return _sum_rows(self.matrix * vector, *self.slot_rows())
+        cols, inside = self.slot_cols()
+        return np.where(inside, self.matrix * vector[cols], 0.0).sum(axis=0)
 
     def abs_row_sums(self) -> np.ndarray:
         """sum_j |A_ij| for every row i."""
-        return _sum_rows(np.abs(self.matrix), *self.slot_rows())
+        return np.abs(self.matrix).sum(axis=0)
 
     def to_dense(self) -> np.ndarray:
-        rows, inside = self.slot_rows()
-        cols = np.broadcast_to(np.arange(self.grid.n), rows.shape)
+        cols, inside = self.slot_cols()
+        rows = np.broadcast_to(np.arange(self.grid.n), cols.shape)
         dense = np.zeros((self.grid.n, self.grid.n), dtype=self.matrix.dtype)
         dense[rows[inside], cols[inside]] = self.matrix[inside]
         return dense
 
 
-def _sum_rows(values: np.ndarray, rows: np.ndarray,
-              inside: np.ndarray) -> np.ndarray:
-    """Sum of a band-shaped array over the slots of each matrix row."""
-    n = rows.shape[1]
-    index, values = rows[inside], values[inside]
-    total = np.bincount(index, values.real, n)
-    if np.iscomplexobj(values):
-        total = total + 1j * np.bincount(index, values.imag, n)
-    return total
-
-
-def _conj_transpose(band: np.ndarray, rows: np.ndarray,
+def _conj_transpose(band: np.ndarray, cols: np.ndarray,
                     inside: np.ndarray) -> np.ndarray:
     """Band of A^H: diagonal i - j = m of A^H is the conjugate of
-    diagonal -m of A, shifted by m along the columns."""
+    diagonal -m of A, shifted by m along the band."""
     return np.where(inside,
-                    np.take_along_axis(band[::-1], rows, axis=1).conj(), 0.0)
+                    np.take_along_axis(band[::-1], cols, axis=1).conj(), 0.0)
 
 
 def derivative_matrix(grid: Grid, order: int, fd_order: int = 4) -> MatrixOp:
@@ -216,8 +207,8 @@ def derivative_matrix(grid: Grid, order: int, fd_order: int = 4) -> MatrixOp:
     band = np.zeros((2 * bw + 1, n), dtype=complex)
     scale = grid.h ** order
     for offset, coeff in _STENCILS[key].items():
-        # entry (i, i + offset) sits in row bw - offset, column i + offset
-        band[bw - offset, max(offset, 0):n + min(offset, 0)] = coeff / scale
+        # entry (i, i + offset) sits in row bw - offset, column i
+        band[bw - offset, max(-offset, 0):n + min(-offset, 0)] = coeff / scale
     return MatrixOp(band, grid)
 
 
@@ -234,13 +225,12 @@ def assemble_matrix(op: DiffOp, grid: Grid, fd_order: int = 4) -> MatrixOp:
     bw = fd_order // 2
     out = MatrixOp(np.zeros((2 * bw + 1, grid.n), dtype=complex), grid)
     band = out.matrix
-    rows, _ = out.slot_rows()
     for b, fn in op.terms:
         values = np.asarray(fn(grid.points), dtype=complex)
         if b == 0:
             band[bw] += values
         else:
-            band += values[rows] * derivative_matrix(grid, b, fd_order).matrix
+            band += values * derivative_matrix(grid, b, fd_order).matrix
     return out
 
 
@@ -248,8 +238,8 @@ def weighted_adjoint(a: MatrixOp) -> MatrixOp:
     """Adjoint with respect to the grid's weighted inner product:
     W^(-1) @ A^H @ W with W = diag(weights)."""
     w = a.grid.weights
-    rows, inside = a.slot_rows()
-    return MatrixOp(_conj_transpose(a.matrix, rows, inside) * (w / w[rows]),
+    cols, inside = a.slot_cols()
+    return MatrixOp(_conj_transpose(a.matrix, cols, inside) * (w[cols] / w),
                     a.grid)
 
 
@@ -268,16 +258,16 @@ def similarity_transform(a: MatrixOp, exponent: float) -> MatrixOp:
     overflowing metric entries; the half metric eta^(1/2) is the exponent
     halved.  A metric too steep for the grid raises ValueError naming the
     non-finite entries."""
-    rows, _ = a.slot_rows()
+    cols, _ = a.slot_cols()
     # overflow to inf, and inf - inf or 0 * inf to nan, are caught below
     with np.errstate(over="ignore", invalid="ignore"):
         log_diag = metric_log_diagonal(exponent, a.grid)
-        ratio = np.where(a.matrix != 0, log_diag[rows] - log_diag, 0.0)
+        ratio = np.where(a.matrix != 0, log_diag - log_diag[cols], 0.0)
         out = a.matrix * np.exp(ratio)
     bad = ~np.isfinite(out)
     if np.any(bad):
-        slot, cols = np.nonzero(bad)
-        where = list(zip(rows[slot, cols][:5].tolist(), cols[:5].tolist()))
+        slot, rows = np.nonzero(bad)
+        where = list(zip(rows[:5].tolist(), cols[slot, rows][:5].tolist()))
         raise ValueError(f"non-finite transformed entries at {where}")
     return MatrixOp(out, a.grid)
 
@@ -291,11 +281,10 @@ class Spectrum:
     eigenvalues are real.  Values repeat bit for bit per host and BLAS
     thread count.  On the sweep's nearly normal deformed grids (n <= 201,
     p_max <= 20, beta up to 3) the "dense" levels were also bit for bit
-    the same at one and two BLAS threads, and scipy's *geev agreed with
-    them within 0.163 eps*||A||_F.  Far from normal (omega < lambda + delta) the levels are
-    ill-conditioned and no such bound holds: at (1, 1.3, -0.2), n = 301,
-    scipy's *geev at two threads moved the lowest "dense-fallback" levels
-    by 26-65% relative, while numpy's were the same at one and two."""
+    the same at one and two BLAS threads.  Far from normal (omega <
+    lambda + delta) the levels are ill-conditioned, yet at (1, 1.3, -0.2),
+    n = 301, the lowest "dense-fallback" levels were still the same at one
+    and two threads."""
 
     eigenvalues: np.ndarray
     solver: str
@@ -315,9 +304,9 @@ def _hermitian_and_skew(a: MatrixOp) -> tuple[np.ndarray, np.ndarray]:
     S = W^(1/2) A W^(-1/2), which is similar to A and Hermitian exactly
     when A is self-adjoint under the grid inner product."""
     sqrt_w = np.sqrt(a.grid.weights)
-    rows, inside = a.slot_rows()
-    sym = a.matrix * (sqrt_w[rows] / sqrt_w)
-    sym_h = _conj_transpose(sym, rows, inside)
+    cols, inside = a.slot_cols()
+    sym = a.matrix * (sqrt_w / sqrt_w[cols])
+    sym_h = _conj_transpose(sym, cols, inside)
     return 0.5 * (sym + sym_h), 0.5 * (sym - sym_h)
 
 
@@ -343,36 +332,13 @@ def _matvec(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (blocks @ x[..., None])[..., 0]
 
 
-def _block_tridiagonal(band: np.ndarray, shift: float):
-    """A - shift*I for the band matrix A in MatrixOp layout, as a block
-    tridiagonal matrix of bw x bw blocks: the stacks D (diagonal), L
-    (block row t, column t-1) and U (row t, column t+1).  Rows past n are
-    padded out as an identity."""
-    bw = (band.shape[0] - 1) // 2
-    n = band.shape[1]
-    count = -(-n // bw)
-    rows = np.arange(count)[:, None, None] * bw + np.arange(bw)[:, None]
-    stacks = []
-    for offset in (-1, 0, 1):
-        cols = rows.transpose(0, 2, 1) + offset * bw
-        diagonal = rows - cols
-        inside = ((np.abs(diagonal) <= bw) & (cols >= 0) & (cols < n)
-                  & (rows < n))
-        entries = band[np.clip(bw + diagonal, 0, 2 * bw),
-                       np.clip(cols, 0, n - 1)]
-        stacks.append(np.where(inside, entries, 0.0))
-    lower, diag, upper = stacks
-    pivots = np.arange(bw)
-    diag[:, pivots, pivots] -= np.where(rows[:, :, 0] < n, shift, -1.0)
-    return diag, lower, upper
-
-
 def _schur_solver(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                   definite: bool):
-    """f -> M^(-1) f for the block tridiagonal M of ``_block_tridiagonal``,
-    by nested Schur complements; None when ``definite`` and M is not
-    Hermitian positive definite.  f may be shorter than M, standing for
-    its leading rows with zeros below.
+    """f -> M^(-1) f for the block tridiagonal M of b x b blocks given by
+    the stacks ``diag`` (block row t, column t), ``lower`` (t, t-1) and
+    ``upper`` (t, t+1), by nested Schur complements; None when
+    ``definite`` and M is not Hermitian positive definite.  f may be
+    shorter than M, standing for its leading rows with zeros below.
 
     The blocks are grouped into interiors of g = SCHUR_ROWS/b blocks, each
     followed by one separator block.  No two interiors touch, so all are
@@ -390,6 +356,9 @@ def _schur_solver(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     stack and the last Schur complement have a Cholesky factor (Sylvester's
     law of inertia), which ``definite`` tests.
     """
+    # the stacked products below round differently for stacks in other
+    # memory orders, so every solve starts from C order
+    diag, lower, upper = map(np.ascontiguousarray, (diag, lower, upper))
     count, b = diag.shape[:2]
     g = min(count, max(1, SCHUR_ROWS // b))
     parts = -(-(count + 1) // (g + 1))
@@ -450,8 +419,28 @@ def _schur_solver(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray,
 def _band_solver(band: np.ndarray, shift: float, definite: bool = False):
     """x -> (A - shift*I)^(-1) x for the band matrix A in MatrixOp layout,
     or None when ``definite`` and A - shift*I is not Hermitian positive
-    definite (see _schur_solver)."""
-    return _schur_solver(*_block_tridiagonal(band, shift), definite)
+    definite (see _schur_solver).
+
+    A - shift*I is factored as a block tridiagonal matrix of bw x bw
+    blocks, with rows past n padded out as an identity.  Block row t is
+    then band columns t*bw ... t*bw + bw - 1, and its entry (a, c) in
+    block column t + o is band slot bw + a - c - o*bw of column t*bw + a.
+    """
+    bw = (band.shape[0] - 1) // 2
+    n = band.shape[1]
+    count = -(-n // bw)
+    padded = np.zeros((2 * bw + 1, count * bw), dtype=band.dtype)
+    padded[:, :n] = band
+    padded[bw, :n] -= shift
+    padded[bw, n:] = 1.0
+    blocks = padded.reshape(2 * bw + 1, count, bw)
+    row = np.arange(bw)[:, None]
+    slot = bw + row - np.arange(bw)
+    lower, diag, upper = (
+        np.where(((s >= 0) & (s <= 2 * bw))[..., None],
+                 blocks[np.clip(s, 0, 2 * bw), :, row], 0.0).transpose(2, 0, 1)
+        for s in (slot + bw, slot, slot - bw))
+    return _schur_solver(diag, lower, upper, definite)
 
 
 def _arnoldi(solve, n: int, dtype, sizes):
@@ -535,8 +524,8 @@ def _hermitian_floor(herm: np.ndarray) -> float | None:
     """
     band = _real_if_possible(herm)
     n, bw = band.shape[1], (band.shape[0] - 1) // 2
-    # |herm| is symmetric, so its column sums are its Gershgorin row sums;
-    # the least diagonal entry is a Rayleigh quotient, so an upper bound
+    # Gershgorin radii; the least diagonal entry is a Rayleigh quotient,
+    # so an upper bound
     radius = np.abs(band).sum(axis=0) - np.abs(band[bw])
     lo = float((band[bw].real - radius).min())
     if not math.isfinite(lo):  # a non-finite band: the dense fallback fails
@@ -596,7 +585,6 @@ def _certified_shift_invert(a: MatrixOp, levels: int,
     lo = _hermitian_floor(herm)
     if lo is None:
         return None
-    # |skew| is symmetric, so its column sums are its Gershgorin row sums
     s = 0.0 if skew is None else float(np.abs(skew).sum(axis=0).max())
     sigma = lo - SHIFT_DEPTH * max(s, _floor_tolerance(lo))
     band = _real_if_possible(herm if skew is None else herm + skew)

@@ -81,7 +81,7 @@ def from_dense(mat: np.ndarray, grid: Grid) -> MatrixOp:
     n = grid.n
     i, j = np.indices((n, n))
     band = np.zeros((2 * n - 1, n), dtype=complex)
-    band[n - 1 + i - j, j] = mat
+    band[n - 1 + i - j, i] = mat
     return MatrixOp(band, grid)
 
 

@@ -9,10 +9,11 @@ and the certified shift-invert Arnoldi on the sweep's grids.  Above
 DIRECT_MAX_N its fallback to the dense solve is exercised and named for
 each way it can fail: Ritz values that do not converge, too little room
 beyond the levels and an uncertified result.  The kernels under
-shift-invert are checked against dense solves: the Schur-complement band
-solve, and the certified floor under the Hermitian part that places the
-shift.  numpy's dense solve is checked against scipy's on the sweep's
-grids, and child processes show that no command loads any scipy module.
+shift-invert are checked against dense solves: the band product, the
+Schur-complement band solve, whose bits do not depend on the memory
+order of its stacks, and the certified floor under the Hermitian part
+that places the shift, also after a failed trial.  numpy's dense solve
+is checked against scipy's on the sweep's grids, and child processes show that no command loads any scipy module.
 The banded assembly and transforms are checked to stay O(n) in memory.
 """
 
@@ -45,6 +46,8 @@ from swanson.grids import (
     _floor_tolerance,
     _hermitian_and_skew,
     _hermitian_floor,
+    _largest_ritz,
+    _schur_solver,
     assemble_matrix,
     build_grid,
     eigs,
@@ -237,7 +240,7 @@ def test_importing_the_cli_loads_no_scipy():
     assert _child(["-c", script]) == ["[]"]
 
 
-def test_arpack_failure_falls_back_to_dense(monkeypatch):
+def test_unconverged_ritz_values_fall_back_to_dense(monkeypatch):
     # no Ritz value meets a zero tolerance, so the basis reaches its cap
     params, grid = CASES["deformed"]
     monkeypatch.setattr("swanson.grids.KRYLOV_RTOL", 0.0)
@@ -275,7 +278,7 @@ def _random_band(rng, bw, n, complex_entries):
         band = band + 1j * rng.standard_normal((2 * bw + 1, n))
     band[bw] += 4.0 * bw + 4.0
     operator = MatrixOp(band, build_grid(n, 1.0))
-    band[~operator.slot_rows()[1]] = 0.0
+    band[~operator.slot_cols()[1]] = 0.0
     return band, operator.to_dense()
 
 
@@ -294,6 +297,92 @@ def test_band_solve_matches_dense(bw, n, complex_entries):
     expected = np.linalg.solve(dense - shift * np.eye(n), rhs)
     got = _band_solver(band, shift)(rhs)
     assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n", (5, 13, 301))
+@pytest.mark.parametrize("bw", (1, 2))
+def test_apply_and_row_sums_match_dense(bw, n):
+    rng = np.random.default_rng(7 * n + bw)
+    band, dense = _random_band(rng, bw, n, True)
+    operator = MatrixOp(band, build_grid(n, 1.0))
+    vector = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    product = operator.apply(vector)
+    scale = np.abs(dense) @ np.abs(vector)
+    assert np.all(np.abs(product - dense @ vector) <= 1e-14 * scale)
+    np.testing.assert_allclose(operator.abs_row_sums(),
+                               np.abs(dense).sum(axis=1), rtol=1e-15)
+    # a row's product reads only the entries its band touches: the slots
+    # outside the matrix, clipped onto an edge entry, are masked out
+    for k in (0, n - 1):
+        far = np.abs(np.arange(n) - k) > bw
+        assert far.any()
+        for bad in (np.inf, np.nan):
+            poisoned = vector.copy()
+            poisoned[k] = bad
+            with np.errstate(invalid="ignore"):
+                got = operator.apply(poisoned)
+            np.testing.assert_array_equal(got[far], product[far])
+
+
+def _flat_hermitian_band():
+    """The Hermitian band of the hermitized P1 operator on the flat n = 501
+    grid, real, and its grid."""
+    params, grid = CASES["flat"]
+    herm, _ = _hermitian_and_skew(
+        assemble_matrix(_spectrum_operator(params), grid))
+    assert not np.any(herm.imag)
+    return herm.real, grid
+
+
+def test_schur_solve_is_independent_of_memory_order():
+    # The stacks are cut from the dense matrix, padded out as an identity
+    # to whole 2 x 2 blocks.  Stacked products round differently in other
+    # memory orders; the solver starts from C order, so the same stacks in
+    # C and in Fortran order give the same bits.
+    herm, grid = _flat_hermitian_band()
+    n, b = grid.n, 2
+    count = -(-n // b)
+    matrix = np.eye(count * b)
+    matrix[:n, :n] = MatrixOp(herm, grid).to_dense() + np.eye(n)
+    blocks = matrix.reshape(count, b, count, b)
+    t = np.arange(count)
+    diag = blocks[t, :, t]
+    lower, upper = np.zeros_like(diag), np.zeros_like(diag)
+    lower[1:] = blocks[t[1:], :, t[:-1]]
+    upper[:-1] = blocks[t[:-1], :, t[1:]]
+    rhs = np.random.default_rng(0).standard_normal(n)
+    stacks = (diag, lower, upper)
+    c_order = _schur_solver(*map(np.ascontiguousarray, stacks), False)(rhs)
+    f_order = _schur_solver(*map(np.asfortranarray, stacks), False)(rhs)
+    np.testing.assert_array_equal(f_order, c_order)
+
+
+def test_hermitian_floor_recovers_from_a_failed_trial(monkeypatch):
+    # The first Ritz value is halved, so its estimate 1/theta above the
+    # floor is doubled and lands above the lowest eigenvalue, where the
+    # Cholesky test fails; the search must still end on a certified floor.
+    herm, grid = _flat_hermitian_band()
+    calls, failed = [], []
+
+    def overstated(hess, k):
+        theta, residual = _largest_ritz(hess, k)
+        calls.append(theta)
+        return (0.5 * theta if len(calls) == 1 else theta), residual
+
+    def recorded(band, shift, definite=False):
+        solve = _band_solver(band, shift, definite)
+        if solve is None:
+            failed.append(shift)
+        return solve
+
+    monkeypatch.setattr("swanson.grids._largest_ritz", overstated)
+    monkeypatch.setattr("swanson.grids._band_solver", recorded)
+    lo = _hermitian_floor(herm)
+    lowest = scipy.linalg.eigvalsh(MatrixOp(herm, grid).to_dense(),
+                                   subset_by_index=(0, 0))[0]
+    assert failed and min(failed) > lowest
+    assert _band_solver(herm, lo, definite=True) is not None
+    assert lo < lowest
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -324,7 +413,7 @@ def test_levels_beyond_grid_rejected():
 
 @pytest.mark.parametrize("spare, solver", [(0, "shift-invert"),
                                            (1, "dense-fallback")])
-def test_arpack_needs_room_beyond_the_levels(spare, solver):
+def test_shift_invert_needs_room_beyond_the_levels(spare, solver):
     # shift-invert converges levels + KRYLOV_EXTRA eigenvalues and needs
     # that below n - 1; at n - 1 the general solve falls back to dense.
     # At n - 2 the first basis is the whole space, an exact factorization.

@@ -316,7 +316,8 @@ class TestSpectrumCommand:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert max(float(row[4]) for row in rows) > 1e-4
 
-    def test_arpack_error_takes_dense_fallback(self, tmp_path, monkeypatch):
+    def test_unconverged_shift_invert_takes_dense_fallback(self, tmp_path,
+                                                           monkeypatch):
         flags = ["spectrum", *P1_FLAGS, "--beta", "0.1", "--n", "301",
                  "--pmax", "20"]
         certified, fallback = tmp_path / "a.csv", tmp_path / "b.csv"
