@@ -13,7 +13,9 @@ allowed).  This class is closed under all the operations the toolkit
 needs: linear combinations, composition, formal adjoints with respect to
 the measure dp/(1+beta*p^2) (the flat dp at beta = 0), and
 conjugation by the Gaussian metric e^(alpha*p^2) or the power-law metric
-(1+beta*p^2)^e.
+(1+beta*p^2)^e.  Both conjugations and the deformed adjoint are one rule:
+D -> D - 2*alpha*p/(1+beta*p^2) with alpha = e*beta.  The Gaussian is its
+beta -> 0 limit; the adjoint conjugates the flat adjoint by (1+beta*p^2)^1.
 
 Operators are kept normal-ordered (coefficient functions to the left,
 derivative powers to the right), so identity of two operators reduces to
@@ -391,8 +393,8 @@ class DiffOp:
         which is the flat measure dp at beta = 0.
 
         Built from the flat-measure rule (f D^b)^+ = (-1)^b D^b o conj(f),
-        followed at beta > 0 by the sandwich u o A^+ o u^(-1) with
-        u = 1 + beta*p^2.
+        conjugated at beta > 0 by u = 1 + beta*p^2, the power law with
+        exponent 1: u o A^+ o u^(-1) is ``_conjugate_metric(beta)``.
         """
         flat = zero_op(self.beta)
         for b, fn in self.terms:
@@ -401,14 +403,18 @@ class DiffOp:
             flat = flat + (-1) ** b * (d_power * mult)
         if self.beta == 0.0:
             return flat
-        u_plus = DiffOp.from_dict(self.beta, {0: CoeffFn(Poly((1.0,)), 1, self.beta)})
-        u_minus = DiffOp.from_dict(self.beta, {0: CoeffFn(Poly((1.0,)), -1, self.beta)})
-        return u_plus * flat * u_minus
+        return flat._conjugate_metric(self.beta)
 
     # -- metric conjugations -------------------------------------------------------
 
-    def _substitute_derivative(self, d_image: "DiffOp") -> "DiffOp":
-        """Apply the automorphism p -> p, D -> d_image term by term."""
+    def _conjugate_metric(self, alpha: float) -> "DiffOp":
+        """M o A o M^(-1) for M = u^e, u = 1+beta*p^2, alpha = e*beta (M =
+        e^(alpha*p^2) at beta = 0, where u = 1): multiplication operators are
+        fixed and D maps to D - 2*alpha*p*u^(-1), substituted term by term."""
+        d_image = DiffOp.from_dict(self.beta, {
+            1: coeff_const(1.0, self.beta),
+            0: CoeffFn(Poly((0.0, -2.0 * alpha)), -1, self.beta),
+        })
         powers = [identity_op(self.beta)]
         for _ in range(max(self.order, 0)):
             powers.append(powers[-1] * d_image)
@@ -418,29 +424,22 @@ class DiffOp:
         return out
 
     def conjugate_gaussian(self, alpha: float) -> "DiffOp":
-        """Conjugation by e^(alpha*p^2): multiplication operators are fixed
-        and D maps to D - 2*alpha*p.  Only defined at beta = 0."""
+        """Conjugation by e^(alpha*p^2): D maps to D - 2*alpha*p, the
+        beta -> 0 limit of ``conjugate_power_metric`` with alpha =
+        exponent*beta.  Only defined at beta = 0."""
         if self.beta != 0.0:
             raise ValueError("gaussian conjugation requires beta = 0; "
                              "use conjugate_power_metric")
-        d_image = DiffOp.from_dict(0.0, {
-            1: coeff_const(1.0),
-            0: coeff_poly((0.0, -2.0 * alpha)),
-        })
-        return self._substitute_derivative(d_image)
+        return self._conjugate_metric(alpha)
 
     def conjugate_power_metric(self, exponent: float) -> "DiffOp":
-        """Conjugation by (1+beta*p^2)^exponent: multiplication operators are
-        fixed and D maps to D - 2*exponent*beta*p*(1+beta*p^2)^(-1).
-        Only defined at beta > 0."""
+        """Conjugation by (1+beta*p^2)^exponent: D maps to
+        D - 2*alpha*p*(1+beta*p^2)^(-1) with alpha = exponent*beta.  Only
+        defined at beta > 0."""
         if self.beta == 0.0:
             raise ValueError("power-metric conjugation requires beta > 0; "
                              "use conjugate_gaussian")
-        d_image = DiffOp.from_dict(self.beta, {
-            1: coeff_const(1.0, self.beta),
-            0: CoeffFn(Poly((0.0, -2.0 * exponent * self.beta)), -1, self.beta),
-        })
-        return self._substitute_derivative(d_image)
+        return self._conjugate_metric(exponent * self.beta)
 
     # -- inspection ------------------------------------------------------------
 

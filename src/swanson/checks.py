@@ -374,9 +374,10 @@ def check_metric_limit(params: ModelParams) -> CheckResult:
     roundoff = (METRIC_LIMIT_ROUNDOFF * float(np.finfo(float).eps)
                 * abs(alpha) * METRIC_LIMIT_P_RANGE ** 2)
     tolerance = max(3.0 * estimate, roundoff) if estimate > 0 else SYMBOLIC_TOL
-    return _result("metric_limit", np.abs(np.expm1(log_ratio)), tolerance,
-                   {"beta_small": beta_small, "p_range": METRIC_LIMIT_P_RANGE,
-                    "alpha": alpha, "estimate": estimate})
+    with np.errstate(over="ignore"):  # a steep alpha < 0 metric reads inf
+        return _result("metric_limit", np.abs(np.expm1(log_ratio)), tolerance,
+                       {"beta_small": beta_small, "p_range": METRIC_LIMIT_P_RANGE,
+                        "alpha": alpha, "estimate": estimate})
 
 
 # -- numeric checks ------------------------------------------------------------------

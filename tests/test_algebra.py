@@ -26,6 +26,8 @@ from swanson.algebra import (
     p_op,
     zero_op,
 )
+from swanson.checks import draw_params
+from swanson.model import h_deformed, stack_params, with_beta
 
 from oracles import apply_to_poly
 
@@ -35,6 +37,17 @@ def random_coeff(rng, beta, max_degree=2, upow_range=(-1, 1)):
     coeffs = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
     upow = int(rng.integers(*upow_range)) if beta > 0 else 0
     return CoeffFn(Poly(tuple(coeffs)), upow, beta)
+
+
+def same_coefficients(x, y):
+    """True when two operators store the same orders, u powers and
+    coefficients (per draw over a batch)."""
+    if [b for b, _ in x.terms] != [b for b, _ in y.terms]:
+        return False
+    return all(f.upow == g.upow and len(f.poly.coeffs) == len(g.poly.coeffs)
+               and all(np.array_equal(a, c)
+                       for a, c in zip(f.poly.coeffs, g.poly.coeffs))
+               for (_, f), (_, g) in zip(x.terms, y.terms))
 
 
 def random_op(rng, beta, max_order=2, **kwargs):
@@ -291,6 +304,36 @@ class TestAdjoint:
         for beta in (0.0, 0.5):
             mult = DiffOp.from_dict(beta, {0: coeff_poly((1.0, 0.0, 2.5), beta)})
             assert operators_equal(mult.adjoint(), mult).residual < 1e-15
+
+    @staticmethod
+    def sandwich_adjoint(op):
+        # the flat adjoint conjugated by u = 1 + beta*p^2 as the product
+        # u o A^+ o u^(-1) of three operators
+        beta = op.beta
+        flat = zero_op(beta)
+        for b, fn in op.terms:
+            d_power = DiffOp.from_dict(beta, {b: coeff_const(1.0, beta)})
+            mult = DiffOp.from_dict(beta, {0: fn.conjugate()})
+            flat = flat + (-1) ** b * (d_power * mult)
+        u_plus = DiffOp.from_dict(beta, {0: CoeffFn(Poly((1.0,)), 1, beta)})
+        u_minus = DiffOp.from_dict(beta, {0: CoeffFn(Poly((1.0,)), -1, beta)})
+        return u_plus * flat * u_minus
+
+    @pytest.mark.parametrize("beta", [1e-4, 1e-2, 1.0, 100.0])
+    def test_deformed_adjoint_equals_sandwich(self, beta):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            for kwargs in ({}, {"max_degree": 3, "upow_range": (-2, 3)}):
+                op = random_op(rng, beta, **kwargs)
+                assert same_coefficients(op.adjoint(), self.sandwich_adjoint(op))
+
+    @pytest.mark.parametrize("beta", [0.01, 0.1, 1.0])
+    def test_deformed_hamiltonian_adjoint_equals_sandwich(self, beta):
+        rng = np.random.default_rng(24)
+        batch = stack_params([with_beta(draw_params(rng), beta)
+                              for _ in range(30)])
+        h = h_deformed(batch)
+        assert same_coefficients(h.adjoint(), self.sandwich_adjoint(h))
 
     def test_quadrature_oracle(self):
         # <A f, g> == <f, A^+ g> under dp/(1+beta*p^2) by numerical

@@ -227,9 +227,7 @@ def _child(args):
                   "--beta", "0.1", "--pmax", "20", "--n", "401"],
                  id="deformed-spectrum"),
 ])
-def test_krylov_stack_loads_only_above_the_direct_size(argv, tmp_path):
-    # the name is kept from when grids above DIRECT_MAX_N loaded scipy;
-    # now no command loads any scipy module, at any grid size
+def test_no_command_loads_scipy(argv, tmp_path):
     script = LOADED_SCIPY.format(out=tmp_path / "report.json")
     assert _child(["-c", script, *argv]) == ["0", "[]"]
 

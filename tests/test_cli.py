@@ -220,6 +220,20 @@ class TestVerify:
         assert ("non-finite transformed entries"
                 in checks["numeric_residual"]["details"]["error"])
 
+    @pytest.mark.parametrize("flags", [["--delta", "0.399", "--beta", "0.5",
+                                        "--n", "101"],
+                                       ["--delta", "0.39999999", "--n", "11"]])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_steep_metric_limit_fails_without_warnings(self, flags, tmp_path,
+                                                       capsys):
+        # alpha < 0 of a few hundred: expm1 of the metrics' log ratio overflows
+        out = tmp_path / "report.json"
+        assert main(["verify", "--omega", "1", "--lambda", "0.6", *flags,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        checks = {c["name"]: c for c in read_json(out)["checks"]}
+        assert checks["metric_limit"]["residual"] == math.inf
+
     @pytest.mark.parametrize("flags", [["--m", "1e-300"], ["--m", "1e-200"],
                                        ["--hbar", "1e-300"], ["--pmax", "1e-100"]])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -243,6 +257,17 @@ class TestVerify:
         # the deviation there is round-off, above three times the estimate
         assert (3.0 * limit["details"]["estimate"] < limit["residual"]
                 <= limit["tolerance"])
+
+    @pytest.mark.parametrize("beta", ["1e-308", "7e-309"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_power_metric_at_tiniest_beta_passes(self, beta, tmp_path):
+        # the exponent alpha/beta is near the float maximum, and
+        # 2*exponent would overflow before the product with beta
+        out = tmp_path / "report.json"
+        assert main(["verify", *P1_FLAGS, "--beta", beta, "--n", "51",
+                     "--out", str(out)]) == 0
+        checks = {c["name"]: c for c in read_json(out)["checks"]}
+        assert checks["pseudo_hermiticity_deformed"]["residual"] == 0.0
 
     def test_deformed_adds_power_metric_check(self, tmp_path):
         out = tmp_path / "report.json"

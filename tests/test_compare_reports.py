@@ -25,9 +25,9 @@ ARGVS = TOOL_MODULE.ARGVS
 
 
 def test_every_case_is_listed():
-    # three benchmark workloads, eleven verify, five spectrum, one sweep
+    # three benchmark workloads, thirteen verify, five spectrum, one sweep
     assert [argv[0] for argv in ARGVS].count("spectrum") == 5
-    assert len(ARGVS) == 20
+    assert len(ARGVS) == 22
 
 
 @pytest.mark.parametrize("argv", ARGVS)

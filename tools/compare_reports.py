@@ -63,6 +63,8 @@ ARGVS = _workload_argvs() + [
     ["verify", *_model("1.3", "0.2", "-0.4"), "--m", "2", "--hbar", "0.5",
      "--n", "401"],
     ["verify", *_model("1", "-0.0", "0.0"), "--n", "101"],
+    ["verify", *P1, "--beta", "1e-308", "--n", "51"],
+    ["verify", *_model("1", "0.6", "0.399"), "--beta", "0.5", "--n", "101"],
     ["spectrum", *P1, "--n", "301"],
     ["spectrum", *P1, "--beta", "0.1", "--pmax", "20", "--n", "401"],
     ["spectrum", *P1, "--beta", "1", "--pmax", "20", "--n", "201"],
