@@ -238,7 +238,6 @@ def cmd_sweep(config: JobConfig) -> int:
     summary = {"beta": [], "metric_limit_deviation": [],
                "pseudo_hermiticity_residual": [], "numeric_residual": [],
                "passed": []}
-    all_passed = True
     for beta in config.beta_grid:
         params = with_beta(config.params, beta)
         report = run_suite(params, config.suite)
@@ -252,7 +251,6 @@ def cmd_sweep(config: JobConfig) -> int:
         summary["pseudo_hermiticity_residual"].append(pseudo.residual)
         summary["numeric_residual"].append(by_name["numeric_residual"].residual)
         summary["passed"].append(report.passed)
-        all_passed = all_passed and report.passed
     stamp = _timestamp()
     payload = {
         "reports": [r.to_json_dict(stamp) for r in reports],
@@ -261,18 +259,12 @@ def cmd_sweep(config: JobConfig) -> int:
         "seed": config.suite.seed,
     }
     _write_text(config.out, json.dumps(payload, indent=2) + "\n")
-    return 0 if all_passed else 1
+    return 0 if all(summary["passed"]) else 1
 
 
 def main(argv=None) -> int:
     try:
         config = parse(argv if argv is not None else sys.argv[1:])
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except SystemExit as exc:  # argparse reports its own usage errors
-        return int(exc.code or 0)
-    try:
         if config.command == "verify":
             return cmd_verify(config)
         if config.command == "spectrum":
@@ -281,6 +273,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except SystemExit as exc:  # argparse reports its own usage errors
+        return int(exc.code or 0)
 
 
 if __name__ == "__main__":

@@ -345,6 +345,7 @@ def _schur_solver(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     inverted at once as one (P, g*b, g*b) stack; eliminating them leaves
     the separators' Schur complement, again block tridiagonal with b x b
     blocks and about 1/(g+1) as many, which is factored the same way.
+    The recursion ends where no separator is left, solved by the identity.
     Every level is O(n), and a solve is a few stacked products per level.
 
     Without pivoting this needs every interior and every Schur complement
@@ -356,10 +357,12 @@ def _schur_solver(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     stack and the last Schur complement have a Cholesky factor (Sylvester's
     law of inertia), which ``definite`` tests.
     """
+    count, b = diag.shape[:2]
+    if count == 0:  # no separators below the last level
+        return lambda f: f
     # the stacked products below round differently for stacks in other
     # memory orders, so every solve starts from C order
     diag, lower, upper = map(np.ascontiguousarray, (diag, lower, upper))
-    count, b = diag.shape[:2]
     g = min(count, max(1, SCHUR_ROWS // b))
     parts = -(-(count + 1) // (g + 1))
     # identity blocks fill the last interior, and one spare separator ends it
@@ -381,13 +384,6 @@ def _schur_solver(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray,
         except np.linalg.LinAlgError:
             return None
     inverse = np.linalg.inv(interior)
-    if parts == 1:  # one interior holds every block
-        def solve_one(f: np.ndarray) -> np.ndarray:
-            x = np.zeros(g * b, dtype=np.result_type(f, inverse))
-            x[:len(f)] = f
-            return (inverse[0] @ x)[:len(f)]
-
-        return solve_one
     # couplings of each separator to the interiors before and after it, and
     # each interior's response to the separators before and after it
     sep_lower, sep_upper = lower[:-1, g], upper[:-1, g]
@@ -553,22 +549,20 @@ def _hermitian_floor(herm: np.ndarray) -> float | None:
     return lo
 
 
-def _certified_shift_invert(a: MatrixOp, levels: int,
-                            hermitian: bool = False) -> Spectrum | None:
-    """Lowest ``levels`` eigenvalues of A by shift-invert Arnoldi, or None
+def _certified_shift_invert(herm: np.ndarray, skew: np.ndarray,
+                            levels: int) -> Spectrum | None:
+    """Lowest ``levels`` eigenvalues of S = herm + skew, the bands of its
+    Hermitian and skew-Hermitian parts, by shift-invert Arnoldi; None
     when k = levels + KRYLOV_EXTRA is n - 1 or more, the floor lo cannot
     be certified, the Ritz values do not converge or the result cannot be
     certified.
-    ``hermitian`` means A is a Hermitian band (S itself, as eigs
-    symmetrizes it), and the values are real.
 
-    The solve runs on S = W^(1/2) A W^(-1/2) = herm + skew, split by
-    _hermitian_and_skew.  (S - sigma*I)^(-1) is applied through one band
-    factorization (_band_solver), and its k eigenvalues theta of largest
-    modulus give the k eigenvalues sigma + 1/theta of S nearest sigma.
-    Every eigenvalue has Re >= lo, a certified floor under the Hermitian
-    part (_hermitian_floor), and |Im| <= s, a Gershgorin bound on the skew
-    part (0 when Hermitian).
+    (S - sigma*I)^(-1) is applied through one band factorization
+    (_band_solver), and its k eigenvalues theta of largest modulus give
+    the k eigenvalues sigma + 1/theta of S nearest sigma.  Every
+    eigenvalue has Re >= lo, a certified floor under the Hermitian part
+    (_hermitian_floor), and |Im| <= s, a Gershgorin bound on the skew
+    part.
     The shift sigma sits below lo, so herm - sigma*I >= SHIFT_DEPTH*s*I
     while ||skew|| <= s: the factored matrix has a positive definite
     Hermitian part and needs no pivoting.
@@ -577,23 +571,20 @@ def _certified_shift_invert(a: MatrixOp, levels: int,
     (x_L - sigma)^2, x_L the real part of the last kept level, no
     eigenvalue left out can sort before the kept ones.
     """
-    n = a.grid.n
+    n = herm.shape[1]
     k = levels + KRYLOV_EXTRA
     if k >= n - 1:
         return None
-    herm, skew = (a.matrix, None) if hermitian else _hermitian_and_skew(a)
     lo = _hermitian_floor(herm)
     if lo is None:
         return None
-    s = 0.0 if skew is None else float(np.abs(skew).sum(axis=0).max())
+    s = float(np.abs(skew).sum(axis=0).max())
     sigma = lo - SHIFT_DEPTH * max(s, _floor_tolerance(lo))
-    band = _real_if_possible(herm if skew is None else herm + skew)
+    band = _real_if_possible(herm + skew)
     theta = _largest_ritz_values(_band_solver(band, sigma), n, k, band.dtype)
     if theta is None:
         return None
     values = sigma + 1.0 / theta
-    if skew is None:
-        values = values.real
     kept = _sorted_eigenvalues(values)[:levels]
     r_k = float(np.abs(values - sigma).max())
     if r_k ** 2 - s ** 2 < (kept[-1].real - sigma) ** 2:
@@ -606,15 +597,16 @@ def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
 
     kind="general" solves A; kind="selfadjoint-weighted" requires
     S = W^(1/2) A W^(-1/2) to be Hermitian (A equal to its weighted
-    adjoint) within a small relative slack, and solves S as a Hermitian
-    problem with real eigenvalues.  Either kind picks its solver by grid
-    size.  Up to DIRECT_MAX_N it solves the dense problem at once
-    ("dense"): that finds every eigenvalue, so none can be missed.  Above
-    it, certified shift-invert Arnoldi runs on a band factorization
-    ("shift-invert", see _certified_shift_invert) and falls back to the
-    dense solve ("dense-fallback") when that is impossible (levels close
-    to n), unconverged or uncertified; above DENSE_MAX_N the dense solve
-    raises LinAlgError instead.
+    adjoint) within a small relative slack, and returns real eigenvalues.
+    Either kind picks its solver by grid size.  Up to DIRECT_MAX_N it
+    solves the dense problem at once ("dense"): that finds every
+    eigenvalue, so none can be missed; the self-adjoint kind solves the
+    Hermitian part of S.  Above it, both kinds run the same certified
+    shift-invert Arnoldi on the band of S ("shift-invert", see
+    _certified_shift_invert), the self-adjoint kind keeping the real
+    parts, and fall back to the dense solve ("dense-fallback") when that
+    is impossible (levels close to n), unconverged or uncertified; above
+    DENSE_MAX_N the dense solve raises LinAlgError instead.
     """
     levels = int(levels)
     if not 0 < levels <= a.grid.n:
@@ -634,8 +626,13 @@ def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
         a = MatrixOp(herm, a.grid)
     if a.grid.n <= DIRECT_MAX_N:
         return _dense_spectrum(a, levels, "dense", hermitian)
-    return (_certified_shift_invert(a, levels, hermitian)
-            or _dense_spectrum(a, levels, "dense-fallback", hermitian))
+    if not hermitian:
+        herm, skew = _hermitian_and_skew(a)
+    spectrum = (_certified_shift_invert(herm, skew, levels)
+                or _dense_spectrum(a, levels, "dense-fallback", hermitian))
+    if hermitian:  # the gate above bounds the skew part
+        return Spectrum(spectrum.eigenvalues.real, spectrum.solver)
+    return spectrum
 
 
 def gaussian_state(grid: Grid, center: float = 0.0, width: float = 1.0) -> np.ndarray:

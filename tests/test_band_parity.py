@@ -8,7 +8,9 @@ checked against each other: the direct dense solve that small grids take
 and the certified shift-invert Arnoldi on the sweep's grids.  Above
 DIRECT_MAX_N its fallback to the dense solve is exercised and named for
 each way it can fail: Ritz values that do not converge, too little room
-beyond the levels and an uncertified result.  The kernels under
+beyond the levels and an uncertified result.  The self-adjoint kind
+runs there on non-uniform weights, where S has a rounding-sized skew
+part.  The kernels under
 shift-invert are checked against dense solves: the band product, the
 Schur-complement band solve, whose bits do not depend on the memory
 order of its stacks, and the certified floor under the Hermitian part
@@ -50,6 +52,7 @@ from swanson.grids import (
     _schur_solver,
     assemble_matrix,
     build_grid,
+    derivative_matrix,
     eigs,
     gaussian_state,
     similarity_transform,
@@ -63,7 +66,12 @@ from swanson.model import (
     with_beta,
 )
 
-from oracles import dense_assemble, dense_eigs, dense_numeric_residual
+from oracles import (
+    dense_assemble,
+    dense_eigs,
+    dense_numeric_residual,
+    from_dense,
+)
 
 PARITY_RTOL = 1e-10
 
@@ -136,7 +144,7 @@ def test_uncertified_spectrum_falls_back_to_dense():
     grid = build_grid(301, 10.0)
     assert grid.n > DIRECT_MAX_N
     operator = _half_metric_image(params, grid)
-    assert _certified_shift_invert(operator, 6) is None
+    assert _certified_shift_invert(*_hermitian_and_skew(operator), 6) is None
     result = check_spectrum(params, grid, 4, 6)
     assert result.details["solver"] == "dense-fallback"
     expected = dense_eigs(operator.to_dense().real, grid, "general", 6)
@@ -152,7 +160,7 @@ SWEEP_GRIDS = ((69, 20.0 / 3.0), (135, 40.0 / 3.0), (201, 20.0))
 
 @pytest.mark.parametrize("beta", (0.1, 0.3, 1.0, 3.0))
 @pytest.mark.parametrize("n, p_max", SWEEP_GRIDS)
-def test_direct_dense_matches_certified_arpack(beta, n, p_max):
+def test_direct_dense_matches_certified_shift_invert(beta, n, p_max):
     params = with_beta(make_params(1.0, -0.5, 0.5), beta)
     operator = _half_metric_image(params, build_grid(n, p_max, beta))
     # A backward-stable dense solve returns the eigenvalues of A + E with
@@ -164,7 +172,8 @@ def test_direct_dense_matches_certified_arpack(beta, n, p_max):
     backward = np.finfo(float).eps * np.linalg.norm(operator.matrix)
     for levels in (3, 6):
         direct = eigs(operator, "general", levels)
-        certified = _certified_shift_invert(operator, levels)
+        certified = _certified_shift_invert(*_hermitian_and_skew(operator),
+                                            levels)
         assert direct.solver == "dense" and certified is not None
         np.testing.assert_allclose(direct.eigenvalues, certified.eigenvalues,
                                    rtol=PARITY_RTOL, atol=backward)
@@ -426,6 +435,31 @@ def test_shift_invert_needs_room_beyond_the_levels(spare, solver):
         spectrum.eigenvalues,
         dense_eigs(operator.to_dense(), grid, "general", levels),
         rtol=PARITY_RTOL, atol=PARITY_RTOL)
+
+
+@pytest.mark.parametrize("levels, solver", [(6, "shift-invert"),
+                                            (295, "dense-fallback")])
+def test_selfadjoint_kind_on_nonuniform_weights(levels, solver):
+    # A[i, j] = H[i, j]*sqrt(w_j/w_i) for a complex Hermitian pentadiagonal
+    # H (a shifted oscillator), so S = W^(1/2) A W^(-1/2) is H up to
+    # rounding: its skew part is of order eps*||H||, not 0, and the
+    # certified solve on S = herm + skew returns complex values whose
+    # real parts the self-adjoint kind keeps
+    grid = build_grid(301, 20.0, 0.1)
+    assert grid.n > DIRECT_MAX_N
+    h = (np.diag(grid.points ** 2)
+         - derivative_matrix(grid, 2).to_dense().real
+         + 1j * derivative_matrix(grid, 1).to_dense().real)
+    assert np.array_equal(h, h.conj().T)
+    sqrt_w = np.sqrt(grid.weights)
+    operator = from_dense(h * (sqrt_w / sqrt_w[:, None]), grid)
+    assert np.any(_hermitian_and_skew(operator)[1])
+    spectrum = eigs(operator, "selfadjoint-weighted", levels)
+    assert spectrum.solver == solver
+    assert np.isrealobj(spectrum.eigenvalues)
+    np.testing.assert_allclose(spectrum.eigenvalues,
+                               np.linalg.eigvalsh(h)[:levels],
+                               rtol=PARITY_RTOL)
 
 
 def test_banded_assembly_and_transforms_are_linear_in_memory():

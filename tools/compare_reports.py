@@ -66,6 +66,7 @@ ARGVS = _workload_argvs() + [
     ["verify", *P1, "--beta", "1e-308", "--n", "51"],
     ["verify", *_model("1", "0.6", "0.399"), "--beta", "0.5", "--n", "101"],
     ["spectrum", *P1, "--n", "301"],
+    ["spectrum", *P1, "--n", "261", "--levels", "255"],
     ["spectrum", *P1, "--beta", "0.1", "--pmax", "20", "--n", "401"],
     ["spectrum", *P1, "--beta", "1", "--pmax", "20", "--n", "201"],
     ["spectrum", *_model("1", "0.8", "0.3"), "--n", "301"],
