@@ -440,26 +440,24 @@ def check_numeric_residual(params: ModelParams, grid: Grid, fd_order: int = 4,
                    _residual_tolerance(params, grid, fd_order), details)
 
 
-def _spectrum_claim(params: ModelParams) -> tuple[str, float | None]:
-    """Anchor and tolerance of the spectrum check: the closed-form ladder
-    where it applies, else the report-only reality measurement."""
-    if ladder_obstruction(params) is None:
-        return ANCHORS["spectrum_ladder"], SPECTRUM_TOL
-    return ANCHORS["spectrum"], None
-
-
 @_cached
-def _spectrum_operator(params: ModelParams) -> DiffOp:
-    """The operator whose spectrum check_spectrum solves: H0 hermitized by
-    the half-power Gaussian metric (which cancels the p*D term exactly)
-    where the ladder oracle applies, else H0 at beta = 0 and the deformed
-    Hamiltonian at beta > 0."""
-    if params.beta != 0.0:
-        return _hamiltonian_for(params)
-    _, h0 = h0_momentum(params)
-    if ladder_obstruction(params) is None:
-        return h0.conjugate_gaussian(gaussian_alpha(params) / 2.0)
-    return h0
+def _spectrum_problem(
+        params: ModelParams) -> tuple[DiffOp, str | None, str, float | None]:
+    """What check_spectrum solves and claims, decided once per parameter
+    set: (operator, ladder_obstruction(params), anchor, tolerance).  Where
+    the closed-form ladder applies, the operator is H0 hermitized by the
+    half-power Gaussian metric (which cancels the p*D term exactly) and
+    the claim is the ladder; otherwise it is H0 at beta = 0 or the
+    deformed Hamiltonian at beta > 0, and the reality measurement is
+    report-only."""
+    obstruction = ladder_obstruction(params)
+    if obstruction is None:
+        _, h0 = h0_momentum(params)
+        return (h0.conjugate_gaussian(gaussian_alpha(params) / 2.0), None,
+                ANCHORS["spectrum_ladder"], SPECTRUM_TOL)
+    operator = (_hamiltonian_for(params) if params.beta != 0.0
+                else h0_momentum(params)[1])
+    return operator, obstruction, ANCHORS["spectrum"], None
 
 
 def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
@@ -467,41 +465,35 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
     """Low-lying spectrum check; its details carry the levels as ``re``
     and ``im``, and the ``solver`` that found them.
 
-    Undeformed model with a real ascending ladder: solve the hermitized
-    H0 as a weighted self-adjoint problem (``im`` all 0.0) and compare
-    against (n+1/2)*sqrt(omega^2-4*lam*delta).  Otherwise solve the general
-    problem and report how real the lowest eigenvalues are.
+    Where the closed-form ladder applies (see _spectrum_problem): solve
+    the hermitized H0 as a weighted self-adjoint problem (``im`` all 0.0)
+    and compare against (n+1/2)*sqrt(omega^2-4*lam*delta).  Otherwise
+    solve the general problem and report how real the lowest eigenvalues
+    are.  Both solve the real band of a real operator.
     """
-    a = assemble_matrix(_spectrum_operator(params), grid, fd_order)
-    anchor, tolerance = _spectrum_claim(params)
-    obstruction = ladder_obstruction(params)
+    operator, obstruction, anchor, tolerance = _spectrum_problem(params)
+    a = assemble_matrix(operator, grid, fd_order)
     if obstruction is None:
         spectrum = eigs(a, "selfadjoint-weighted", levels)
-        values = spectrum.eigenvalues
-        oracle = np.array(oscillator_levels(params, levels))
-        errors = np.abs(values.real - oracle)
-        details = {
-            "re": [float(v) for v in values.real],
-            "im": [float(v) for v in values.imag],
-            "oracle": [float(v) for v in oracle],
-            "errors": [float(v) for v in errors],
-            "solver": spectrum.solver,
-        }
-        return _result("spectrum", errors, tolerance, details, anchor)
-    # the half-metric similarity keeps the spectrum and makes the operator
-    # nearly normal, which the certified banded solver relies on
-    spectrum = eigs(similarity_transform(a, _metric_for(params) / 2.0),
-                    "general", levels)
+    else:
+        # the half-metric similarity keeps the spectrum and makes the
+        # operator nearly normal, which the certified banded solver relies on
+        spectrum = eigs(similarity_transform(a, _metric_for(params) / 2.0),
+                        "general", levels)
     values = spectrum.eigenvalues
-    ratios = np.abs(values.imag) / np.maximum(np.abs(values.real), 1e-300)
-    details = {
-        "oracle": f"unavailable: {obstruction}",
-        "re": [float(v) for v in values.real],
-        "im": [float(v) for v in values.imag],
-        "reality_ratios": [float(r) for r in ratios],
-        "solver": spectrum.solver,
-    }
-    return _result("spectrum", ratios, tolerance, details, anchor)
+    re = [float(v) for v in values.real]
+    im = [float(v) for v in values.imag]
+    if obstruction is None:
+        oracle = np.array(oscillator_levels(params, levels))
+        measured = np.abs(values.real - oracle)
+        details = {"re": re, "im": im, "oracle": [float(v) for v in oracle],
+                   "errors": [float(v) for v in measured]}
+    else:
+        measured = np.abs(values.imag) / np.maximum(np.abs(values.real), 1e-300)
+        details = {"oracle": f"unavailable: {obstruction}", "re": re, "im": im,
+                   "reality_ratios": [float(r) for r in measured]}
+    details["solver"] = spectrum.solver
+    return _result("spectrum", measured, tolerance, details, anchor)
 
 
 def convergence_order(name: str, grids: list[Grid], errors,
@@ -673,7 +665,7 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
     residual = run("numeric_residual", lambda: residual_on(grid),
                    tolerance=residual_tolerance)
 
-    anchor, tolerance = _spectrum_claim(params)
+    _, obstruction, anchor, tolerance = _spectrum_problem(params)
     spectrum = run("spectrum", lambda: check_spectrum(
         params, grid, config.fd_order, config.levels),
         tolerance=tolerance, anchor=anchor)
@@ -696,7 +688,7 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
             "convergence_residual", coarse + [grid],
             [r.residual for r in ladder(residual, residual_on)],
             config.fd_order), tolerance=0.0)
-        if ladder_obstruction(params) is None:
+        if obstruction is None:
             run("convergence_spectrum", lambda: convergence_order(
                 "convergence_spectrum", coarse + [grid],
                 [r.details["errors"][0] for r in ladder(spectrum, spectrum_on(1))],

@@ -11,7 +11,9 @@ available as exact matrix operations with respect to those weights.
 Every operator of the model has derivative order <= 2, so its image is a
 band matrix of half-bandwidth bw = fd_order/2 (pentadiagonal at fourth
 order).  It is stored, transformed and diagonalised as its 2*bw+1
-diagonals, aligned by matrix row: memory and assembly are O(n).  Only
+diagonals, aligned by matrix row: memory and assembly are O(n).  It is
+real (float64) when every entry is, as for every Hamiltonian of the
+model, and every later step keeps its dtype.  Only
 the dense eigensolves form an n x n array: on grids of n <=
 DIRECT_MAX_N, and as the fallback of the certified shift-invert solver
 above that size.
@@ -91,8 +93,8 @@ KRYLOV_CAP = 8
 # tools/compare_reports.py).
 DIRECT_MAX_N = 251
 
-# Largest grid any dense eigensolve accepts; its n x n complex matrix
-# alone takes 16*n^2 bytes (256 MB at this n).
+# Largest grid any dense eigensolve accepts; its n x n matrix alone takes
+# 128 MB at this n for the real operators of every command, 256 MB if complex.
 DENSE_MAX_N = 4001
 
 _STENCILS = {
@@ -143,7 +145,7 @@ def build_grid(n: int, p_max: float, beta: float = 0.0) -> Grid:
 
 @dataclass(frozen=True)
 class MatrixOp:
-    """Complex band-matrix image of an operator on a grid.
+    """Real (float64) or complex band-matrix image of an operator on a grid.
 
     ``matrix`` has shape (2*bw+1, n) and holds the diagonals aligned by
     matrix row, ``matrix[bw + i - j, i] = A[i, j]``: row r is the diagonal
@@ -204,7 +206,7 @@ def derivative_matrix(grid: Grid, order: int, fd_order: int = 4) -> MatrixOp:
     if 2 * bw + 1 > grid.n:
         raise ValueError("stencil wider than grid")
     n = grid.n
-    band = np.zeros((2 * bw + 1, n), dtype=complex)
+    band = np.zeros((2 * bw + 1, n))
     scale = grid.h ** order
     for offset, coeff in _STENCILS[key].items():
         # entry (i, i + offset) sits in row bw - offset, column i
@@ -214,7 +216,8 @@ def derivative_matrix(grid: Grid, order: int, fd_order: int = 4) -> MatrixOp:
 
 def assemble_matrix(op: DiffOp, grid: Grid, fd_order: int = 4) -> MatrixOp:
     """sum_b diag(f_b(p_i)) @ D^b with f_b evaluated exactly, summed
-    straight into the diagonals.
+    straight into the diagonals; a real band when no entry has a nonzero
+    imaginary part, else a complex one.
 
     D^2 uses the dedicated second-derivative stencil rather than the
     square of the first-derivative matrix, which would decouple even and
@@ -223,15 +226,15 @@ def assemble_matrix(op: DiffOp, grid: Grid, fd_order: int = 4) -> MatrixOp:
     if op.beta != grid.beta:
         raise ValueError("operator and grid beta differ")
     bw = fd_order // 2
-    out = MatrixOp(np.zeros((2 * bw + 1, grid.n), dtype=complex), grid)
-    band = out.matrix
+    band = np.zeros((2 * bw + 1, grid.n), dtype=complex)
     for b, fn in op.terms:
         values = np.asarray(fn(grid.points), dtype=complex)
         if b == 0:
             band[bw] += values
         else:
             band += values * derivative_matrix(grid, b, fd_order).matrix
-    return out
+    # a copy: the .real view would keep the complex buffer alive
+    return MatrixOp(band if np.any(band.imag) else band.real.copy(), grid)
 
 
 def weighted_adjoint(a: MatrixOp) -> MatrixOp:
@@ -295,10 +298,6 @@ def _sorted_eigenvalues(values: np.ndarray) -> np.ndarray:
     return values[order]
 
 
-def _real_if_possible(values: np.ndarray) -> np.ndarray:
-    return values.real if not np.any(values.imag) else values
-
-
 def _hermitian_and_skew(a: MatrixOp) -> tuple[np.ndarray, np.ndarray]:
     """Bands of the Hermitian and skew-Hermitian parts of
     S = W^(1/2) A W^(-1/2), which is similar to A and Hermitian exactly
@@ -319,8 +318,9 @@ def _dense_spectrum(a: MatrixOp, levels: int, solver: str,
     if n > DENSE_MAX_N:
         raise np.linalg.LinAlgError(
             f"dense eigensolver refused at n = {n}: it needs "
-            f"{16 * n * n} bytes, and n may be at most {DENSE_MAX_N}")
-    dense = _real_if_possible(a.to_dense())
+            f"{a.matrix.itemsize * n * n} bytes, and n may be at most "
+            f"{DENSE_MAX_N}")
+    dense = a.to_dense()
     if hermitian:
         return Spectrum(np.linalg.eigvalsh(dense)[:levels], solver)
     return Spectrum(_sorted_eigenvalues(np.linalg.eigvals(dense))[:levels],
@@ -502,10 +502,10 @@ def _floor_tolerance(x: float) -> float:
 
 
 def _hermitian_floor(herm: np.ndarray) -> float | None:
-    """A point x below every eigenvalue of the Hermitian band ``herm``,
-    certified by a Cholesky factorization of herm - x*I, and within about
-    _floor_tolerance of the lowest; None when the band is not finite or
-    even the Gershgorin bound fails the test.
+    """A point x below every eigenvalue of the Hermitian band ``herm``, real
+    or complex, certified by a Cholesky factorization of herm - x*I in its
+    dtype, and within about _floor_tolerance of the lowest; None when the
+    band is not finite or even the Gershgorin bound fails the test.
 
     The lowest eigenvalue lies between x, which starts a little below
     the Gershgorin bound, and an upper bound hi, which starts at the least
@@ -518,22 +518,21 @@ def _hermitian_floor(herm: np.ndarray) -> float | None:
     next.  The search stops when hi - x is within the tolerance or after
     FLOOR_FACTORS factorizations; x is certified either way.
     """
-    band = _real_if_possible(herm)
-    n, bw = band.shape[1], (band.shape[0] - 1) // 2
+    n, bw = herm.shape[1], (herm.shape[0] - 1) // 2
     # Gershgorin radii; the least diagonal entry is a Rayleigh quotient,
     # so an upper bound
-    radius = np.abs(band).sum(axis=0) - np.abs(band[bw])
-    lo = float((band[bw].real - radius).min())
+    radius = np.abs(herm).sum(axis=0) - np.abs(herm[bw])
+    lo = float((herm[bw].real - radius).min())
     if not math.isfinite(lo):  # a non-finite band: the dense fallback fails
         return None
     lo -= _floor_tolerance(lo)
-    hi = float(band[bw].real.min())
-    solve = _band_solver(band, lo, definite=True)
+    hi = float(herm[bw].real.min())
+    solve = _band_solver(herm, lo, definite=True)
     if solve is None:
         return None
     for _ in range(FLOOR_FACTORS - 1):
         if solve is not None and hi - lo > _floor_tolerance(hi):
-            hess = next(_arnoldi(solve, n, band.dtype, [min(n, FLOOR_KRYLOV)]))
+            hess = next(_arnoldi(solve, n, herm.dtype, [min(n, FLOOR_KRYLOV)]))
             theta, residual = (float(v[0].real)
                                for v in _largest_ritz(hess, 1))
             hi = min(hi, lo + 1.0 / theta)
@@ -541,7 +540,7 @@ def _hermitian_floor(herm: np.ndarray) -> float | None:
                         hi - 0.5 * _floor_tolerance(hi))
         if hi - lo <= _floor_tolerance(hi):
             break
-        solve = _band_solver(band, trial, definite=True)
+        solve = _band_solver(herm, trial, definite=True)
         if solve is None:
             hi, trial = trial, 0.5 * (lo + trial)
         else:
@@ -580,8 +579,8 @@ def _certified_shift_invert(herm: np.ndarray, skew: np.ndarray,
         return None
     s = float(np.abs(skew).sum(axis=0).max())
     sigma = lo - SHIFT_DEPTH * max(s, _floor_tolerance(lo))
-    band = _real_if_possible(herm + skew)
-    theta = _largest_ritz_values(_band_solver(band, sigma), n, k, band.dtype)
+    theta = _largest_ritz_values(_band_solver(herm + skew, sigma), n, k,
+                                 herm.dtype)
     if theta is None:
         return None
     values = sigma + 1.0 / theta

@@ -41,6 +41,9 @@ from swanson.model import (
 # Entries of log(metric) above this cannot be exponentiated in float64.
 LOG_OVERFLOW = 700.0
 
+# Relative agreement required between a band path and its dense oracle.
+PARITY_RTOL = 1e-10
+
 
 def metric_diagonal(exponent: float, grid: Grid, half: bool = False) -> np.ndarray:
     """Materialized dense diagonal metric (or its half power).

@@ -34,7 +34,7 @@ from swanson.checks import (
     PROBE_WIDTH,
     _hamiltonian_for,
     _metric_for,
-    _spectrum_operator,
+    _spectrum_problem,
     check_numeric_residual,
     check_spectrum,
 )
@@ -67,13 +67,12 @@ from swanson.model import (
 )
 
 from oracles import (
+    PARITY_RTOL,
     dense_assemble,
     dense_eigs,
     dense_numeric_residual,
     from_dense,
 )
-
-PARITY_RTOL = 1e-10
 
 CASES = {
     "flat": (make_params(1.0, -0.5, 0.5), build_grid(501, 10.0)),
@@ -336,7 +335,7 @@ def _flat_hermitian_band():
     grid, real, and its grid."""
     params, grid = CASES["flat"]
     herm, _ = _hermitian_and_skew(
-        assemble_matrix(_spectrum_operator(params), grid))
+        assemble_matrix(_spectrum_problem(params)[0], grid))
     assert not np.any(herm.imag)
     return herm.real, grid
 
@@ -395,7 +394,7 @@ def test_hermitian_floor_recovers_from_a_failed_trial(monkeypatch):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_hermitian_floor_is_certified_and_tight(case):
     params, grid = CASES[case]
-    operator = assemble_matrix(_spectrum_operator(params), grid)
+    operator = assemble_matrix(_spectrum_problem(params)[0], grid)
     if ladder_obstruction(params) is not None:
         operator = similarity_transform(operator, _metric_for(params) / 2.0)
     herm, _ = _hermitian_and_skew(operator)

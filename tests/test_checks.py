@@ -454,6 +454,8 @@ class TestSuite:
         expected = {
             P1_DEFORMED: {"spectrum": None, "convergence_reality": 0.0},
             P1: {"spectrum": 1e-4, "convergence_spectrum": 0.0},
+            # flat without a ladder: omega^2 <= 4*lam*delta
+            make_params(0.5, 0.45, 0.45): {"spectrum": None},
         }
         anchors = {params: {c.name: c.paper_anchor
                             for c in run_suite(params, config).checks}

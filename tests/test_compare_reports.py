@@ -25,9 +25,9 @@ ARGVS = TOOL_MODULE.ARGVS
 
 
 def test_every_case_is_listed():
-    # three benchmark workloads, thirteen verify, six spectrum, one sweep
+    # three benchmark workloads, fourteen verify, six spectrum, one sweep
     assert [argv[0] for argv in ARGVS].count("spectrum") == 6
-    assert len(ARGVS) == 23
+    assert len(ARGVS) == 24
 
 
 @pytest.mark.parametrize("argv", ARGVS)

@@ -10,6 +10,7 @@ import pytest
 import swanson.grids
 from swanson.checks import NUMERIC_ERRORS, SuiteConfig, run_suite
 from swanson.grids import (
+    MatrixOp,
     assemble_matrix,
     build_grid,
     derivative_matrix,
@@ -27,12 +28,19 @@ from swanson.model import (
     h_deformed,
     h_quadratic,
     make_params,
+    metric_exponent,
     oscillator_levels,
     with_beta,
 )
-from swanson.algebra import DiffOp, coeff_poly, identity_op
+from swanson.algebra import DiffOp, coeff_poly, identity_op, p_op
 
-from oracles import from_dense, metric_diagonal, weighted_inner
+from oracles import (
+    PARITY_RTOL,
+    dense_assemble,
+    from_dense,
+    metric_diagonal,
+    weighted_inner,
+)
 
 P1 = make_params(1.0, -0.5, 0.5)
 
@@ -159,6 +167,47 @@ class TestAssembly:
         a = assemble_matrix(h_quadratic(P1), grid, 4).matrix
         b = assemble_matrix(h_quadratic(P1), grid, 4).matrix
         assert np.array_equal(a, b)
+
+    def test_real_operators_have_real_bands(self):
+        # x = i*hbar*(1+beta*p^2)*D gives the model's Hamiltonians real
+        # coefficients, so their bands are float64; the transforms keep
+        # the dtype, and an imaginary coefficient keeps the band complex
+        cases = [(h0_momentum(P1)[1], build_grid(101, 8.0)),
+                 (h_deformed(with_beta(P1, 0.1)), build_grid(101, 8.0, 0.1))]
+        real = [assemble_matrix(op, grid) for op, grid in cases]
+        for (op, grid), a in zip(cases, real):
+            assert a.matrix.dtype == np.float64 and a.matrix.flags.c_contiguous
+            # the real part of the same sum taken in complex arithmetic
+            np.testing.assert_array_equal(a.to_dense(),
+                                          dense_assemble(op, grid).real)
+        grid = build_grid(101, 8.0)
+        assert derivative_matrix(grid, 1).matrix.dtype == np.float64
+        assert derivative_matrix(grid, 2).matrix.dtype == np.float64
+        imaginary = assemble_matrix(1j * p_op(), grid)
+        assert imaginary.matrix.dtype == np.complex128
+        for a in real + [imaginary]:
+            assert similarity_transform(a, 0.3).matrix.dtype == a.matrix.dtype
+            assert weighted_adjoint(a).matrix.dtype == a.matrix.dtype
+
+    @pytest.mark.parametrize("kind", ["general", "selfadjoint-weighted"])
+    def test_complex_band_solves_like_the_real_one(self, kind):
+        # the solver computes in the band's own dtype: a real operator
+        # stored complex must give the same levels
+        if kind == "general":
+            params, grid = with_beta(P1, 0.1), build_grid(301, 20.0, 0.1)
+            a = similarity_transform(assemble_matrix(h_deformed(params), grid),
+                                     metric_exponent(params) / 2.0)
+        else:
+            grid = build_grid(301, 10.0)
+            _, h0 = h0_momentum(P1)
+            a = assemble_matrix(h0.conjugate_gaussian(gaussian_alpha(P1) / 2.0),
+                                grid)
+        assert a.matrix.dtype == np.float64
+        real = eigs(a, kind, 6)
+        stored_complex = eigs(MatrixOp(a.matrix.astype(complex), grid), kind, 6)
+        assert real.solver == stored_complex.solver == "shift-invert"
+        np.testing.assert_allclose(stored_complex.eigenvalues, real.eigenvalues,
+                                   rtol=PARITY_RTOL)
 
 
 class TestWeightedAdjoint:
@@ -378,7 +427,7 @@ class TestEigs:
         assert eigs(a, "general", 3).solver == "dense-fallback"
         monkeypatch.setattr(swanson.grids, "DENSE_MAX_N", 299)
         with pytest.raises(np.linalg.LinAlgError,
-                           match=r"n = 301: it needs 1449616 bytes.* at most 299"):
+                           match=r"n = 301: it needs 724808 bytes.* at most 299"):
             eigs(a, "general", 3)
         # inside the suite the spectrum check fails by name
         report = run_suite(with_beta(P1, 0.1), SuiteConfig(n=301, p_max=20.0))

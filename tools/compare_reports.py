@@ -52,6 +52,7 @@ def _workload_argvs() -> list[list[str]]:
 ARGVS = _workload_argvs() + [
     ["verify", *P1, "--n", "301", "--exponent-override", "3"],
     ["verify", *P1, "--n", "11", "--pmax", "1e150"],
+    ["verify", *P1, "--n", "51", "--pmax", "1e-300"],
     ["verify", *P1, "--n", "7"],
     ["verify", *P1, "--n", "501", "--fd-order", "2"],
     ["verify", *P1, "--beta", "0.1", "--n", "401"],
