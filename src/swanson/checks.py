@@ -369,12 +369,13 @@ def check_metric_limit(params: ModelParams) -> CheckResult:
     alpha = gaussian_alpha(params)
     exponent = alpha / beta_small  # exponent(beta)*beta = alpha exactly
     p = np.linspace(-METRIC_LIMIT_P_RANGE, METRIC_LIMIT_P_RANGE, 2001)
-    log_ratio = exponent * np.log1p(beta_small * p * p) - alpha * p * p
     estimate = abs(alpha) * beta_small * METRIC_LIMIT_P_RANGE ** 4 / 2.0
     roundoff = (METRIC_LIMIT_ROUNDOFF * float(np.finfo(float).eps)
                 * abs(alpha) * METRIC_LIMIT_P_RANGE ** 2)
     tolerance = max(3.0 * estimate, roundoff) if estimate > 0 else SYMBOLIC_TOL
-    with np.errstate(over="ignore"):  # a steep alpha < 0 metric reads inf
+    # a steep alpha < 0 metric reads inf, and a huge |alpha| inf - inf = NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_ratio = exponent * np.log1p(beta_small * p * p) - alpha * p * p
         return _result("metric_limit", np.abs(np.expm1(log_ratio)), tolerance,
                        {"beta_small": beta_small, "p_range": METRIC_LIMIT_P_RANGE,
                         "alpha": alpha, "estimate": estimate})
@@ -566,39 +567,38 @@ class SuiteConfig:
     seed: int = 42
     exponent_override: float | None = None
 
-    def grid_summary(self, beta: float) -> dict:
-        return {
-            "n": self.n,
-            "p_max": self.p_max,
-            "fd_order": self.fd_order,
-            "beta": beta,
-            "boundary": "dirichlet-truncation",
-        }
-
 
 @dataclass
 class Report:
-    """Aggregated outcome of a verification suite."""
+    """Aggregated outcome of a verification suite run with ``config``."""
 
     params: ModelParams
-    grid_summary: dict | None
+    config: SuiteConfig
     checks: list
-    spectra: dict | None
     timings: dict
-    seed: int
 
     @property
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
+    @property
+    def spectra(self) -> dict | None:
+        """The levels of the spectrum check; None when it recorded an error."""
+        spectrum = next(c for c in self.checks if c.name == "spectrum")
+        return None if "error" in spectrum.details else {
+            "spectrum": {key: spectrum.details[key] for key in ("re", "im")}}
+
     def to_json_dict(self, generated_at: str) -> dict:
+        config = self.config
         return {
             "params": self.params.to_dict(),
-            "grid": self.grid_summary,
+            "grid": {"n": config.n, "p_max": config.p_max,
+                     "fd_order": config.fd_order, "beta": self.params.beta,
+                     "boundary": "dirichlet-truncation"},
             "checks": [asdict(c) for c in self.checks],
             "spectra": self.spectra,
             "generated_at": generated_at,
-            "seed": self.seed,
+            "seed": config.seed,
         }
 
 
@@ -701,9 +701,4 @@ def run_suite(params: ModelParams, config: SuiteConfig = SuiteConfig()) -> Repor
             ladder(spectrum, spectrum_on(min(config.levels, REALITY_LEVELS)))),
             tolerance=0.0)
 
-    # a spectrum check that raised recorded its error, not its levels
-    spectra = None if "error" in spectrum.details else {
-        "spectrum": {key: spectrum.details[key] for key in ("re", "im")}}
-    return Report(params=params, grid_summary=config.grid_summary(params.beta),
-                  checks=checks, spectra=spectra,
-                  timings=timings, seed=config.seed)
+    return Report(params=params, config=config, checks=checks, timings=timings)

@@ -234,23 +234,18 @@ def cmd_spectrum(config: JobConfig) -> int:
 def cmd_sweep(config: JobConfig) -> int:
     if config.beta_grid is None or len(config.beta_grid) < 2:
         raise UsageError("sweep needs --beta-grid with at least 2 values")
-    reports = []
-    summary = {"beta": [], "metric_limit_deviation": [],
-               "pseudo_hermiticity_residual": [], "numeric_residual": [],
-               "passed": []}
-    for beta in config.beta_grid:
-        params = with_beta(config.params, beta)
-        report = run_suite(params, config.suite)
-        reports.append(report)
-        by_name = {check.name: check for check in report.checks}
-        pseudo = by_name.get("pseudo_hermiticity_deformed",
-                             by_name["pseudo_hermiticity_gaussian"])
-        summary["beta"].append(beta)
-        summary["metric_limit_deviation"].append(
-            by_name["metric_limit"].residual)
-        summary["pseudo_hermiticity_residual"].append(pseudo.residual)
-        summary["numeric_residual"].append(by_name["numeric_residual"].residual)
-        summary["passed"].append(report.passed)
+    reports = [run_suite(with_beta(config.params, beta), config.suite)
+               for beta in config.beta_grid]
+    rows = []
+    for report in reports:
+        residual = {check.name: check.residual for check in report.checks}
+        rows.append((report.params.beta, residual["metric_limit"],
+                     residual.get("pseudo_hermiticity_deformed",
+                                  residual["pseudo_hermiticity_gaussian"]),
+                     residual["numeric_residual"], report.passed))
+    columns = ("beta", "metric_limit_deviation", "pseudo_hermiticity_residual",
+               "numeric_residual", "passed")
+    summary = {key: list(column) for key, column in zip(columns, zip(*rows))}
     stamp = _timestamp()
     payload = {
         "reports": [r.to_json_dict(stamp) for r in reports],

@@ -217,7 +217,8 @@ def derivative_matrix(grid: Grid, order: int, fd_order: int = 4) -> MatrixOp:
 def assemble_matrix(op: DiffOp, grid: Grid, fd_order: int = 4) -> MatrixOp:
     """sum_b diag(f_b(p_i)) @ D^b with f_b evaluated exactly, summed
     straight into the diagonals; a real band when no entry has a nonzero
-    imaginary part, else a complex one.
+    imaginary part, else a complex one.  Coefficients past float range on
+    the grid raise ValueError naming the non-finite entries.
 
     D^2 uses the dedicated second-derivative stencil rather than the
     square of the first-derivative matrix, which would decouple even and
@@ -227,14 +228,28 @@ def assemble_matrix(op: DiffOp, grid: Grid, fd_order: int = 4) -> MatrixOp:
         raise ValueError("operator and grid beta differ")
     bw = fd_order // 2
     band = np.zeros((2 * bw + 1, grid.n), dtype=complex)
-    for b, fn in op.terms:
-        values = np.asarray(fn(grid.points), dtype=complex)
-        if b == 0:
-            band[bw] += values
-        else:
-            band += values * derivative_matrix(grid, b, fd_order).matrix
+    # coefficients past float range read inf or nan, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, fn in op.terms:
+            values = np.asarray(fn(grid.points), dtype=complex)
+            if b == 0:
+                band[bw] += values
+            else:
+                band += values * derivative_matrix(grid, b, fd_order).matrix
     # a copy: the .real view would keep the complex buffer alive
-    return MatrixOp(band if np.any(band.imag) else band.real.copy(), grid)
+    out = MatrixOp(band if np.any(band.imag) else band.real.copy(), grid)
+    _refuse_non_finite(out, "operator")
+    return out
+
+
+def _refuse_non_finite(a: MatrixOp, what: str) -> None:
+    """Raise ValueError naming the first five non-finite entries (i, j)."""
+    bad = ~np.isfinite(a.matrix)
+    if np.any(bad):
+        cols, _ = a.slot_cols()
+        slot, rows = np.nonzero(bad)
+        where = list(zip(rows[:5].tolist(), cols[slot, rows][:5].tolist()))
+        raise ValueError(f"non-finite {what} entries at {where}")
 
 
 def weighted_adjoint(a: MatrixOp) -> MatrixOp:
@@ -266,13 +281,9 @@ def similarity_transform(a: MatrixOp, exponent: float) -> MatrixOp:
     with np.errstate(over="ignore", invalid="ignore"):
         log_diag = metric_log_diagonal(exponent, a.grid)
         ratio = np.where(a.matrix != 0, log_diag - log_diag[cols], 0.0)
-        out = a.matrix * np.exp(ratio)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        slot, rows = np.nonzero(bad)
-        where = list(zip(rows[:5].tolist(), cols[slot, rows][:5].tolist()))
-        raise ValueError(f"non-finite transformed entries at {where}")
-    return MatrixOp(out, a.grid)
+        out = MatrixOp(a.matrix * np.exp(ratio), a.grid)
+    _refuse_non_finite(out, "transformed")
+    return out
 
 
 @dataclass(frozen=True)
@@ -462,6 +473,9 @@ def _arnoldi(solve, n: int, dtype, sizes):
                 hess[:j + 1, j] += h
             if j + 1 < n:  # at n vectors nothing is left over
                 hess[j + 1, j] = norm = np.linalg.norm(w)
+                if not norm > 0:  # its squares underflowed, or it is NaN
+                    raise FloatingPointError(
+                        f"Krylov vector {j + 1} has norm {norm}")
                 basis[j + 1] = w / norm
         m = size
         yield hess

@@ -82,15 +82,9 @@ class ModelParams:
                              "to zero (metric exponent undefined)")
 
     def to_dict(self) -> dict:
-        return {
-            "omega": self.omega,
-            "lambda": self.lam,
-            "delta": self.delta,
-            "m": self.m,
-            "hbar": self.hbar,
-            "beta": self.beta,
-            "mu": self.mu,
-        }
+        """Every field in order, ``lam`` under its flag name ``lambda``."""
+        return {"lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+                for f in fields(self)}
 
 
 def make_params(omega, lam, delta, m=1.0, hbar=1.0, beta=0.0) -> ModelParams:

@@ -163,6 +163,11 @@ class TestMetricLimit:
         assert check_metric_limit(P1).details["beta_small"] == 1e-6
         assert check_metric_limit(P1_DEFORMED).details["beta_small"] == 0.1
 
+    def test_huge_alpha_fails(self):
+        # alpha = 1e307: both terms of the log ratio overflow, inf - inf
+        result = check_metric_limit(make_params(1.0, -0.5, 0.5, m=1e-307))
+        assert math.isnan(result.residual) and not result.passed
+
 
 class TestNumericResidual:
     def test_hermitian_case_is_exact(self):

@@ -416,6 +416,62 @@ class TestSweep:
         assert "pseudo_hermiticity_deformed" in names_deformed
 
 
+# Valid inputs whose operators leave float range on the grid: coefficients
+# past it, or a Krylov basis whose squares underflow.  The failing checks
+# of each report, in order; the spectrum command names its error instead.
+FAILS_WITHOUT_WARNINGS = [
+    (["verify", *P1_FLAGS, "--m", "1e-300"],
+     [{"momentum_adjoint", "pseudo_hermiticity_gaussian", "spectrum",
+       "convergence_spectrum"}]),
+    (["verify", *P1_FLAGS, "--m", "1e300"],
+     [{"expansion", "momentum_adjoint", "pseudo_hermiticity_gaussian",
+       "numeric_residual", "spectrum", "convergence_residual",
+       "convergence_spectrum"}]),
+    (["verify", *P1_FLAGS, "--hbar", "1e-300"],
+     [{"momentum_adjoint", "pseudo_hermiticity_gaussian", "spectrum",
+       "convergence_spectrum"}]),
+    (["verify", "--omega", "1", "--lambda", "1e300", "--delta", "2.5",
+      "--n", "301"],
+     [{"expansion", "spectrum"}]),
+    (["verify", "--omega", "7e-309", "--lambda", "-1.11", "--delta", "-0.31",
+      "--beta", "10", "--n", "101"],
+     [{"expansion", "momentum_adjoint", "pseudo_hermiticity_gaussian",
+       "numeric_residual", "spectrum", "convergence_reality"}]),
+    (["sweep", "--omega", "1", "--lambda", "2.23", "--delta", "1e300",
+      "--beta-grid", "0.01,0.1", "--n", "101", "--pmax", "1000",
+      "--levels", "20"],
+     2 * [{"expansion", "pseudo_hermiticity_deformed", "metric_limit",
+           "numeric_residual", "spectrum", "convergence_reality"}]),
+    (["spectrum", "--omega", "7e-309", "--lambda", "-2.3", "--delta", "-2.8",
+      "--m", "0.5", "--hbar", "2", "--n", "51", "--pmax", "5"],
+     "spectrum check failed: ValueError: non-finite operator entries at "),
+    (["sweep", "--omega", "0.96", "--lambda", "1e300", "--delta", "-2.7",
+      "--m", "1e5", "--beta-grid", "0,3", "--n", "301", "--pmax", "10",
+      "--levels", "3", "--fd-order", "2"],
+     [{"expansion", "momentum_adjoint", "numeric_residual", "spectrum",
+       "convergence_residual"},
+      {"expansion", "momentum_adjoint", "pseudo_hermiticity_deformed",
+       "numeric_residual", "spectrum", "convergence_reality"}]),
+]
+
+
+@pytest.mark.parametrize("argv, failing", FAILS_WITHOUT_WARNINGS,
+                         ids=["_".join(argv) for argv, _ in FAILS_WITHOUT_WARNINGS])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_out_of_range_numerics_fail_by_name(argv, failing, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    if isinstance(failing, str):
+        assert err.startswith(failing) and err.count("\n") == 1
+        return
+    assert err == ""
+    payload = read_json(out)
+    reports = payload.get("reports", [payload])
+    assert [{c["name"] for c in report["checks"] if not c["passed"]}
+            for report in reports] == failing
+
+
 class TestProcessInterface:
     def test_console_invocation(self, tmp_path):
         result = subprocess.run(

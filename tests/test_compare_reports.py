@@ -25,9 +25,9 @@ ARGVS = TOOL_MODULE.ARGVS
 
 
 def test_every_case_is_listed():
-    # three benchmark workloads, fourteen verify, six spectrum, one sweep
-    assert [argv[0] for argv in ARGVS].count("spectrum") == 6
-    assert len(ARGVS) == 24
+    # three benchmark workloads, sixteen verify, seven spectrum, one sweep
+    assert [argv[0] for argv in ARGVS].count("spectrum") == 7
+    assert len(ARGVS) == 27
 
 
 @pytest.mark.parametrize("argv", ARGVS)

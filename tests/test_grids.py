@@ -162,6 +162,14 @@ class TestAssembly:
         with pytest.raises(ValueError, match="beta"):
             assemble_matrix(identity_op(), grid)
 
+    def test_overflowing_coefficients_are_refused(self):
+        # 1e308*p^2 leaves float range for |p| >= 1.5 on this grid
+        psq = DiffOp.from_dict(0.0, {0: coeff_poly((0, 0, 1e308))})
+        with pytest.raises(ValueError, match=re.escape(
+                "non-finite operator entries at [(0, 0), (1, 1), (2, 2), "
+                "(6, 6), (7, 7)]")):
+            assemble_matrix(psq, build_grid(9, 3.0))
+
     def test_deterministic(self):
         grid = build_grid(101, 5.0)
         a = assemble_matrix(h_quadratic(P1), grid, 4).matrix
@@ -406,6 +414,16 @@ class TestEigs:
         a.matrix[2, 150] = math.nan
         with pytest.raises(np.linalg.LinAlgError):
             eigs(a, kind, 3)
+
+    def test_underflowing_krylov_basis_fails_as_a_numeric_error(self):
+        # at m = 1e-300 the inverse's Krylov vectors are so small that their
+        # squares underflow and the norm reads 0
+        params = make_params(1.0, -0.5, 0.5, m=1e-300)
+        _, h0 = h0_momentum(params)
+        a = assemble_matrix(h0.conjugate_gaussian(gaussian_alpha(params) / 2.0),
+                            build_grid(301, 10.0))
+        with pytest.raises(NUMERIC_ERRORS, match="Krylov vector"):
+            eigs(a, "selfadjoint-weighted", 6)
 
     def test_nonhermitized_general_spectrum_is_real(self):
         # pseudo-Hermiticity consequence: even without hermitizing, the

@@ -66,12 +66,17 @@ ARGVS = _workload_argvs() + [
     ["verify", *_model("1", "-0.0", "0.0"), "--n", "101"],
     ["verify", *P1, "--beta", "1e-308", "--n", "51"],
     ["verify", *_model("1", "0.6", "0.399"), "--beta", "0.5", "--n", "101"],
+    ["verify", *P1, "--m", "1e-300"],
+    ["verify", *_model("7e-309", "-1.11", "-0.31"), "--beta", "10", "--n",
+     "101"],
     ["spectrum", *P1, "--n", "301"],
     ["spectrum", *P1, "--n", "261", "--levels", "255"],
     ["spectrum", *P1, "--beta", "0.1", "--pmax", "20", "--n", "401"],
     ["spectrum", *P1, "--beta", "1", "--pmax", "20", "--n", "201"],
     ["spectrum", *_model("1", "0.8", "0.3"), "--n", "301"],
     ["spectrum", *_model("1", "1.2", "-0.1"), "--n", "201"],
+    ["spectrum", *_model("7e-309", "-2.3", "-2.8"), "--m", "0.5", "--hbar",
+     "2", "--n", "51", "--pmax", "5"],
     ["sweep", *_model("1", "0.8", "0.3"), "--pmax", "20", "--n", "201",
      "--beta-grid", "0,0.1"],
 ]
