@@ -490,7 +490,10 @@ def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,
         details = {"re": re, "im": im, "oracle": [float(v) for v in oracle],
                    "errors": [float(v) for v in measured]}
     else:
-        measured = np.abs(values.imag) / np.maximum(np.abs(values.real), 1e-300)
+        # a huge imaginary part over a tiny real part reads inf
+        with np.errstate(over="ignore"):
+            measured = (np.abs(values.imag)
+                        / np.maximum(np.abs(values.real), 1e-300))
         details = {"oracle": f"unavailable: {obstruction}", "re": re, "im": im,
                    "reality_ratios": [float(r) for r in measured]}
     details["solver"] = spectrum.solver

@@ -14,9 +14,12 @@ order).  It is stored, transformed and diagonalised as its 2*bw+1
 diagonals, aligned by matrix row: memory and assembly are O(n).  It is
 real (float64) when every entry is, as for every Hamiltonian of the
 model, and every later step keeps its dtype.  Only
-the dense eigensolves form an n x n array: on grids of n <=
-DIRECT_MAX_N, and as the fallback of the certified shift-invert solver
-above that size.
+the dense eigensolves form square arrays.  On grids of n <= DIRECT_MAX_N
+a band equal to its reversal p -> -p, as every Hamiltonian of the model
+is on every grid, is solved as its even and odd sectors, about n/2 x n/2
+each and written out from the band (_parity_sectors); any other band,
+and the fallback of the certified shift-invert solver above that size,
+form the n x n matrix.
 
 Every solver is numpy.  The dense solves are numpy's LAPACK *geev
 (general) and *syevd/*heevd (self-adjoint).  Above DIRECT_MAX_N both
@@ -82,15 +85,16 @@ KRYLOV_CAP = 8
 # eigenvalue, so it needs no certificate.  On a 2-vCPU host with one BLAS
 # thread, medians of 9 solves of 6 levels over three half-metric
 # operators (P1 = (1, -0.5, 0.5) at beta 0.1 and 1 with p_max 20, and
-# verify-deformed's at beta 0.05 with p_max 40) took 8-13 ms dense
-# against 11-23 ms by shift-invert at n = 201, 13-17 against 12-18 at
-# n = 251, 26-32 against 13-18 at n = 301 and 60-84 against 12-21 at
-# n = 451.  The self-adjoint dense solve is cheaper: on hermitized P1
-# with p_max 10 it took 2.0, 3.4, 5.7 and 13.2 ms at those sizes against
-# 9.4-14.7 ms, so it leads up to about n = 400.  The cut stays at 251: no
-# grid of the benchmark workloads lies between 201 and 501, and moving it
-# would change the reports of runs that do (n = 301 and 401 in
-# tools/compare_reports.py).
+# verify-deformed's at beta 0.05 with p_max 40) took 3.4-4.3 ms dense in
+# two parity sectors against 8.6-13.3 ms by shift-invert at n = 201,
+# 5.3-6.5 against 9.7-13.2 at n = 251, 9.6-10.5 against 10.5-14.4 at
+# n = 301 and 24-28 against 11-19 at n = 451 (the full dense solve:
+# 6.9-8.1, 12-13, 19-22 and 52-72 ms).  The self-adjoint dense solve is
+# cheaper: on hermitized P1 with p_max 10 its sectors took 1.0, 1.3, 1.8
+# and 4.1 ms at those sizes against 8.4-11.7 ms, so it leads past
+# n = 451.  The cut stays at 251: no grid of the benchmark workloads
+# lies between 201 and 501, and moving it would change the reports of
+# runs that do (n = 301 and 401 in tools/compare_reports.py).
 DIRECT_MAX_N = 251
 
 # Largest grid any dense eigensolve accepts; its n x n matrix alone takes
@@ -163,26 +167,42 @@ class MatrixOp:
     def slot_cols(self) -> tuple[np.ndarray, np.ndarray]:
         """Matrix column j of every band slot (clipped into range) and the
         mask of slots inside the matrix."""
-        bw, n = self.bw, self.grid.n
-        cols = np.arange(n) + np.arange(bw, -bw - 1, -1)[:, None]
-        inside = (cols >= 0) & (cols < n)
-        return np.clip(cols, 0, n - 1), inside
+        return _slot_cols(self.matrix)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
-        """Matrix-vector product A @ vector."""
+        """Matrix-vector product A @ vector; products past float range
+        read inf, and inf - inf NaN, without a warning."""
         cols, inside = self.slot_cols()
-        return np.where(inside, self.matrix * vector[cols], 0.0).sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = np.where(inside, self.matrix * vector[cols], 0.0)
+            return products.sum(axis=0)
 
     def abs_row_sums(self) -> np.ndarray:
         """sum_j |A_ij| for every row i."""
         return np.abs(self.matrix).sum(axis=0)
 
     def to_dense(self) -> np.ndarray:
-        cols, inside = self.slot_cols()
-        rows = np.broadcast_to(np.arange(self.grid.n), cols.shape)
-        dense = np.zeros((self.grid.n, self.grid.n), dtype=self.matrix.dtype)
-        dense[rows[inside], cols[inside]] = self.matrix[inside]
-        return dense
+        return _to_dense(self.matrix)
+
+
+def _slot_cols(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """MatrixOp.slot_cols for the n x n matrix whose band in MatrixOp
+    layout is ``band``."""
+    bw, n = (band.shape[0] - 1) // 2, band.shape[1]
+    cols = np.arange(n) + np.arange(bw, -bw - 1, -1)[:, None]
+    inside = (cols >= 0) & (cols < n)
+    return np.clip(cols, 0, n - 1), inside
+
+
+def _to_dense(band: np.ndarray) -> np.ndarray:
+    """The n x n matrix whose band in MatrixOp layout is ``band``; slots
+    outside it are dropped."""
+    n = band.shape[1]
+    cols, inside = _slot_cols(band)
+    rows = np.broadcast_to(np.arange(n), cols.shape)
+    dense = np.zeros((n, n), dtype=band.dtype)
+    dense[rows[inside], cols[inside]] = band[inside]
+    return dense
 
 
 def _conj_transpose(band: np.ndarray, cols: np.ndarray,
@@ -290,15 +310,17 @@ def similarity_transform(a: MatrixOp, exponent: float) -> MatrixOp:
 class Spectrum:
     """Low-lying eigenvalues sorted by (Re, Im) ascending, and the solver
     that produced them, for either kind of eigs: "dense" (n <=
-    DIRECT_MAX_N), "shift-invert" (certified) or "dense-fallback"
-    (shift-invert impossible, unconverged or uncertified).  Self-adjoint
-    eigenvalues are real.  Values repeat bit for bit per host and BLAS
-    thread count.  On the sweep's nearly normal deformed grids (n <= 201,
-    p_max <= 20, beta up to 3) the "dense" levels were also bit for bit
-    the same at one and two BLAS threads.  Far from normal (omega <
-    lambda + delta) the levels are ill-conditioned, yet at (1, 1.3, -0.2),
-    n = 301, the lowest "dense-fallback" levels were still the same at one
-    and two threads."""
+    DIRECT_MAX_N; two parity sectors when the band equals its reversal),
+    "shift-invert" (certified) or "dense-fallback" (shift-invert
+    impossible, unconverged or uncertified; the full matrix).
+    Self-adjoint eigenvalues are real.  Values repeat bit for bit per
+    host and BLAS thread count.  On the sweep's nearly normal deformed
+    grids (n <= 201, p_max <= 20, beta up to 3) the "dense" levels, from
+    the sectors, were also bit for bit the same at one and two BLAS
+    threads, and within 0.41 eps*||A||_F of the full matrix's.  Far from
+    normal (omega < lambda + delta) the levels are ill-conditioned, yet at
+    (1, 1.3, -0.2), n = 301, the lowest "dense-fallback" levels were still
+    the same at one and two threads."""
 
     eigenvalues: np.ndarray
     solver: str
@@ -316,26 +338,62 @@ def _hermitian_and_skew(a: MatrixOp) -> tuple[np.ndarray, np.ndarray]:
     sqrt_w = np.sqrt(a.grid.weights)
     cols, inside = a.slot_cols()
     sym = a.matrix * (sqrt_w / sqrt_w[cols])
-    sym_h = _conj_transpose(sym, cols, inside)
-    return 0.5 * (sym + sym_h), 0.5 * (sym - sym_h)
+    # halved before the sum, which cannot then overflow; in the normal
+    # range the bits are the same
+    sym, sym_h = 0.5 * sym, 0.5 * _conj_transpose(sym, cols, inside)
+    return sym + sym_h, sym - sym_h
+
+
+def _parity_sectors(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd sectors of the n x n matrix A whose band in
+    MatrixOp layout is ``band``, for A = JAJ, J the reversal p -> -p and
+    n = 2c + 1 odd.
+
+    In the orthonormal basis e_c, (e_(c+k) + e_(c-k))/sqrt(2) (k = 1 ...
+    c) of the even sector, A is the (c+1) x (c+1) matrix with A[c, c] at
+    (0, 0), sqrt(2)*A[c, c+l] and sqrt(2)*A[c+k, c] in the rest of row 0
+    and column 0, and A[c+k, c+l] + A[c+k, c-l] at (k, l).  In the basis
+    (e_(c+k) - e_(c-k))/sqrt(2) of the odd sector it is the c x c matrix
+    A[c+k, c+l] - A[c+k, c-l].  The reflected entries A[c+k, c-l] lie in
+    the band only where k + l <= bw, so each sector is written out from
+    band columns c ... n-1 (rows c ... n-1 of A) plus or minus that
+    corner; the n x n matrix is never formed.  The basis is real and
+    orthonormal, so a Hermitian A has Hermitian sectors."""
+    bw, c = (band.shape[0] - 1) // 2, (band.shape[1] - 1) // 2
+    even, odd = _to_dense(band[:, c:]), _to_dense(band[:, c + 1:])
+    reach = np.arange(1, min(bw, c + 1))  # k, l <= c on a band this wide
+    k, l = np.nonzero(np.add.outer(reach, reach) <= bw)
+    k, l = k + 1, l + 1
+    # A[c+k, c-l] sits in slot bw + k + l of band column c + k
+    reflected = band[bw + k + l, c + k]
+    even[k, l] += reflected
+    odd[k - 1, l - 1] -= reflected
+    even[0, 1:] *= math.sqrt(2.0)
+    even[1:, 0] *= math.sqrt(2.0)
+    return even, odd
 
 
 def _dense_spectrum(a: MatrixOp, levels: int, solver: str,
-                    hermitian: bool) -> Spectrum:
+                    hermitian: bool, by_parity: bool = False) -> Spectrum:
     """Every eigenvalue of the dense matrix (numpy's *syevd/*heevd when
     ``hermitian``, else *geev), the lowest ``levels`` kept and reported
-    under ``solver``; refused above DENSE_MAX_N."""
+    under ``solver``; refused above DENSE_MAX_N.  With ``by_parity``, a
+    band equal to its reversal is solved as its two parity sectors
+    (_parity_sectors), built from the band, and their values merged; any
+    other band is solved whole."""
     n = a.grid.n
     if n > DENSE_MAX_N:
         raise np.linalg.LinAlgError(
             f"dense eigensolver refused at n = {n}: it needs "
             f"{a.matrix.itemsize * n * n} bytes, and n may be at most "
             f"{DENSE_MAX_N}")
-    dense = a.to_dense()
-    if hermitian:
-        return Spectrum(np.linalg.eigvalsh(dense)[:levels], solver)
-    return Spectrum(_sorted_eigenvalues(np.linalg.eigvals(dense))[:levels],
-                    solver)
+    if by_parity and np.array_equal(a.matrix, a.matrix[::-1, ::-1]):
+        matrices = _parity_sectors(a.matrix)
+    else:
+        matrices = (a.to_dense(),)
+    solve = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
+    values = np.concatenate([solve(matrix) for matrix in matrices])
+    return Spectrum(_sorted_eigenvalues(values)[:levels], solver)
 
 
 def _matvec(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -612,9 +670,10 @@ def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
     S = W^(1/2) A W^(-1/2) to be Hermitian (A equal to its weighted
     adjoint) within a small relative slack, and returns real eigenvalues.
     Either kind picks its solver by grid size.  Up to DIRECT_MAX_N it
-    solves the dense problem at once ("dense"): that finds every
-    eigenvalue, so none can be missed; the self-adjoint kind solves the
-    Hermitian part of S.  Above it, both kinds run the same certified
+    solves the dense problem at once ("dense"), in its two parity sectors
+    when the band equals its reversal: that finds every eigenvalue, so
+    none can be missed; the self-adjoint kind solves the Hermitian part
+    of S.  Above it, both kinds run the same certified
     shift-invert Arnoldi on the band of S ("shift-invert", see
     _certified_shift_invert), the self-adjoint kind keeping the real
     parts, and fall back to the dense solve ("dense-fallback") when that
@@ -638,7 +697,7 @@ def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
                              f"inner product (gap {gap:.3e}, norm {norm:.3e})")
         a = MatrixOp(herm, a.grid)
     if a.grid.n <= DIRECT_MAX_N:
-        return _dense_spectrum(a, levels, "dense", hermitian)
+        return _dense_spectrum(a, levels, "dense", hermitian, by_parity=True)
     if not hermitian:
         herm, skew = _hermitian_and_skew(a)
     spectrum = (_certified_shift_invert(herm, skew, levels)

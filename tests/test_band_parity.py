@@ -16,9 +16,14 @@ Schur-complement band solve, whose bits do not depend on the memory
 order of its stacks, and the certified floor under the Hermitian part
 that places the shift, also after a failed trial.  numpy's dense solve
 is checked against scipy's on the sweep's grids, and child processes show that no command loads any scipy module.
+The direct solve's two parity sectors are checked against the explicit
+even/odd basis and against the full solve on the sweep's grids, the
+hermitized flat operator and the smallest grids; a band off parity is
+solved whole.
 The banded assembly and transforms are checked to stay O(n) in memory.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +43,7 @@ from swanson.checks import (
     check_numeric_residual,
     check_spectrum,
 )
+from swanson.cli import main
 from swanson.grids import (
     DIRECT_MAX_N,
     KRYLOV_EXTRA,
@@ -49,6 +55,7 @@ from swanson.grids import (
     _hermitian_and_skew,
     _hermitian_floor,
     _largest_ritz,
+    _parity_sectors,
     _schur_solver,
     assemble_matrix,
     build_grid,
@@ -195,6 +202,128 @@ def test_numpy_and_scipy_dense_solves_agree(beta, n, p_max):
     np.testing.assert_allclose(dense_eigs(dense, operator.grid, "general", 6),
                                np.sort_complex(scipy.linalg.eigvals(dense))[:6],
                                rtol=0.0, atol=backward)
+
+
+@pytest.fixture
+def sector_calls(monkeypatch):
+    """Bands that eigs solved by parity sectors, recorded as it runs."""
+    calls = []
+
+    def record(band):
+        calls.append(band)
+        return _parity_sectors(band)
+
+    monkeypatch.setattr("swanson.grids._parity_sectors", record)
+    return calls
+
+
+def _parity_basis(n):
+    """The orthonormal even basis e_c, (e_(c+k) + e_(c-k))/sqrt(2) in its
+    first c + 1 columns, then the odd one (e_(c+k) - e_(c-k))/sqrt(2)."""
+    c = (n - 1) // 2
+    basis = np.zeros((n, n))
+    basis[c, 0] = 1.0
+    k = np.arange(1, c + 1)
+    basis[c + k, k] = basis[c - k, k] = basis[c + k, c + k] = np.sqrt(0.5)
+    basis[c - k, c + k] = -np.sqrt(0.5)
+    return basis
+
+
+@pytest.mark.parametrize("beta", (0.01, 0.03, 0.1, 0.3, 1.0, 3.0))
+@pytest.mark.parametrize("n, p_max", SWEEP_GRIDS)
+def test_parity_sectors_match_the_full_solve(beta, n, p_max, sector_calls):
+    # Each of the 18 sweep-small-n solves: the folded levels and the full
+    # matrix's agree within eps*||A||_F, the backward error of either
+    # solve (at most 0.41 of it measured, on the lowest six levels).
+    params = with_beta(make_params(1.0, -0.5, 0.5), beta)
+    operator = _half_metric_image(params, build_grid(n, p_max, beta))
+    assert np.array_equal(operator.matrix, operator.matrix[::-1, ::-1])
+    backward = np.finfo(float).eps * np.linalg.norm(operator.matrix)
+    spectrum = eigs(operator, "general", 6)
+    assert spectrum.solver == "dense" and len(sector_calls) == 1
+    np.testing.assert_allclose(
+        spectrum.eigenvalues,
+        dense_eigs(operator.to_dense(), operator.grid, "general", 6),
+        rtol=0.0, atol=backward)
+
+
+@pytest.mark.parametrize("n, p_max", ((69, 6.0), (201, 6.0), (251, 10.0)))
+def test_hermitian_parity_sectors_match_eigvalsh(n, p_max, sector_calls):
+    # every level, levels = n: a Hermitian eigenvalue moves by at most the
+    # norm of a perturbation, and each solve is backward stable (at most
+    # 1.42 eps*||S||_F apart measured)
+    params = make_params(1.0, -0.5, 0.5)
+    _, h0 = h0_momentum(params)
+    a = assemble_matrix(h0.conjugate_gaussian(gaussian_alpha(params) / 2.0),
+                        build_grid(n, p_max))
+    herm, _ = _hermitian_and_skew(a)
+    spectrum = eigs(a, "selfadjoint-weighted", n)
+    assert spectrum.solver == "dense" and len(sector_calls) == 1
+    assert spectrum.eigenvalues.shape == (n,)
+    np.testing.assert_allclose(
+        spectrum.eigenvalues,
+        np.linalg.eigvalsh(MatrixOp(herm, a.grid).to_dense()),
+        rtol=0.0, atol=4.0 * np.finfo(float).eps * np.linalg.norm(herm))
+
+
+@pytest.mark.parametrize("fd_order", (2, 4))
+@pytest.mark.parametrize("n", (5, 7))
+def test_parity_sectors_on_the_smallest_grids(n, fd_order, sector_calls):
+    # here the reflected corner k + l <= bw covers all of each sector
+    params = make_params(1.3, 0.2, -0.4, beta=0.05)
+    grid = build_grid(n, 2.0, 0.05)
+    operator = similarity_transform(
+        assemble_matrix(_hamiltonian_for(params), grid, fd_order),
+        _metric_for(params) / 2.0)
+    dense = operator.to_dense()
+    basis = _parity_basis(n)
+    folded = basis.T @ dense @ basis
+    even, odd = _parity_sectors(operator.matrix)
+    c = (n - 1) // 2
+    scale = np.finfo(float).eps * np.linalg.norm(dense)
+    np.testing.assert_allclose(even, folded[:c + 1, :c + 1], atol=scale)
+    np.testing.assert_allclose(odd, folded[c + 1:, c + 1:], atol=scale)
+    np.testing.assert_allclose(folded[:c + 1, c + 1:], 0.0, atol=scale)
+    spectrum = eigs(operator, "general", n)
+    assert spectrum.solver == "dense" and len(sector_calls) == 1
+    np.testing.assert_allclose(spectrum.eigenvalues,
+                               dense_eigs(dense, grid, "general", n),
+                               rtol=0.0, atol=8.0 * scale)
+
+
+def test_band_off_parity_is_solved_whole(sector_calls):
+    params = with_beta(make_params(1.0, -0.5, 0.5), 0.3)
+    operator = _half_metric_image(params, build_grid(135, 40.0 / 3.0, 0.3))
+    operator.matrix[1, 40] *= 1.0 + 1e-12
+    spectrum = eigs(operator, "general", 6)
+    assert spectrum.solver == "dense" and sector_calls == []
+    np.testing.assert_array_equal(
+        spectrum.eigenvalues,
+        dense_eigs(operator.to_dense(), operator.grid, "general", 6))
+
+
+def test_parity_sectors_find_the_closed_form_ground_level(tmp_path):
+    # omega < lambda + delta: the full n = 101 solve of this far-from-normal
+    # half-metric image returned -463.4 +- 62.6i.  The closed form of the
+    # deformed ladder (Kempf, Mangano & Mann, Phys. Rev. D 52, 1108, 1995)
+    # with K = m*hbar*omega*(omega - lambda - delta),
+    # G = (omega^2 - 4*lambda*delta)/(2K) and
+    # nu = 1/2 + sqrt(1/4 + (2G - omega*beta)/(K*beta^2)) is
+    # E_0 = (beta*K/2)*nu^2 - G/beta + omega/2 = 0.10247.
+    omega, lam, delta, beta = 1.0, 0.6, 0.399, 0.5
+    k = omega * (omega - lam - delta)
+    g = (omega ** 2 - 4.0 * lam * delta) / (2.0 * k)
+    nu = 0.5 + np.sqrt(0.25 + (2.0 * g - omega * beta) / (k * beta ** 2))
+    ground = beta * k / 2.0 * nu ** 2 - g / beta + omega / 2.0
+    out = tmp_path / "report.json"
+    main(["verify", "--omega", "1", "--lambda", "0.6", "--delta", "0.399",
+          "--beta", "0.5", "--n", "101", "--out", str(out)])
+    report = json.loads(out.read_text())
+    checks = {check["name"]: check for check in report["checks"]}
+    assert checks["spectrum"]["details"]["solver"] == "dense"
+    assert report["spectra"]["spectrum"]["im"][0] == 0.0
+    assert abs(report["spectra"]["spectrum"]["re"][0] - ground) < 1e-3
+    assert checks["convergence_reality"]["passed"]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

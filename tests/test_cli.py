@@ -417,8 +417,10 @@ class TestSweep:
 
 
 # Valid inputs whose operators leave float range on the grid: coefficients
-# past it, or a Krylov basis whose squares underflow.  The failing checks
-# of each report, in order; the spectrum command names its error instead.
+# past it, a Krylov basis whose squares underflow, a band product or a
+# Hermitian part whose sums pass float max, or a reality ratio that
+# overflows.  The failing checks of each report, in order; the spectrum
+# command names its error instead.
 FAILS_WITHOUT_WARNINGS = [
     (["verify", *P1_FLAGS, "--m", "1e-300"],
      [{"momentum_adjoint", "pseudo_hermiticity_gaussian", "spectrum",
@@ -442,6 +444,18 @@ FAILS_WITHOUT_WARNINGS = [
       "--levels", "20"],
      2 * [{"expansion", "pseudo_hermiticity_deformed", "metric_limit",
            "numeric_residual", "spectrum", "convergence_reality"}]),
+    (["verify", *P1_FLAGS, "--n", "51", "--pmax", "1e-150"],
+     [{"numeric_residual", "spectrum", "convergence_residual",
+       "convergence_spectrum"}]),
+    (["verify", "--omega", "1e166", "--lambda", "-7.8", "--delta", "0.16",
+      "--m", "7e-309", "--hbar", "70", "--n", "11"],
+     [{"expansion", "momentum_adjoint", "pseudo_hermiticity_gaussian",
+       "spectrum", "convergence_spectrum"}]),
+    (["verify", "--omega", "6.66e-113", "--lambda", "3.7e14", "--delta",
+      "6.8e79", "--beta", "1e150", "--n", "11", "--levels", "1",
+      "--fd-order", "2"],
+     [{"expansion", "momentum_adjoint", "pseudo_hermiticity_gaussian",
+       "pseudo_hermiticity_deformed", "metric_limit", "convergence_reality"}]),
     (["spectrum", "--omega", "7e-309", "--lambda", "-2.3", "--delta", "-2.8",
       "--m", "0.5", "--hbar", "2", "--n", "51", "--pmax", "5"],
      "spectrum check failed: ValueError: non-finite operator entries at "),

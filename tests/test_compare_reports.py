@@ -25,9 +25,9 @@ ARGVS = TOOL_MODULE.ARGVS
 
 
 def test_every_case_is_listed():
-    # three benchmark workloads, sixteen verify, seven spectrum, one sweep
+    # three benchmark workloads, nineteen verify, seven spectrum, one sweep
     assert [argv[0] for argv in ARGVS].count("spectrum") == 7
-    assert len(ARGVS) == 27
+    assert len(ARGVS) == 30
 
 
 @pytest.mark.parametrize("argv", ARGVS)

@@ -69,6 +69,11 @@ ARGVS = _workload_argvs() + [
     ["verify", *P1, "--m", "1e-300"],
     ["verify", *_model("7e-309", "-1.11", "-0.31"), "--beta", "10", "--n",
      "101"],
+    ["verify", *P1, "--n", "51", "--pmax", "1e-150"],
+    ["verify", *_model("1e166", "-7.8", "0.16"), "--m", "7e-309", "--hbar",
+     "70", "--n", "11"],
+    ["verify", *_model("6.66e-113", "3.7e14", "6.8e79"), "--beta", "1e150",
+     "--n", "11", "--levels", "1", "--fd-order", "2"],
     ["spectrum", *P1, "--n", "301"],
     ["spectrum", *P1, "--n", "261", "--levels", "255"],
     ["spectrum", *P1, "--beta", "0.1", "--pmax", "20", "--n", "401"],
