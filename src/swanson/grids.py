@@ -14,12 +14,11 @@ order).  It is stored, transformed and diagonalised as its 2*bw+1
 diagonals, aligned by matrix row: memory and assembly are O(n).  It is
 real (float64) when every entry is, as for every Hamiltonian of the
 model, and every later step keeps its dtype.  Only
-the dense eigensolves form square arrays.  On grids of n <= DIRECT_MAX_N
-a band equal to its reversal p -> -p, as every Hamiltonian of the model
-is on every grid, is solved as its even and odd sectors, about n/2 x n/2
-each and written out from the band (_parity_sectors); any other band,
-and the fallback of the certified shift-invert solver above that size,
-form the n x n matrix.
+the dense eigensolves form square arrays.  Each of them solves a band
+equal to its reversal p -> -p, as every Hamiltonian of the model is on
+every grid, as its even and odd sectors, about n/2 x n/2 each and
+written out from the band (_parity_sectors); any other band forms the
+n x n matrix.
 
 Every solver is numpy.  The dense solves are numpy's LAPACK *geev
 (general) and *syevd/*heevd (self-adjoint).  Above DIRECT_MAX_N both
@@ -97,8 +96,8 @@ KRYLOV_CAP = 8
 # runs that do (n = 301 and 401 in tools/compare_reports.py).
 DIRECT_MAX_N = 251
 
-# Largest grid any dense eigensolve accepts; its n x n matrix alone takes
-# 128 MB at this n for the real operators of every command, 256 MB if complex.
+# Largest grid any dense eigensolve accepts; its two parity sectors take
+# 64 MB at this n for the real operators of every command, 128 MB if complex.
 DENSE_MAX_N = 4001
 
 _STENCILS = {
@@ -310,17 +309,17 @@ def similarity_transform(a: MatrixOp, exponent: float) -> MatrixOp:
 class Spectrum:
     """Low-lying eigenvalues sorted by (Re, Im) ascending, and the solver
     that produced them, for either kind of eigs: "dense" (n <=
-    DIRECT_MAX_N; two parity sectors when the band equals its reversal),
-    "shift-invert" (certified) or "dense-fallback" (shift-invert
-    impossible, unconverged or uncertified; the full matrix).
+    DIRECT_MAX_N), "shift-invert" (certified) or "dense-fallback"
+    (shift-invert impossible, unconverged or uncertified); both dense
+    solves use two parity sectors when the band equals its reversal.
     Self-adjoint eigenvalues are real.  Values repeat bit for bit per
     host and BLAS thread count.  On the sweep's nearly normal deformed
     grids (n <= 201, p_max <= 20, beta up to 3) the "dense" levels, from
     the sectors, were also bit for bit the same at one and two BLAS
     threads, and within 0.41 eps*||A||_F of the full matrix's.  Far from
-    normal (omega < lambda + delta) the levels are ill-conditioned, yet at
-    (1, 1.3, -0.2), n = 301, the lowest "dense-fallback" levels were still
-    the same at one and two threads."""
+    normal (omega < lambda + delta) the levels are ill-conditioned, no
+    estimates, yet at (1, 1.3, -0.2), (1, 1.2, -0.1) and (1, 0.8, 0.3),
+    n = 301, the "dense-fallback" levels were the same at 1 and 2 threads."""
 
     eigenvalues: np.ndarray
     solver: str
@@ -374,23 +373,23 @@ def _parity_sectors(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dense_spectrum(a: MatrixOp, levels: int, solver: str,
-                    hermitian: bool, by_parity: bool = False) -> Spectrum:
+                    hermitian: bool) -> Spectrum:
     """Every eigenvalue of the dense matrix (numpy's *syevd/*heevd when
     ``hermitian``, else *geev), the lowest ``levels`` kept and reported
-    under ``solver``; refused above DENSE_MAX_N.  With ``by_parity``, a
-    band equal to its reversal is solved as its two parity sectors
-    (_parity_sectors), built from the band, and their values merged; any
-    other band is solved whole."""
+    under ``solver``.  A band equal to its reversal is solved as its two
+    parity sectors (_parity_sectors), built from the band, and their
+    values merged; any other band is solved whole.  Refused above
+    DENSE_MAX_N, naming the bytes of the matrices it would form."""
     n = a.grid.n
+    folded = np.array_equal(a.matrix, a.matrix[::-1, ::-1])
     if n > DENSE_MAX_N:
+        # the sectors hold (c+1)^2 + c^2 = (n^2 + 1)/2 entries, n = 2c + 1
+        entries = (n * n + 1) // 2 if folded else n * n
         raise np.linalg.LinAlgError(
             f"dense eigensolver refused at n = {n}: it needs "
-            f"{a.matrix.itemsize * n * n} bytes, and n may be at most "
+            f"{a.matrix.itemsize * entries} bytes, and n may be at most "
             f"{DENSE_MAX_N}")
-    if by_parity and np.array_equal(a.matrix, a.matrix[::-1, ::-1]):
-        matrices = _parity_sectors(a.matrix)
-    else:
-        matrices = (a.to_dense(),)
+    matrices = _parity_sectors(a.matrix) if folded else (a.to_dense(),)
     solve = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
     values = np.concatenate([solve(matrix) for matrix in matrices])
     return Spectrum(_sorted_eigenvalues(values)[:levels], solver)
@@ -697,7 +696,7 @@ def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
                              f"inner product (gap {gap:.3e}, norm {norm:.3e})")
         a = MatrixOp(herm, a.grid)
     if a.grid.n <= DIRECT_MAX_N:
-        return _dense_spectrum(a, levels, "dense", hermitian, by_parity=True)
+        return _dense_spectrum(a, levels, "dense", hermitian)
     if not hermitian:
         herm, skew = _hermitian_and_skew(a)
     spectrum = (_certified_shift_invert(herm, skew, levels)

@@ -18,8 +18,9 @@ that places the shift, also after a failed trial.  numpy's dense solve
 is checked against scipy's on the sweep's grids, and child processes show that no command loads any scipy module.
 The direct solve's two parity sectors are checked against the explicit
 even/odd basis and against the full solve on the sweep's grids, the
-hermitized flat operator and the smallest grids; a band off parity is
-solved whole.
+hermitized flat operator and the smallest grids, the fallback's against
+the full solve on a nearly normal grid; a band off parity is solved
+whole.
 The banded assembly and transforms are checked to stay O(n) in memory.
 """
 
@@ -142,10 +143,15 @@ def _half_metric_image(params, grid):
                                 _metric_for(params) / 2.0)
 
 
-def test_uncertified_spectrum_falls_back_to_dense():
+def test_uncertified_spectrum_falls_back_to_dense(sector_calls):
     # omega < lambda + delta with a steep metric: the half-metric image is
     # far from normal on this grid, so the Gershgorin bound on the
-    # imaginary parts is too wide to certify the shift-invert values
+    # imaginary parts is too wide to certify the shift-invert values.  Its
+    # levels are not pinned: sigma_min(A - lambda*I) is below
+    # 1e-50*eps*||A||_F at lambda = 0, -1e5, -1e6 and 1e5i alike (bounded
+    # by band solves at 400 digits), so the eps*||A||_F-pseudospectrum
+    # covers that whole region and every backward-stable solve, folded or
+    # whole, may return any point of it.
     params = make_params(1.0, 1.3, -0.2)
     grid = build_grid(301, 10.0)
     assert grid.n > DIRECT_MAX_N
@@ -153,8 +159,26 @@ def test_uncertified_spectrum_falls_back_to_dense():
     assert _certified_shift_invert(*_hermitian_and_skew(operator), 6) is None
     result = check_spectrum(params, grid, 4, 6)
     assert result.details["solver"] == "dense-fallback"
-    expected = dense_eigs(operator.to_dense().real, grid, "general", 6)
-    np.testing.assert_allclose(_levels(result), expected, rtol=PARITY_RTOL)
+    levels = _levels(result)
+    assert levels.shape == (6,) and np.all(np.isfinite(levels))
+    assert len(sector_calls) == 1
+
+
+def test_nearly_normal_fallback_matches_the_full_solve(sector_calls):
+    # P1 at beta = 0.01 cannot be certified on this grid, yet its
+    # half-metric image is nearly normal: the folded fallback levels and
+    # the full matrix's agree within eps*||A||_F, the backward error of
+    # either solve (0.33 of it measured)
+    params = make_params(1.0, -0.5, 0.5, beta=0.01)
+    operator = _half_metric_image(params, build_grid(301, 20.0, 0.01))
+    assert operator.grid.n > DIRECT_MAX_N
+    backward = np.finfo(float).eps * np.linalg.norm(operator.matrix)
+    spectrum = eigs(operator, "general", 6)
+    assert spectrum.solver == "dense-fallback" and len(sector_calls) == 1
+    np.testing.assert_allclose(
+        spectrum.eigenvalues,
+        dense_eigs(operator.to_dense(), operator.grid, "general", 6),
+        rtol=0.0, atol=backward)
 
 
 # The sweep-small-n grids: the suite grid (n = 201, p_max = 20) and the
@@ -548,7 +572,8 @@ def test_levels_beyond_grid_rejected():
 
 @pytest.mark.parametrize("spare, solver", [(0, "shift-invert"),
                                            (1, "dense-fallback")])
-def test_shift_invert_needs_room_beyond_the_levels(spare, solver):
+def test_shift_invert_needs_room_beyond_the_levels(spare, solver,
+                                                   sector_calls):
     # shift-invert converges levels + KRYLOV_EXTRA eigenvalues and needs
     # that below n - 1; at n - 1 the general solve falls back to dense.
     # At n - 2 the first basis is the whole space, an exact factorization.
@@ -559,6 +584,8 @@ def test_shift_invert_needs_room_beyond_the_levels(spare, solver):
     levels = grid.n - 2 - KRYLOV_EXTRA + spare
     spectrum = eigs(operator, "general", levels)
     assert spectrum.solver == solver
+    # the image is J-symmetric, so the fallback solves it folded
+    assert len(sector_calls) == spare
     np.testing.assert_allclose(
         spectrum.eigenvalues,
         dense_eigs(operator.to_dense(), grid, "general", levels),
@@ -567,7 +594,8 @@ def test_shift_invert_needs_room_beyond_the_levels(spare, solver):
 
 @pytest.mark.parametrize("levels, solver", [(6, "shift-invert"),
                                             (295, "dense-fallback")])
-def test_selfadjoint_kind_on_nonuniform_weights(levels, solver):
+def test_selfadjoint_kind_on_nonuniform_weights(levels, solver,
+                                                sector_calls):
     # A[i, j] = H[i, j]*sqrt(w_j/w_i) for a complex Hermitian pentadiagonal
     # H (a shifted oscillator), so S = W^(1/2) A W^(-1/2) is H up to
     # rounding: its skew part is of order eps*||H||, not 0, and the
@@ -584,6 +612,8 @@ def test_selfadjoint_kind_on_nonuniform_weights(levels, solver):
     assert np.any(_hermitian_and_skew(operator)[1])
     spectrum = eigs(operator, "selfadjoint-weighted", levels)
     assert spectrum.solver == solver
+    # i*D_1 is odd under J, so the fallback solves the band whole
+    assert sector_calls == []
     assert np.isrealobj(spectrum.eigenvalues)
     np.testing.assert_allclose(spectrum.eigenvalues,
                                np.linalg.eigvalsh(h)[:levels],

@@ -459,6 +459,12 @@ FAILS_WITHOUT_WARNINGS = [
     (["spectrum", "--omega", "7e-309", "--lambda", "-2.3", "--delta", "-2.8",
       "--m", "0.5", "--hbar", "2", "--n", "51", "--pmax", "5"],
      "spectrum check failed: ValueError: non-finite operator entries at "),
+    # no room for shift-invert, and the fallback's two parity sectors
+    # would take 8*(2002^2 + 2001^2) bytes
+    (["spectrum", "--omega", "1", "--lambda", "-0.5", "--delta", "0.5",
+      "--n", "4003", "--levels", "4003"],
+     "spectrum check failed: LinAlgError: dense eigensolver refused at "
+     "n = 4003: it needs 64096040 bytes, and n may be at most 4001"),
     (["sweep", "--omega", "0.96", "--lambda", "1e300", "--delta", "-2.7",
       "--m", "1e5", "--beta-grid", "0,3", "--n", "301", "--pmax", "10",
       "--levels", "3", "--fd-order", "2"],

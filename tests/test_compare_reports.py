@@ -25,9 +25,12 @@ ARGVS = TOOL_MODULE.ARGVS
 
 
 def test_every_case_is_listed():
-    # three benchmark workloads, nineteen verify, seven spectrum, one sweep
-    assert [argv[0] for argv in ARGVS].count("spectrum") == 7
-    assert len(ARGVS) == 30
+    # three benchmark workloads (two verify, one sweep), twenty verify,
+    # seven spectrum, one sweep
+    commands = [argv[0] for argv in ARGVS]
+    assert commands.count("verify") == 2 + 20
+    assert commands.count("spectrum") == 7
+    assert len(ARGVS) == 31
 
 
 @pytest.mark.parametrize("argv", ARGVS)

@@ -444,9 +444,17 @@ class TestEigs:
                             lambda *args: None)
         assert eigs(a, "general", 3).solver == "dense-fallback"
         monkeypatch.setattr(swanson.grids, "DENSE_MAX_N", 299)
+        # the message names the bytes of the matrices the solve would form:
+        # two parity sectors, 8*(151^2 + 150^2), for this J-symmetric band,
+        # and the whole 8*301^2 for a band off parity
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"n = 301: it needs 362408 bytes.* at most 299"):
+            eigs(a, "general", 3)
+        off_parity = a.matrix.copy()
+        off_parity[1, 40] *= 2.0
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"n = 301: it needs 724808 bytes.* at most 299"):
-            eigs(a, "general", 3)
+            eigs(MatrixOp(off_parity, a.grid), "general", 3)
         # inside the suite the spectrum check fails by name
         report = run_suite(with_beta(P1, 0.1), SuiteConfig(n=301, p_max=20.0))
         spectrum = {c.name: c for c in report.checks}["spectrum"]

@@ -56,6 +56,7 @@ ARGVS = _workload_argvs() + [
     ["verify", *P1, "--n", "7"],
     ["verify", *P1, "--n", "501", "--fd-order", "2"],
     ["verify", *P1, "--beta", "0.1", "--n", "401"],
+    ["verify", *P1, "--beta", "0.01", "--pmax", "20", "--n", "301"],
     ["verify", *_model("1", "0.8", "0.3"), "--n", "301"],
     ["verify", *_model("1", "1.2", "-0.1"), "--n", "301"],
     ["verify", *_model("1", "0.2", "0.2")],
