@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import pickle
+import random
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -174,10 +175,11 @@ def _result(name: str, measured, tolerance: float | None,
 # -- random parameter draws ----------------------------------------------------
 
 
-def draw_params(rng: np.random.Generator, regime: bool = False) -> ModelParams:
+def draw_params(rng: random.Random, regime: bool = False) -> ModelParams:
     """One valid random parameter set: omega ~ U[0.5, 2], lam, delta ~
     U[-0.9, 0.9], rejecting |omega-lam-delta| < 0.05; ``regime`` forces
-    lam = -delta."""
+    lam = -delta.  Only ``rng.uniform(a, b)`` is called, so a numpy
+    Generator serves as well as a ``random.Random``."""
     while True:
         omega = rng.uniform(0.5, 2.0)
         delta = rng.uniform(-0.9, 0.9)
@@ -187,8 +189,12 @@ def draw_params(rng: np.random.Generator, regime: bool = False) -> ModelParams:
         return make_params(omega, lam, delta)
 
 
-def _check_rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng([seed, stream])
+def _check_rng(seed: int, stream: int) -> random.Random:
+    """The generator of one randomized check's draws: a Mersenne Twister
+    per (seed, stream) pair, seeded from the SHA-512 of its string, which
+    ``random`` computes without importing hashlib (numpy.random's import
+    would load hashlib's OpenSSL module in every run)."""
+    return random.Random(f"{seed}:{stream}")
 
 
 # -- symbolic checks --------------------------------------------------------------

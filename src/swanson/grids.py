@@ -24,8 +24,9 @@ Every solver is numpy.  The dense solves are numpy's LAPACK *geev
 (general) and *syevd/*heevd (self-adjoint).  Above DIRECT_MAX_N both
 kinds run shift-invert Arnoldi on one O(n) band factorization by nested
 Schur complements (_schur_solver), shifted below a floor that Cholesky
-factorizations of the same kind certify (_hermitian_floor).  No module
-of the package imports scipy.
+factorizations of the same kind certify (_hermitian_floor), from a
+fixed start vector drawn with the stdlib's random module.  No module of
+the package imports scipy or numpy.random.
 
 A metric is given by its exponent; the grid's beta picks the family, as
 it picks the weights: e^(exponent*p^2) at beta = 0, (1+beta*p^2)^exponent
@@ -37,6 +38,7 @@ have to be materialized when only ratios are needed.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -513,8 +515,12 @@ def _arnoldi(solve, n: int, dtype, sizes):
     ``sizes``, the (m+1) x m Hessenberg matrix, whose last row is zero
     once m = n (the basis spans the space and the factorization is
     exact)."""
-    # a fixed start vector keeps reports reproducible within a process
-    start = np.random.default_rng(0).standard_normal(n)
+    # A fixed start vector keeps reports reproducible.  Its entries are
+    # i.i.d. U[-1/2, 1/2), 53 bits each from the stdlib generator's bytes:
+    # importing numpy.random would load hashlib's OpenSSL module in every
+    # run, and a list of gauss() draws is some 20 times slower.
+    bits = np.frombuffer(random.Random(0).randbytes(8 * n), dtype="<u8")
+    start = (bits >> 11) * 2.0 ** -53 - 0.5
     basis = (start / np.linalg.norm(start)).astype(dtype)[None]
     hess = np.zeros((1, 0), dtype=dtype)
     m = 0

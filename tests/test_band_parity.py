@@ -15,7 +15,9 @@ shift-invert are checked against dense solves: the band product, the
 Schur-complement band solve, whose bits do not depend on the memory
 order of its stacks, and the certified floor under the Hermitian part
 that places the shift, also after a failed trial.  numpy's dense solve
-is checked against scipy's on the sweep's grids, and child processes show that no command loads any scipy module.
+is checked against scipy's on the sweep's grids, and child processes show
+that no command loads any scipy module, numpy.random or hashlib's OpenSSL
+module.
 The direct solve's two parity sectors are checked against the explicit
 even/odd basis and against the full solve on the sweep's grids, the
 hermitized flat operator and the smallest grids, the fallback's against
@@ -391,6 +393,30 @@ def _child(args):
 def test_no_command_loads_scipy(argv, tmp_path):
     script = LOADED_SCIPY.format(out=tmp_path / "report.json")
     assert _child(["-c", script, *argv]) == ["0", "[]"]
+
+
+# A fresh process that runs these commands must not have numpy.random or
+# hashlib's OpenSSL module (_hashlib) loaded by them: they add to every
+# run's peak RSS, and the seeded draws and the Arnoldi start vector need
+# neither.  The flat verify at n = 301 runs shift-invert Arnoldi (p_max 6,
+# as for the flat-verify case above, so that every check passes).
+LOADED_BY_MAIN = """
+import sys
+from swanson.cli import main
+before = set(sys.modules)
+codes = [main(argv + ["--out", "{out}"]) for argv in {argvs!r}]
+print(*codes, sorted({{"numpy.random", "_hashlib"}} & (set(sys.modules) - before)))
+"""
+
+
+def test_commands_load_neither_numpy_random_nor_hashlib(tmp_path):
+    p1 = ["--omega", "1", "--lambda", "-0.5", "--delta", "0.5"]
+    argvs = [["verify", *p1, "--pmax", "6", "--n", "301"],
+             ["verify", *p1, "--beta", "0.1", "--n", "401"],
+             ["sweep", *p1, "--pmax", "20", "--n", "201",
+              "--beta-grid", "0.01,1"]]
+    script = LOADED_BY_MAIN.format(out=tmp_path / "report.json", argvs=argvs)
+    assert _child(["-c", script]) == ["0", "0", "0", "[]"]
 
 
 def test_importing_the_cli_loads_no_scipy():

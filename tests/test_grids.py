@@ -6,11 +6,13 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import swanson.grids
 from swanson.checks import NUMERIC_ERRORS, SuiteConfig, run_suite
 from swanson.grids import (
     MatrixOp,
+    _arnoldi,
     assemble_matrix,
     build_grid,
     derivative_matrix,
@@ -416,14 +418,28 @@ class TestEigs:
             eigs(a, kind, 3)
 
     def test_underflowing_krylov_basis_fails_as_a_numeric_error(self):
-        # at m = 1e-300 the inverse's Krylov vectors are so small that their
-        # squares underflow and the norm reads 0
+        # a solve that scales a generic vector by 1e-300: the next Krylov
+        # vector's squares underflow, and its norm reads 0
+        scale = 1e-300 * np.linspace(1.0, 2.0, 50)
+        factorizations = _arnoldi(lambda x: scale * x, 50, np.float64, [4])
+        with pytest.raises(NUMERIC_ERRORS, match="Krylov vector 1 has norm 0.0"):
+            next(factorizations)
+
+    def test_tiny_mass_grid_falls_back_to_the_dense_levels(self):
+        # at m = 1e-300 the p^2 term outweighs the rest by 1e300: the floor
+        # certifies, the Ritz values do not converge, and the dense solve
+        # returns the grid's levels, the lowest of them rounding-sized
         params = make_params(1.0, -0.5, 0.5, m=1e-300)
         _, h0 = h0_momentum(params)
         a = assemble_matrix(h0.conjugate_gaussian(gaussian_alpha(params) / 2.0),
                             build_grid(301, 10.0))
-        with pytest.raises(NUMERIC_ERRORS, match="Krylov vector"):
-            eigs(a, "selfadjoint-weighted", 6)
+        spectrum = eigs(a, "selfadjoint-weighted", 6)
+        assert spectrum.solver == "dense-fallback"
+        dense = a.to_dense()  # at uniform weights S is A itself
+        expected = scipy.linalg.eigvalsh(0.5 * (dense + dense.T))[:6]
+        rounding = a.grid.n * np.finfo(float).eps * np.abs(dense).max()
+        np.testing.assert_allclose(spectrum.eigenvalues, expected,
+                                   rtol=1e-12, atol=rounding)
 
     def test_nonhermitized_general_spectrum_is_real(self):
         # pseudo-Hermiticity consequence: even without hermitizing, the
