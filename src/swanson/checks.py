@@ -178,8 +178,7 @@ def _result(name: str, measured, tolerance: float | None,
 def draw_params(rng: random.Random, regime: bool = False) -> ModelParams:
     """One valid random parameter set: omega ~ U[0.5, 2], lam, delta ~
     U[-0.9, 0.9], rejecting |omega-lam-delta| < 0.05; ``regime`` forces
-    lam = -delta.  Only ``rng.uniform(a, b)`` is called, so a numpy
-    Generator serves as well as a ``random.Random``."""
+    lam = -delta."""
     while True:
         omega = rng.uniform(0.5, 2.0)
         delta = rng.uniform(-0.9, 0.9)
@@ -206,9 +205,9 @@ def _check_rng(seed: int, stream: int) -> random.Random:
 # symbolic checks depend on their arguments only and are cached on them:
 # a sweep runs the randomized ones (seed, draws, betas) and the
 # single-parameter ones (the undeformed parameters) once, not once per
-# beta.  The two grid operators are cached the same way, so every grid of
-# a suite discretizes one build.  Callers share the cached results and
-# must not mutate them.
+# beta.  The Hamiltonian and the spectrum's operator are cached the same
+# way, so every check and grid of a suite reads one build.  Callers share
+# the cached results and must not mutate them.
 
 
 def _cached(build):
@@ -230,7 +229,7 @@ def _cached(build):
 
 
 def _expansion_residual(params):
-    return operators_equal(h_ladder(params), h_quadratic(params)).residual
+    return operators_equal(h_ladder(params), _hamiltonian_for(params)).residual
 
 
 @_cached
@@ -301,7 +300,7 @@ def check_adjoint(params: ModelParams) -> CheckResult:
     and its flat-measure adjoint against its closed form (R and T terms
     flip sign, consistent with T = R/2)."""
     coeffs, h0 = h0_momentum(params)
-    r_representation = operators_equal(h0, h_quadratic(params)).residual
+    r_representation = operators_equal(h0, _hamiltonian_for(params)).residual
     r_adjoint = operators_equal(h0.adjoint(), h0_adjoint_expected(params)).residual
     details = {"Q": coeffs.Q, "R": coeffs.R, "S": coeffs.S, "T": coeffs.T,
                "T_minus_half_R": coeffs.T - coeffs.R / 2.0,
@@ -318,7 +317,7 @@ def _similarity_residual(params, exponent):
         _, h = h0_momentum(params)
         conjugated = h.conjugate_gaussian(exponent)
     else:
-        h = h_deformed(params)
+        h = _hamiltonian_for(params)
         conjugated = h.conjugate_power_metric(exponent)
     return operators_equal(conjugated, h.adjoint()).residual
 
@@ -400,7 +399,8 @@ def _metric_for(params, exponent_override: float | None = None):
 
 @_cached
 def _hamiltonian_for(params: ModelParams):
-    """The model's Hamiltonian, which numeric_residual discretizes."""
+    """The model's Hamiltonian, quadratic at beta = 0 and deformed at
+    beta > 0, for a parameter set or a batch: every check reads it here."""
     return h_quadratic(params) if params.beta == 0.0 else h_deformed(params)
 
 

@@ -13,27 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .checks import NUMERIC_ERRORS, SuiteConfig, check_spectrum, run_suite
-from .grids import build_grid
+from .grids import build_grid, peak_bytes
 from .model import ModelParams, make_params, with_beta
-
-_SUITE = SuiteConfig()
-DEFAULTS = {
-    "m": 1.0,
-    "hbar": 1.0,
-    "beta": 0.0,
-    "n": _SUITE.n,
-    "pmax": _SUITE.p_max,
-    "fd_order": _SUITE.fd_order,
-    "levels": _SUITE.levels,
-    "seed": _SUITE.seed,
-}
-
 
 class UsageError(Exception):
     """Bad flags, bad config values, or I/O trouble; exits with code 2."""
@@ -105,6 +93,18 @@ def _integer(key: str, value) -> int:
     return number
 
 
+def _host_bytes() -> int:
+    """The memory the host can give a run: its physical memory, or the
+    cgroup's memory.max where that file holds a smaller number."""
+    limits = [os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")]
+    try:
+        with open("/sys/fs/cgroup/memory.max", encoding="ascii") as handle:
+            limits.append(int(handle.read()))
+    except (OSError, ValueError):  # no such file, or "max"
+        pass
+    return min(limits)
+
+
 def parse(argv) -> JobConfig:
     """Merge flags over an optional flat JSON config file into a validated
     JobConfig; every validation problem raises UsageError."""
@@ -114,7 +114,7 @@ def parse(argv) -> JobConfig:
              if key != "command" and value is not None}
     keys = vars(namespace).keys() - {"command", "config"}
 
-    merged = dict(DEFAULTS)
+    merged = {}
     config_path = flags.pop("config", None)
     if config_path is not None:
         try:
@@ -146,15 +146,23 @@ def parse(argv) -> JobConfig:
         beta_grid = _parse_beta_grid(beta_grid)
 
     override = merged.get("exponent_override")
-    n, fd_order, levels, seed = (_integer(key, merged[key])
-                                 for key in ("n", "fd_order", "levels", "seed"))
+    # an unset key takes its default from SuiteConfig or make_params
+    n, fd_order, levels, seed = (_integer(key, merged.get(key, getattr(
+        SuiteConfig, key))) for key in ("n", "fd_order", "levels", "seed"))
     try:
         params = make_params(merged["omega"], merged["lam"], merged["delta"],
-                             merged["m"], merged["hbar"], merged["beta"])
+                             **{key: merged[key] for key in ("m", "hbar", "beta")
+                                if key in merged})
         for beta in beta_grid or ():  # each sweep point validates its beta
             with_beta(params, beta)
+        # an overcommitting kernel kills a run that outgrows the host
+        # instead of raising MemoryError, so the grid is refused up front
+        need, have = peak_bytes(n, levels), _host_bytes()
+        if need > have:
+            raise MemoryError(f"a run needs up to {need} bytes, and the host "
+                              f"has {have}")
         # the largest beta in use bounds the grid's coefficients
-        grid = build_grid(n, float(merged["pmax"]),
+        grid = build_grid(n, float(merged.get("pmax", SuiteConfig.p_max)),
                           max((params.beta, *(beta_grid or ()))))
         suite = SuiteConfig(
             n=grid.n, p_max=grid.p_max, fd_order=fd_order, levels=levels,

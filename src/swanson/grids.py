@@ -102,6 +102,34 @@ DIRECT_MAX_N = 251
 # 64 MB at this n for the real operators of every command, 128 MB if complex.
 DENSE_MAX_N = 4001
 
+
+def peak_bytes(n: int, levels: int) -> int:
+    """An upper bound on the bytes of the arrays a run on a grid of n
+    points holds at once when it solves for ``levels`` eigenvalues of the
+    model's real bands, besides the interpreter's own; 0 for an n that
+    build_grid refuses at once.
+
+    The grid, the bands, the probes and the factorizations of the floor
+    search take under 1 KiB a point (600-830 B traced at n = 8001-64001).
+    The eigensolve adds the larger of its two paths, where eigs takes
+    them.  Shift-invert Arnoldi, above DIRECT_MAX_N unless levels +
+    KRYLOV_EXTRA >= n - 1, holds a basis of at most m + 1 vectors (m the
+    cap of _largest_ritz_values), twice while np.pad grows it, and the
+    (m+1) x m Hessenberg matrix, whose eig holds LAPACK's copy and real
+    eigenvectors and two arrays of complex eigenvectors, 48 m^2 bytes (a
+    spectrum run at n = 4001 with 3000 levels, m = n, peaked at 1.07 GB
+    resident).  The dense solve, up to DENSE_MAX_N, holds the two parity
+    sectors and LAPACK's copy of the larger one."""
+    if n < 5 or n % 2 == 0:
+        return 0
+    m = min(n, KRYLOV_CAP * (levels + KRYLOV_EXTRA))
+    arnoldi = (8 * (m + 1) * (2 * n + m) + 48 * m * m
+               if n > DIRECT_MAX_N and 0 < levels < n - 1 - KRYLOV_EXTRA else 0)
+    sectors = (8 * ((n * n + 1) // 2 + ((n + 1) // 2) ** 2)
+               if n <= DENSE_MAX_N else 0)
+    return 1024 * n + max(arnoldi, sectors)
+
+
 _STENCILS = {
     (1, 2): {-1: -0.5, 1: 0.5},
     (1, 4): {-2: 1.0 / 12.0, -1: -2.0 / 3.0, 1: 2.0 / 3.0, 2: -1.0 / 12.0},
@@ -160,10 +188,6 @@ class MatrixOp:
 
     matrix: np.ndarray
     grid: Grid
-
-    @property
-    def bw(self) -> int:
-        return (self.matrix.shape[0] - 1) // 2
 
     def slot_cols(self) -> tuple[np.ndarray, np.ndarray]:
         """Matrix column j of every band slot (clipped into range) and the

@@ -65,6 +65,7 @@ from swanson.grids import (
     derivative_matrix,
     eigs,
     gaussian_state,
+    peak_bytes,
     similarity_transform,
     weighted_adjoint,
 )
@@ -662,3 +663,21 @@ def test_banded_assembly_and_transforms_are_linear_in_memory():
     assert transformed.matrix.shape == adjoint.matrix.shape == (5, 20001)
     assert peak < 50e6
 
+
+@pytest.mark.usefixtures("fresh_checks")
+@pytest.mark.parametrize("flags, levels", [
+    (["--omega", "1", "--lambda", "-0.5", "--delta", "0.5"], 6),
+    (["--omega", "1.3", "--lambda", "0.2", "--delta", "-0.4", "--beta",
+      "0.05", "--pmax", "40"], 24)])
+@pytest.mark.parametrize("n", [8001, 16001])
+def test_peak_bytes_bounds_a_traced_spectrum_run(n, flags, levels):
+    # above DENSE_MAX_N: the bands, the floor search and a shift-invert
+    # basis that converges below its cap, hence the loose upper bound
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", *flags, "--n", str(n), "--levels", str(levels)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= peak_bytes(n, levels) <= 4 * peak

@@ -12,21 +12,6 @@ from swanson.model import make_params, stack_params, with_beta
 import oracles
 
 SEEDS = (0, 1, 42)
-RANDOMIZED = (checks.check_expansion_randomized,
-              checks.check_variant_discrepancy_randomized,
-              checks.check_gaussian_similarity_randomized,
-              checks.check_deformed_similarity_randomized)
-
-
-@pytest.fixture
-def fresh_checks():
-    """Empty the randomized checks' caches around a test that patches
-    what they call."""
-    for check in RANDOMIZED:
-        check.cache_clear()
-    yield
-    for check in RANDOMIZED:
-        check.cache_clear()
 
 
 def per_draw(values, sample):

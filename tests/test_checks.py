@@ -336,8 +336,9 @@ class TestConvergence:
                 assert "distinct grid spacings" in checks[name].details["error"]
 
     def _counted_suite(self, monkeypatch, params, config):
-        """Run a suite on empty caches, counting grid assemblies,
-        eigensolves and single-parameter Hamiltonian builds."""
+        """Run a suite, counting grid assemblies, eigensolves and
+        single-parameter Hamiltonian builds; its callers start on empty
+        caches (fresh_checks)."""
         calls = {"assemble": 0, "eigs": 0, "h_quadratic": 0, "h_deformed": 0}
 
         def counted(key, fn):
@@ -352,18 +353,16 @@ class TestConvergence:
                           ("h_deformed", "h_deformed")):
             monkeypatch.setattr(swanson.checks, name,
                                 counted(key, getattr(swanson.checks, name)))
-        for value in vars(swanson.checks).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
         report = run_suite(params, config)
         return {c.name: c for c in report.checks}, calls
 
+    @pytest.mark.usefixtures("fresh_checks")
     def test_flat_studies_end_at_the_suite_grid(self, monkeypatch):
         checks, calls = self._counted_suite(monkeypatch, P1, SuiteConfig(n=301))
         # suite grid: residual and spectrum; each coarse grid: both again.
-        # expansion and momentum_adjoint build H; reduced_vs_variant and
-        # every grid share a third build
-        assert calls == {"assemble": 6, "eigs": 3, "h_quadratic": 3,
+        # expansion, reduced_vs_variant, momentum_adjoint and every grid
+        # share one build of H
+        assert calls == {"assemble": 6, "eigs": 3, "h_quadratic": 1,
                          "h_deformed": 0}
         assert (checks["convergence_residual"].details["errors"][-1]
                 == checks["numeric_residual"].residual)
@@ -371,14 +370,15 @@ class TestConvergence:
                 == checks["spectrum"].details["errors"][0])
         assert checks["convergence_residual"].details["h"][-1] == 20.0 / 300
 
+    @pytest.mark.usefixtures("fresh_checks")
     def test_deformed_study_ends_at_the_suite_grid(self, monkeypatch):
         checks, calls = self._counted_suite(
             monkeypatch, P1_DEFORMED, SuiteConfig(n=301, p_max=20.0))
         # suite grid: residual and spectrum; each coarse grid: a spectrum.
-        # pseudo_hermiticity_deformed builds H and every grid shares a
-        # second build; the undeformed symbolic checks build H three times
-        assert calls == {"assemble": 4, "eigs": 3, "h_quadratic": 3,
-                         "h_deformed": 2}
+        # pseudo_hermiticity_deformed and every grid share one build of
+        # the deformed H, the undeformed symbolic checks one of the flat H
+        assert calls == {"assemble": 4, "eigs": 3, "h_quadratic": 1,
+                         "h_deformed": 1}
         reality = checks["convergence_reality"].details
         spectrum = checks["spectrum"].details
         assert reality["reality_ratios"][-1] == max(spectrum["reality_ratios"][:3])
@@ -607,7 +607,7 @@ class TestSuite:
                                        "generated_at", "seed"}
 
     def test_draw_params_respects_guards(self):
-        rng = np.random.default_rng(0)
+        rng = swanson.checks._check_rng(0, 1)
         for _ in range(200):
             params = draw_params(rng)
             assert abs(params.omega - params.lam - params.delta) >= 0.05

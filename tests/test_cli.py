@@ -159,6 +159,25 @@ class TestParse:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: n = {n} is too large")
 
+    @pytest.mark.parametrize("flags", [["--n", "20001"],
+                                       ["--n", "301", "--levels", "250"]])
+    def test_run_beyond_host_memory_exits_two(self, flags, monkeypatch,
+                                              capsys):
+        # an overcommitting kernel kills such a run instead of raising
+        # MemoryError, so parse refuses it before it builds a grid
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("build_grid was called")
+
+        monkeypatch.setattr(swanson.cli, "_host_bytes", lambda: 4 << 20)
+        monkeypatch.setattr(swanson.cli, "build_grid", unbuilt)
+        assert main(["spectrum", *P1_FLAGS, *flags]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: n = {flags[1]} is too large")
+
+    def test_run_within_host_memory_is_parsed(self, monkeypatch):
+        monkeypatch.setattr(swanson.cli, "_host_bytes", lambda: 4 << 20)
+        assert parse(["spectrum", *P1_FLAGS, "--n", "301"]).suite.n == 301
+
     def test_missing_config_file(self):
         with pytest.raises(UsageError, match="config"):
             parse(["verify", *P1_FLAGS, "--config", "/nonexistent.json"])
