@@ -114,16 +114,19 @@ def peak_bytes(n: int, levels: int) -> int:
     The eigensolve adds the larger of its two paths, where eigs takes
     them.  Shift-invert Arnoldi, above DIRECT_MAX_N unless levels +
     KRYLOV_EXTRA >= n - 1, holds a basis of at most m + 1 vectors (m the
-    cap of _largest_ritz_values), twice while np.pad grows it, and the
-    (m+1) x m Hessenberg matrix, whose eig holds LAPACK's copy and real
-    eigenvectors and two arrays of complex eigenvectors, 48 m^2 bytes (a
-    spectrum run at n = 4001 with 3000 levels, m = n, peaked at 1.07 GB
-    resident).  The dense solve, up to DENSE_MAX_N, holds the two parity
-    sectors and LAPACK's copy of the larger one."""
+    cap of _largest_ritz_values) and the (m+1) x m Hessenberg matrix,
+    twice while np.pad grows it.  At each size below n the eig of the
+    Hessenberg holds LAPACK's copy and real eigenvectors and two arrays
+    of complex eigenvectors, 48 m^2 bytes; a first size of n, the whole
+    space, is solved by eigvals alone, which holds LAPACK's copy.  The
+    dense solve, up to DENSE_MAX_N, holds the two parity sectors and
+    LAPACK's copy of the larger one."""
     if n < 5 or n % 2 == 0:
         return 0
-    m = min(n, KRYLOV_CAP * (levels + KRYLOV_EXTRA))
-    arnoldi = (8 * (m + 1) * (2 * n + m) + 48 * m * m
+    k = levels + KRYLOV_EXTRA
+    m = min(n, KRYLOV_CAP * k)
+    ritz = 8 * m * m if 2 * k >= n else 48 * m * m
+    arnoldi = (8 * (m + 1) * (n + 2 * m) + ritz
                if n > DIRECT_MAX_N and 0 < levels < n - 1 - KRYLOV_EXTRA else 0)
     sectors = (8 * ((n * n + 1) // 2 + ((n + 1) // 2) ** 2)
                if n <= DENSE_MAX_N else 0)
@@ -538,19 +541,24 @@ def _arnoldi(solve, n: int, dtype, sizes):
     from a fixed start vector: for each basis size m of the increasing
     ``sizes``, the (m+1) x m Hessenberg matrix, whose last row is zero
     once m = n (the basis spans the space and the factorization is
-    exact)."""
+    exact).
+
+    The basis is allocated once, for the last size.  Each of its rows is
+    written before it is read, so the rows past the basis actually built
+    are never touched and, past the memory page that holds the last row
+    written (2 MB where numpy asks for huge pages), never become
+    resident.  The Hessenberg matrix, O(m^2), is grown per size instead."""
     # A fixed start vector keeps reports reproducible.  Its entries are
     # i.i.d. U[-1/2, 1/2), 53 bits each from the stdlib generator's bytes:
     # importing numpy.random would load hashlib's OpenSSL module in every
     # run, and a list of gauss() draws is some 20 times slower.
     bits = np.frombuffer(random.Random(0).randbytes(8 * n), dtype="<u8")
     start = (bits >> 11) * 2.0 ** -53 - 0.5
-    basis = (start / np.linalg.norm(start)).astype(dtype)[None]
+    basis = np.empty((sizes[-1] + 1, n), dtype=dtype)
+    basis[0] = start / np.linalg.norm(start)
     hess = np.zeros((1, 0), dtype=dtype)
     m = 0
     for size in sizes:
-        # grown per size, so memory follows the basis actually built
-        basis = np.pad(basis, ((0, size + 1 - len(basis)), (0, 0)))
         hess = np.pad(hess, ((0, size + 1 - len(hess)), (0, size - m)))
         for j in range(m, size):
             w = solve(basis[j])
@@ -570,11 +578,18 @@ def _arnoldi(solve, n: int, dtype, sizes):
 
 def _largest_ritz(hess: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k Ritz values of largest modulus of an (m+1) x m Arnoldi
-    factorization, and their residuals |h[m, m-1] * y[m-1]|."""
+    factorization, and their residuals |h[m, m-1] * y[m-1]|.  Where
+    h[m, m-1] = 0 (m = n, an exact factorization) every residual is 0,
+    and the values are solved for without the eigenvectors y."""
     m = hess.shape[1]
-    theta, vectors = np.linalg.eig(hess[:m])
+    if hess[m, m - 1] == 0:
+        theta = np.linalg.eigvals(hess[:m])
+        residual = np.zeros(m)
+    else:
+        theta, vectors = np.linalg.eig(hess[:m])
+        residual = np.abs(hess[m, m - 1] * vectors[m - 1])
     largest = np.argsort(-np.abs(theta), kind="stable")[:k]
-    return theta[largest], np.abs(hess[m, m - 1] * vectors[m - 1, largest])
+    return theta[largest], residual[largest]
 
 
 def _largest_ritz_values(solve, n: int, k: int, dtype) -> np.ndarray | None:

@@ -4,12 +4,15 @@ The library stores grid operators as bands and never calls these.  Each
 one is the plain dense form of a library operation: materialized metric
 diagonals, the weighted inner product, exact application of a DiffOp to
 a polynomial, a dense <-> band converter, and the dense assembly,
-transforms and eigensolvers the banded core replaced.  The library runs
+transforms and eigensolvers the banded core replaced, and the Arnoldi
+iteration whose basis np.pad regrew at every size.  The library runs
 each randomized symbolic check over all its draws in one batch; the
 scalar loops at the end evaluate the same identities one draw at a time.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 import scipy.linalg
@@ -153,6 +156,31 @@ def dense_eigs(mat: np.ndarray, grid: Grid, kind: str = "general",
     sym = (sqrt_w[:, None] * mat) / sqrt_w[None, :]
     sym = 0.5 * (sym + sym.conj().T)
     return scipy.linalg.eigvalsh(sym)[:levels].astype(complex)
+
+
+def padded_arnoldi(solve, n: int, dtype, sizes):
+    """grids._arnoldi as it was before its basis was sized once: the same
+    start vector and Gram-Schmidt steps, with the basis regrown by np.pad
+    at every size, so the old and new bases exist at once."""
+    bits = np.frombuffer(random.Random(0).randbytes(8 * n), dtype="<u8")
+    start = (bits >> 11) * 2.0 ** -53 - 0.5
+    basis = (start / np.linalg.norm(start)).astype(dtype)[None]
+    hess = np.zeros((1, 0), dtype=dtype)
+    m = 0
+    for size in sizes:
+        basis = np.pad(basis, ((0, size + 1 - len(basis)), (0, 0)))
+        hess = np.pad(hess, ((0, size + 1 - len(hess)), (0, size - m)))
+        for j in range(m, size):
+            w = solve(basis[j])
+            for _ in range(2):
+                h = basis[:j + 1].conj() @ w
+                w -= h @ basis[:j + 1]
+                hess[:j + 1, j] += h
+            if j + 1 < n:
+                hess[j + 1, j] = norm = np.linalg.norm(w)
+                basis[j + 1] = w / norm
+        m = size
+        yield hess
 
 
 def dense_numeric_residual(op: DiffOp, exponent: float, grid: Grid,

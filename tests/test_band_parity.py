@@ -23,7 +23,9 @@ even/odd basis and against the full solve on the sweep's grids, the
 hermitized flat operator and the smallest grids, the fallback's against
 the full solve on a nearly normal grid; a band off parity is solved
 whole.
-The banded assembly and transforms are checked to stay O(n) in memory.
+The banded assembly and transforms are checked to stay O(n) in memory,
+and the Arnoldi basis to be held once; at an exact factorization the
+Ritz values are read without eigenvectors.
 """
 
 import json
@@ -51,7 +53,9 @@ from swanson.grids import (
     DIRECT_MAX_N,
     KRYLOV_EXTRA,
     SCHUR_ROWS,
+    SHIFT_DEPTH,
     MatrixOp,
+    _arnoldi,
     _band_solver,
     _certified_shift_invert,
     _floor_tolerance,
@@ -83,6 +87,7 @@ from oracles import (
     dense_eigs,
     dense_numeric_residual,
     from_dense,
+    padded_arnoldi,
 )
 
 CASES = {
@@ -647,6 +652,78 @@ def test_selfadjoint_kind_on_nonuniform_weights(levels, solver,
                                rtol=PARITY_RTOL)
 
 
+def _shifted_solve(herm):
+    """The shift-invert solve of a real Hermitian band with no skew part,
+    at the shift _certified_shift_invert takes, and that shift."""
+    lo = _hermitian_floor(herm)
+    sigma = lo - SHIFT_DEPTH * _floor_tolerance(lo)
+    return _band_solver(herm, sigma), sigma
+
+
+def test_arnoldi_holds_one_basis():
+    # a real band solve at n = 2001 driven to its last size: the basis is
+    # allocated once for that size, where a basis grown by np.pad is held
+    # twice while it grows, and the Hessenbergs keep their bits
+    params = make_params(1.0, -0.5, 0.5)
+    grid = build_grid(2001, 10.0)
+    herm, _ = _hermitian_and_skew(
+        assemble_matrix(_spectrum_problem(params)[0], grid))
+    solve, _ = _shifted_solve(herm)
+    sizes = [28, 44, 60, 76, 92, 112]
+    expected = list(padded_arnoldi(solve, grid.n, herm.dtype, sizes))
+    basis_bytes = (sizes[-1] + 1) * grid.n * herm.itemsize
+    tracemalloc.start()
+    try:
+        for hess, reference in zip(_arnoldi(solve, grid.n, herm.dtype, sizes),
+                                   expected, strict=True):
+            np.testing.assert_array_equal(hess, reference)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * basis_bytes
+
+
+@pytest.mark.usefixtures("fresh_checks")
+def test_exact_factorization_reads_ritz_values_without_eig(monkeypatch):
+    # levels + KRYLOV_EXTRA = n - 2, so the first basis spans the grid:
+    # the factorization is exact and every residual is 0, read from the
+    # Ritz values alone.  The floor search's short factorizations may
+    # still call eig.
+    params, grid = make_params(1.0, -0.5, 0.5), build_grid(261, 10.0)
+    levels = grid.n - 2 - KRYLOV_EXTRA
+    eig, exact = np.linalg.eig, []
+
+    def eig_below_n(matrix):
+        if len(matrix) == grid.n:
+            raise AssertionError("eig called on an exact factorization")
+        return eig(matrix)
+
+    def recorded(hess, k):
+        theta, residual = _largest_ritz(hess, k)
+        if hess.shape[1] == grid.n:
+            exact.append(residual)
+        return theta, residual
+
+    monkeypatch.setattr(np.linalg, "eig", eig_below_n)
+    monkeypatch.setattr("swanson.grids._largest_ritz", recorded)
+    result = check_spectrum(params, grid, levels=levels)
+    assert result.details["solver"] == "shift-invert"
+    assert len(exact) == 1 and not np.any(exact[0])
+    herm, _ = _hermitian_and_skew(
+        assemble_matrix(_spectrum_problem(params)[0], grid))
+    dense = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(sector) for sector in _parity_sectors(herm)]))
+    dense = dense[:levels]
+    # Weyl's bound eps*||A||_F on the dense levels, plus a backward error
+    # eps*theta_max in theta = 1/(x - sigma), which moves a level x by
+    # eps*(x - sigma)^2/(x_0 - sigma): the high levels need that term
+    _, sigma = _shifted_solve(herm)
+    eps = np.finfo(float).eps
+    bound = eps * (np.linalg.norm(herm)
+                   + (dense - sigma) ** 2 / (dense[0] - sigma))
+    assert np.all(np.abs(np.array(result.details["re"]) - dense) <= bound)
+
+
 def test_banded_assembly_and_transforms_are_linear_in_memory():
     params = make_params(1.3, 0.2, -0.4, beta=0.05)
     grid = build_grid(20001, 40.0, 0.05)
@@ -664,20 +741,35 @@ def test_banded_assembly_and_transforms_are_linear_in_memory():
     assert peak < 50e6
 
 
+P1_FLAGS = ["--omega", "1", "--lambda", "-0.5", "--delta", "0.5"]
+
+
 @pytest.mark.usefixtures("fresh_checks")
 @pytest.mark.parametrize("flags, levels", [
-    (["--omega", "1", "--lambda", "-0.5", "--delta", "0.5"], 6),
+    (P1_FLAGS, 6),
     (["--omega", "1.3", "--lambda", "0.2", "--delta", "-0.4", "--beta",
       "0.05", "--pmax", "40"], 24)])
 @pytest.mark.parametrize("n", [8001, 16001])
 def test_peak_bytes_bounds_a_traced_spectrum_run(n, flags, levels):
     # above DENSE_MAX_N: the bands, the floor search and a shift-invert
     # basis that converges below its cap, hence the loose upper bound
+    _assert_peak_bytes_bound(n, flags, levels, 0)
+
+
+@pytest.mark.usefixtures("fresh_checks")
+def test_peak_bytes_bounds_an_exact_factorization_run():
+    # 2*(levels + KRYLOV_EXTRA) >= n: the first basis is the whole grid,
+    # and its Ritz values are read by eigvals alone; the high levels miss
+    # the ladder, so the run exits 1
+    _assert_peak_bytes_bound(1001, P1_FLAGS, 900, 1)
+
+
+def _assert_peak_bytes_bound(n, flags, levels, exit_code):
     tracemalloc.start()
     try:
         code = main(["spectrum", *flags, "--n", str(n), "--levels", str(levels)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert code == 0
+    assert code == exit_code
     assert peak <= peak_bytes(n, levels) <= 4 * peak

@@ -160,7 +160,7 @@ class TestParse:
         assert capsys.readouterr().err.startswith(f"error: n = {n} is too large")
 
     @pytest.mark.parametrize("flags", [["--n", "20001"],
-                                       ["--n", "301", "--levels", "250"]])
+                                       ["--n", "401", "--levels", "350"]])
     def test_run_beyond_host_memory_exits_two(self, flags, monkeypatch,
                                               capsys):
         # an overcommitting kernel kills such a run instead of raising

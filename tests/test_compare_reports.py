@@ -26,11 +26,11 @@ ARGVS = TOOL_MODULE.ARGVS
 
 def test_every_case_is_listed():
     # three benchmark workloads (two verify, one sweep), twenty verify,
-    # seven spectrum, one sweep
+    # eight spectrum, one sweep
     commands = [argv[0] for argv in ARGVS]
     assert commands.count("verify") == 2 + 20
-    assert commands.count("spectrum") == 7
-    assert len(ARGVS) == 31
+    assert commands.count("spectrum") == 8
+    assert len(ARGVS) == 32
 
 
 @pytest.mark.parametrize("argv", ARGVS)

@@ -77,6 +77,7 @@ ARGVS = _workload_argvs() + [
      "--n", "11", "--levels", "1", "--fd-order", "2"],
     ["spectrum", *P1, "--n", "301"],
     ["spectrum", *P1, "--n", "261", "--levels", "255"],
+    ["spectrum", *P1, "--n", "261", "--levels", "251"],
     ["spectrum", *P1, "--beta", "0.1", "--pmax", "20", "--n", "401"],
     ["spectrum", *P1, "--beta", "1", "--pmax", "20", "--n", "201"],
     ["spectrum", *_model("1", "0.8", "0.3"), "--n", "301"],
