@@ -93,15 +93,27 @@ def _integer(key: str, value) -> int:
     return number
 
 
-def _host_bytes() -> int:
-    """The memory the host can give a run: its physical memory, or the
-    cgroup's memory.max where that file holds a smaller number."""
+def _host_bytes(cgroup: str = "/proc/self/cgroup",
+                root: str = "/sys/fs/cgroup") -> int:
+    """The memory the host can give a run: its physical memory, or where
+    smaller the limit of the memory cgroup each hierarchy:controllers:path
+    line of ``cgroup`` names, v2 memory.max or v1 memory.limit_in_bytes."""
     limits = [os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")]
     try:
-        with open("/sys/fs/cgroup/memory.max", encoding="ascii") as handle:
-            limits.append(int(handle.read()))
-    except (OSError, ValueError):  # no such file, or "max"
-        pass
+        with open(cgroup, encoding="ascii") as handle:
+            entries = [line.rstrip("\n").split(":", 2) for line in handle]
+    except OSError:
+        entries = []
+    files = [f"{root}/memory{path}/memory.limit_in_bytes" if controllers
+             else f"{root}{path}/memory.max"
+             for _, controllers, path in entries
+             if not controllers or "memory" in controllers.split(",")]
+    for name in files:
+        try:
+            with open(name, encoding="ascii") as handle:
+                limits.append(int(handle.read()))
+        except (OSError, ValueError):  # no such file, or "max"
+            pass
     return min(limits)
 
 
@@ -161,9 +173,10 @@ def parse(argv) -> JobConfig:
         if need > have:
             raise MemoryError(f"a run needs up to {need} bytes, and the host "
                               f"has {have}")
-        # the largest beta in use bounds the grid's coefficients
+        # the largest beta the command runs bounds the grid's coefficients
+        runs = beta_grid if namespace.command == "sweep" else None
         grid = build_grid(n, float(merged.get("pmax", SuiteConfig.p_max)),
-                          max((params.beta, *(beta_grid or ()))))
+                          max(runs or (params.beta,)))
         suite = SuiteConfig(
             n=grid.n, p_max=grid.p_max, fd_order=fd_order, levels=levels,
             seed=seed,

@@ -59,8 +59,8 @@ SHIFT_DEPTH = 2.0
 # The floor lo under the Hermitian part aims within FLOOR_RTOL*max(1, |lo|)
 # of its lowest eigenvalue, which is also the shift's least depth in those
 # units.  Each round of _hermitian_floor takes FLOOR_KRYLOV Arnoldi steps,
-# and it makes at most FLOOR_FACTORS factorizations: the grids the tests
-# and the workloads solve need 2-5.
+# fewer than n > 2k >= 18, and it makes at most FLOOR_FACTORS
+# factorizations: the grids the tests and the workloads solve need 2-5.
 FLOOR_RTOL = 1e-3
 FLOOR_KRYLOV = 12
 FLOOR_FACTORS = 16
@@ -98,8 +98,8 @@ KRYLOV_CAP = 8
 # runs that do (n = 301 and 401 in tools/compare_reports.py).
 DIRECT_MAX_N = 251
 
-# Largest grid any dense eigensolve accepts; its two parity sectors take
-# 64 MB at this n for the real operators of every command, 128 MB if complex.
+# Largest grid any dense eigensolve accepts, whole-space requests too; its
+# two parity sectors take 64 MB at this n for real operators, 128 if complex.
 DENSE_MAX_N = 4001
 
 
@@ -112,22 +112,20 @@ def peak_bytes(n: int, levels: int) -> int:
     The grid, the bands, the probes and the factorizations of the floor
     search take under 1 KiB a point (600-830 B traced at n = 8001-64001).
     The eigensolve adds the larger of its two paths, where eigs takes
-    them.  Shift-invert Arnoldi, above DIRECT_MAX_N unless levels +
-    KRYLOV_EXTRA >= n - 1, holds a basis of at most m + 1 vectors (m the
-    cap of _largest_ritz_values) and the (m+1) x m Hessenberg matrix,
-    twice while np.pad grows it.  At each size below n the eig of the
-    Hessenberg holds LAPACK's copy and real eigenvectors and two arrays
-    of complex eigenvectors, 48 m^2 bytes; a first size of n, the whole
-    space, is solved by eigvals alone, which holds LAPACK's copy.  The
-    dense solve, up to DENSE_MAX_N, holds the two parity sectors and
-    LAPACK's copy of the larger one."""
+    them.  Shift-invert Arnoldi, above DIRECT_MAX_N where its first
+    basis of 2k vectors, k = levels + KRYLOV_EXTRA, stays below n (see
+    _certified_shift_invert), holds a basis of at most m + 1 vectors (m
+    the cap of _largest_ritz_values) and the (m+1) x m Hessenberg
+    matrix, twice while np.pad grows it, and the eig of the Hessenberg
+    holds LAPACK's copy and real eigenvectors and two arrays of complex
+    eigenvectors, 48 m^2 bytes.  The dense solve, up to DENSE_MAX_N,
+    holds the two parity sectors and LAPACK's copy of the larger one."""
     if n < 5 or n % 2 == 0:
         return 0
     k = levels + KRYLOV_EXTRA
-    m = min(n, KRYLOV_CAP * k)
-    ritz = 8 * m * m if 2 * k >= n else 48 * m * m
-    arnoldi = (8 * (m + 1) * (n + 2 * m) + ritz
-               if n > DIRECT_MAX_N and 0 < levels < n - 1 - KRYLOV_EXTRA else 0)
+    m = min(n - 1, KRYLOV_CAP * k)
+    arnoldi = (8 * (m + 1) * (n + 2 * m) + 48 * m * m
+               if n > DIRECT_MAX_N and 0 < levels and 2 * k < n else 0)
     sectors = (8 * ((n * n + 1) // 2 + ((n + 1) // 2) ** 2)
                if n <= DENSE_MAX_N else 0)
     return 1024 * n + max(arnoldi, sectors)
@@ -338,9 +336,9 @@ def similarity_transform(a: MatrixOp, exponent: float) -> MatrixOp:
 class Spectrum:
     """Low-lying eigenvalues sorted by (Re, Im) ascending, and the solver
     that produced them, for either kind of eigs: "dense" (n <=
-    DIRECT_MAX_N), "shift-invert" (certified) or "dense-fallback"
-    (shift-invert impossible, unconverged or uncertified); both dense
-    solves use two parity sectors when the band equals its reversal.
+    DIRECT_MAX_N), "shift-invert" (certified) or "dense-fallback" (a
+    whole-space request, unconverged or uncertified); both dense solves
+    use two parity sectors when the band equals its reversal.
     Self-adjoint eigenvalues are real.  Values repeat bit for bit per
     host and BLAS thread count.  On the sweep's nearly normal deformed
     grids (n <= 201, p_max <= 20, beta up to 3) the "dense" levels, from
@@ -539,9 +537,7 @@ def _band_solver(band: np.ndarray, shift: float, definite: bool = False):
 def _arnoldi(solve, n: int, dtype, sizes):
     """Arnoldi factorizations of the operator ``solve`` on C^n (or R^n)
     from a fixed start vector: for each basis size m of the increasing
-    ``sizes``, the (m+1) x m Hessenberg matrix, whose last row is zero
-    once m = n (the basis spans the space and the factorization is
-    exact).
+    ``sizes``, all below n, the (m+1) x m Hessenberg matrix.
 
     The basis is allocated once, for the last size.  Each of its rows is
     written before it is read, so the rows past the basis actually built
@@ -566,28 +562,22 @@ def _arnoldi(solve, n: int, dtype, sizes):
                 h = basis[:j + 1].conj() @ w
                 w -= h @ basis[:j + 1]
                 hess[:j + 1, j] += h
-            if j + 1 < n:  # at n vectors nothing is left over
-                hess[j + 1, j] = norm = np.linalg.norm(w)
-                if not norm > 0:  # its squares underflowed, or it is NaN
-                    raise FloatingPointError(
-                        f"Krylov vector {j + 1} has norm {norm}")
-                basis[j + 1] = w / norm
+            hess[j + 1, j] = norm = np.linalg.norm(w)
+            if not norm > 0:  # its squares underflowed, or it is NaN
+                raise FloatingPointError(
+                    f"Krylov vector {j + 1} has norm {norm}")
+            basis[j + 1] = w / norm
         m = size
         yield hess
 
 
 def _largest_ritz(hess: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k Ritz values of largest modulus of an (m+1) x m Arnoldi
-    factorization, and their residuals |h[m, m-1] * y[m-1]|.  Where
-    h[m, m-1] = 0 (m = n, an exact factorization) every residual is 0,
-    and the values are solved for without the eigenvectors y."""
+    factorization, and their residuals |h[m, m-1] * y[m-1]| from the
+    Hessenberg's eigenvectors y."""
     m = hess.shape[1]
-    if hess[m, m - 1] == 0:
-        theta = np.linalg.eigvals(hess[:m])
-        residual = np.zeros(m)
-    else:
-        theta, vectors = np.linalg.eig(hess[:m])
-        residual = np.abs(hess[m, m - 1] * vectors[m - 1])
+    theta, vectors = np.linalg.eig(hess[:m])
+    residual = np.abs(hess[m, m - 1] * vectors[m - 1])
     largest = np.argsort(-np.abs(theta), kind="stable")[:k]
     return theta[largest], residual[largest]
 
@@ -596,14 +586,14 @@ def _largest_ritz_values(solve, n: int, k: int, dtype) -> np.ndarray | None:
     """The k eigenvalues of largest modulus of the operator ``solve``, or
     None when they do not converge before the basis reaches its cap.
 
-    The basis grows to 2k vectors, then by KRYLOV_STEP or an eighth at a
-    time, and the Ritz values are checked at each of those sizes: they
-    have converged when every residual is at most KRYLOV_RTOL*|theta|.
-    The basis stops at KRYLOV_CAP*k vectors, or at n.  The sizes checked
-    depend on n and k alone.
+    The basis grows to 2k < n vectors, then by KRYLOV_STEP or an eighth
+    at a time, and the Ritz values are checked at each of those sizes:
+    they have converged when every residual is at most KRYLOV_RTOL*|theta|.
+    The basis stops at KRYLOV_CAP*k vectors, or at n - 1: no size reaches
+    n.  The sizes checked depend on n and k alone.
     """
-    cap = min(n, KRYLOV_CAP * k)
-    sizes = [min(cap, 2 * k)]
+    cap = min(n - 1, KRYLOV_CAP * k)
+    sizes = [2 * k]
     while sizes[-1] < cap:
         sizes.append(min(cap, sizes[-1] + max(KRYLOV_STEP, sizes[-1] // 8)))
     for hess in _arnoldi(solve, n, dtype, sizes):
@@ -648,7 +638,7 @@ def _hermitian_floor(herm: np.ndarray) -> float | None:
         return None
     for _ in range(FLOOR_FACTORS - 1):
         if solve is not None and hi - lo > _floor_tolerance(hi):
-            hess = next(_arnoldi(solve, n, herm.dtype, [min(n, FLOOR_KRYLOV)]))
+            hess = next(_arnoldi(solve, n, herm.dtype, [FLOOR_KRYLOV]))
             theta, residual = (float(v[0].real)
                                for v in _largest_ritz(hess, 1))
             hi = min(hi, lo + 1.0 / theta)
@@ -668,9 +658,9 @@ def _certified_shift_invert(herm: np.ndarray, skew: np.ndarray,
                             levels: int) -> Spectrum | None:
     """Lowest ``levels`` eigenvalues of S = herm + skew, the bands of its
     Hermitian and skew-Hermitian parts, by shift-invert Arnoldi; None
-    when k = levels + KRYLOV_EXTRA is n - 1 or more, the floor lo cannot
-    be certified, the Ritz values do not converge or the result cannot be
-    certified.
+    when 2k >= n, k = levels + KRYLOV_EXTRA (a first basis that spans the
+    grid: the dense solve's job), the floor lo cannot be certified, the
+    Ritz values do not converge or the result cannot be certified.
 
     (S - sigma*I)^(-1) is applied through one band factorization
     (_band_solver), and its k eigenvalues theta of largest modulus give
@@ -688,7 +678,7 @@ def _certified_shift_invert(herm: np.ndarray, skew: np.ndarray,
     """
     n = herm.shape[1]
     k = levels + KRYLOV_EXTRA
-    if k >= n - 1:
+    if 2 * k >= n:
         return None
     lo = _hermitian_floor(herm)
     if lo is None:
@@ -720,9 +710,9 @@ def eigs(a: MatrixOp, kind: str = "general", levels: int = 6) -> Spectrum:
     of S.  Above it, both kinds run the same certified
     shift-invert Arnoldi on the band of S ("shift-invert", see
     _certified_shift_invert), the self-adjoint kind keeping the real
-    parts, and fall back to the dense solve ("dense-fallback") when that
-    is impossible (levels close to n), unconverged or uncertified; above
-    DENSE_MAX_N the dense solve raises LinAlgError instead.
+    parts, and fall back to the dense solve ("dense-fallback") for a
+    whole-space request (2k >= n, see _certified_shift_invert), or when
+    unconverged or uncertified; above DENSE_MAX_N it raises LinAlgError.
     """
     levels = int(levels)
     if not 0 < levels <= a.grid.n:

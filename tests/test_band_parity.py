@@ -24,8 +24,9 @@ hermitized flat operator and the smallest grids, the fallback's against
 the full solve on a nearly normal grid; a band off parity is solved
 whole.
 The banded assembly and transforms are checked to stay O(n) in memory,
-and the Arnoldi basis to be held once; at an exact factorization the
-Ritz values are read without eigenvectors.
+and the Arnoldi basis to be held once and to stay below n vectors; a
+whole-space request takes the dense path, which is refused above
+DENSE_MAX_N without building a basis.
 """
 
 import json
@@ -50,6 +51,7 @@ from swanson.checks import (
 )
 from swanson.cli import main
 from swanson.grids import (
+    DENSE_MAX_N,
     DIRECT_MAX_N,
     KRYLOV_EXTRA,
     SCHUR_ROWS,
@@ -606,14 +608,15 @@ def test_levels_beyond_grid_rejected():
                                            (1, "dense-fallback")])
 def test_shift_invert_needs_room_beyond_the_levels(spare, solver,
                                                    sector_calls):
-    # shift-invert converges levels + KRYLOV_EXTRA eigenvalues and needs
-    # that below n - 1; at n - 1 the general solve falls back to dense.
-    # At n - 2 the first basis is the whole space, an exact factorization.
+    # shift-invert converges k = levels + KRYLOV_EXTRA eigenvalues from a
+    # first basis of 2k vectors and needs that below n; at 2k >= n the
+    # general solve falls back to dense.  At 2k = n - 1 the first basis
+    # is the largest it builds.
     params = make_params(1.0, -0.5, 0.5, beta=0.1)
     grid = build_grid(261, 20.0, 0.1)
     assert grid.n > DIRECT_MAX_N
     operator = _half_metric_image(params, grid)
-    levels = grid.n - 2 - KRYLOV_EXTRA + spare
+    levels = (grid.n - 1) // 2 - KRYLOV_EXTRA + spare
     spectrum = eigs(operator, "general", levels)
     assert spectrum.solver == solver
     # the image is J-symmetric, so the fallback solves it folded
@@ -683,45 +686,65 @@ def test_arnoldi_holds_one_basis():
     assert peak < 1.25 * basis_bytes
 
 
+def _unbuilt_arnoldi(*args):
+    raise AssertionError("_arnoldi was called")
+
+
 @pytest.mark.usefixtures("fresh_checks")
-def test_exact_factorization_reads_ritz_values_without_eig(monkeypatch):
-    # levels + KRYLOV_EXTRA = n - 2, so the first basis spans the grid:
-    # the factorization is exact and every residual is 0, read from the
-    # Ritz values alone.  The floor search's short factorizations may
-    # still call eig.
+def test_whole_space_request_takes_the_dense_path(monkeypatch, sector_calls):
+    # 2*(levels + KRYLOV_EXTRA) >= n: a first basis that large would span
+    # the grid, so shift-invert declines before its floor search and the
+    # levels come from the two parity sectors
     params, grid = make_params(1.0, -0.5, 0.5), build_grid(261, 10.0)
-    levels = grid.n - 2 - KRYLOV_EXTRA
-    eig, exact = np.linalg.eig, []
-
-    def eig_below_n(matrix):
-        if len(matrix) == grid.n:
-            raise AssertionError("eig called on an exact factorization")
-        return eig(matrix)
-
-    def recorded(hess, k):
-        theta, residual = _largest_ritz(hess, k)
-        if hess.shape[1] == grid.n:
-            exact.append(residual)
-        return theta, residual
-
-    monkeypatch.setattr(np.linalg, "eig", eig_below_n)
-    monkeypatch.setattr("swanson.grids._largest_ritz", recorded)
+    levels = 251
+    assert 2 * (levels + KRYLOV_EXTRA) >= grid.n > DIRECT_MAX_N
+    monkeypatch.setattr("swanson.grids._arnoldi", _unbuilt_arnoldi)
     result = check_spectrum(params, grid, levels=levels)
-    assert result.details["solver"] == "shift-invert"
-    assert len(exact) == 1 and not np.any(exact[0])
+    assert result.details["solver"] == "dense-fallback"
+    assert len(sector_calls) == 1
     herm, _ = _hermitian_and_skew(
         assemble_matrix(_spectrum_problem(params)[0], grid))
     dense = np.sort(np.concatenate(
         [np.linalg.eigvalsh(sector) for sector in _parity_sectors(herm)]))
-    dense = dense[:levels]
-    # Weyl's bound eps*||A||_F on the dense levels, plus a backward error
-    # eps*theta_max in theta = 1/(x - sigma), which moves a level x by
-    # eps*(x - sigma)^2/(x_0 - sigma): the high levels need that term
-    _, sigma = _shifted_solve(herm)
-    eps = np.finfo(float).eps
-    bound = eps * (np.linalg.norm(herm)
-                   + (dense - sigma) ** 2 / (dense[0] - sigma))
-    assert np.all(np.abs(np.array(result.details["re"]) - dense) <= bound)
+    # Weyl's bound on the levels of a backward-stable Hermitian solve
+    bound = np.finfo(float).eps * np.linalg.norm(herm)
+    assert np.all(np.abs(np.array(result.details["re"]) - dense[:levels])
+                  <= bound)
+
+
+@pytest.mark.parametrize("kind", ["general", "selfadjoint-weighted"])
+@pytest.mark.parametrize("spare", [0, 1])
+@pytest.mark.parametrize("n", [261, 301, 1001])
+def test_no_arnoldi_basis_reaches_the_grid(n, spare, kind, monkeypatch):
+    # levels + KRYLOV_EXTRA = (n - 1)/2 + spare: at spare = 0 the first
+    # basis has n - 1 vectors, the most shift-invert builds, and one level
+    # more sends the request to the dense path before any basis is built
+    grid = build_grid(n, 10.0)
+    operator = assemble_matrix(
+        _spectrum_problem(make_params(1.0, -0.5, 0.5))[0], grid)
+    requested = []
+
+    def recorded(solve, n, dtype, sizes):
+        requested.extend(sizes)
+        return _arnoldi(solve, n, dtype, sizes)
+
+    monkeypatch.setattr("swanson.grids._arnoldi", recorded)
+    spectrum = eigs(operator, kind, (n - 1) // 2 - KRYLOV_EXTRA + spare)
+    assert max(requested, default=0) < n
+    assert bool(requested) == (spare == 0)
+    assert spare == 0 or spectrum.solver == "dense-fallback"
+
+
+@pytest.mark.parametrize("kind", ["general", "selfadjoint-weighted"])
+def test_whole_space_request_above_dense_max_n_is_refused(kind, monkeypatch):
+    grid = build_grid(4003, 10.0)
+    assert grid.n > DENSE_MAX_N
+    operator = assemble_matrix(
+        _spectrum_problem(make_params(1.0, -0.5, 0.5))[0], grid)
+    monkeypatch.setattr("swanson.grids._arnoldi", _unbuilt_arnoldi)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=f"n may be at most {DENSE_MAX_N}"):
+        eigs(operator, kind, 2000)
 
 
 def test_banded_assembly_and_transforms_are_linear_in_memory():
@@ -758,9 +781,9 @@ def test_peak_bytes_bounds_a_traced_spectrum_run(n, flags, levels):
 
 @pytest.mark.usefixtures("fresh_checks")
 def test_peak_bytes_bounds_an_exact_factorization_run():
-    # 2*(levels + KRYLOV_EXTRA) >= n: the first basis is the whole grid,
-    # and its Ritz values are read by eigvals alone; the high levels miss
-    # the ladder, so the run exits 1
+    # 2*(levels + KRYLOV_EXTRA) >= n: the request takes the dense path,
+    # whose two parity sectors the bound counts; the high levels miss the
+    # ladder, so the run exits 1
     _assert_peak_bytes_bound(1001, P1_FLAGS, 900, 1)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -140,6 +141,18 @@ class TestParse:
         assert main([command, *P1_FLAGS, "--n", "101", *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", *P1_FLAGS, "--beta-grid", "0,1"],
+        ["spectrum", *P1_FLAGS, "--beta-grid", "0,1"],
+        ["sweep", *P1_FLAGS, "--beta", "1", "--beta-grid", "0,0"],
+    ])
+    def test_grid_is_bounded_by_the_betas_the_command_runs(self, argv,
+                                                           capsys):
+        # (1 + beta*p^2)^2 overflows at p_max = 1e100 for beta = 1 but not
+        # for beta = 0, the only beta each of these commands runs
+        assert main([*argv, "--n", "51", "--pmax", "1e100"]) != 2
+        assert not capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("flag, value", [("--delta", "-5e-1"),
                                              ("--exponent-override", "-1e-3"),
                                              ("--exponent-override", "-2.5e+1")])
@@ -160,7 +173,7 @@ class TestParse:
         assert capsys.readouterr().err.startswith(f"error: n = {n} is too large")
 
     @pytest.mark.parametrize("flags", [["--n", "20001"],
-                                       ["--n", "401", "--levels", "350"]])
+                                       ["--n", "4001", "--levels", "400"]])
     def test_run_beyond_host_memory_exits_two(self, flags, monkeypatch,
                                               capsys):
         # an overcommitting kernel kills such a run instead of raising
@@ -173,6 +186,33 @@ class TestParse:
         assert main(["spectrum", *P1_FLAGS, *flags]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: n = {flags[1]} is too large")
+
+    @pytest.mark.parametrize("lines, files, limit", [
+        ("0::/job\n", {"job/memory.max": "1048576\n"}, 1 << 20),
+        ("0::/job\n", {"job/memory.max": "max\n"}, None),
+        ("4:memory:/job\n0::/\n",
+         {"memory/job/memory.limit_in_bytes": "2097152\n"}, 2 << 20),
+        ("4:memory:/job\n",
+         {"memory/job/memory.limit_in_bytes": "9223372036854771712\n"}, None),
+        ("3:cpu:/job\n4:cpu,memory:/\n",
+         {"cpu/job/memory.limit_in_bytes": "1048576\n",
+          "memory/memory.limit_in_bytes": "3145728\n"}, 3 << 20),
+        ("4:memory:/job\n0::/job\n", {}, None),
+        (None, {}, None),
+    ], ids=["v2", "v2-max", "v1", "v1-unlimited", "v1-cpu-only",
+            "missing-limit", "missing-proc"])
+    def test_host_bytes_reads_the_memory_cgroup(self, tmp_path, lines, files,
+                                                limit):
+        cgroup = tmp_path / "cgroup"
+        if lines is not None:
+            cgroup.write_text(lines)
+        for name, text in files.items():
+            path = tmp_path / "fs" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert swanson.cli._host_bytes(str(cgroup), str(tmp_path / "fs")) == (
+            physical if limit is None else limit)
 
     def test_run_within_host_memory_is_parsed(self, monkeypatch):
         monkeypatch.setattr(swanson.cli, "_host_bytes", lambda: 4 << 20)

@@ -75,6 +75,7 @@ ARGVS = _workload_argvs() + [
      "70", "--n", "11"],
     ["verify", *_model("6.66e-113", "3.7e14", "6.8e79"), "--beta", "1e150",
      "--n", "11", "--levels", "1", "--fd-order", "2"],
+    ["verify", *P1, "--n", "301", "--levels", "150"],
     ["spectrum", *P1, "--n", "301"],
     ["spectrum", *P1, "--n", "261", "--levels", "255"],
     ["spectrum", *P1, "--n", "261", "--levels", "251"],
