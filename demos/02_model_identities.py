@@ -47,7 +47,7 @@ print()
 print("=" * 64)
 print("Momentum representation and its adjoint")
 print("=" * 64)
-coeffs, h0 = h0_momentum(P1)
+coeffs, h0 = momentum_rep_coeffs(P1), h0_momentum(P1)
 print("H0           =", h0)
 print("(Q, R, S, T) =", (coeffs.Q, coeffs.R, coeffs.S, coeffs.T))
 adjoint = h0.adjoint()

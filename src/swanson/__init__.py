@@ -41,7 +41,6 @@ from .model import (
     ladder_ops,
     make_params,
     metric_exponent,
-    momentum_operator,
     momentum_rep_coeffs,
     oscillator_levels,
     position_operator,

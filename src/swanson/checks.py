@@ -52,6 +52,7 @@ from .model import (
     ladder_obstruction,
     make_params,
     metric_exponent,
+    momentum_rep_coeffs,
     oscillator_levels,
     reduced_variant_difference,
     stack_params,
@@ -132,17 +133,14 @@ ANCHORS = {
 }
 
 
-def _anchor(name: str) -> str:
-    return ANCHORS[name.removesuffix("_randomized")]
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one verification step.
 
-    ``tolerance`` is None for report-only checks (deformed-case numeric
-    measurements, whose authoritative criterion is the convergence study);
-    those pass whenever the residual is finite.
+    ``tolerance`` is None for report-only records: ``numeric_residual`` at
+    beta > 0, which no convergence study follows, and every ``spectrum``
+    record without a closed-form ladder.  Those pass whenever the residual
+    is finite.
     """
 
     name: str
@@ -162,14 +160,16 @@ def _largest(measured) -> float:
 
 def _result(name: str, measured, tolerance: float | None,
             details: dict | None = None, anchor: str | None = None) -> CheckResult:
-    """A check's outcome under its own anchor, ``_anchor(name)`` unless
-    given.  Its residual is ``_largest(measured)``; it passes when that is
-    finite and, if it has a tolerance, within it."""
+    """A check's outcome under its own anchor, that of ``name`` less any
+    ``_randomized`` suffix unless given.  Its residual is
+    ``_largest(measured)``; it passes when that is finite and, if it has a
+    tolerance, within it."""
     residual = _largest(measured)
     passed = math.isfinite(residual) and (tolerance is None
                                           or residual <= tolerance)
-    return CheckResult(name, _anchor(name) if anchor is None else anchor,
-                       residual, tolerance, passed, details or {})
+    if anchor is None:
+        anchor = ANCHORS[name.removesuffix("_randomized")]
+    return CheckResult(name, anchor, residual, tolerance, passed, details or {})
 
 
 # -- random parameter draws ----------------------------------------------------
@@ -299,7 +299,7 @@ def check_adjoint(params: ModelParams) -> CheckResult:
     """H0 built from its printed coefficients against the quadratic form,
     and its flat-measure adjoint against its closed form (R and T terms
     flip sign, consistent with T = R/2)."""
-    coeffs, h0 = h0_momentum(params)
+    coeffs, h0 = momentum_rep_coeffs(params), h0_momentum(params)
     r_representation = operators_equal(h0, _hamiltonian_for(params)).residual
     r_adjoint = operators_equal(h0.adjoint(), h0_adjoint_expected(params)).residual
     details = {"Q": coeffs.Q, "R": coeffs.R, "S": coeffs.S, "T": coeffs.T,
@@ -314,7 +314,7 @@ def _similarity_residual(params, exponent):
     """Metric conjugation against the adjoint: H0 and the Gaussian metric
     at beta = 0, the deformed Hamiltonian and the power law at beta > 0."""
     if params.beta == 0.0:
-        _, h = h0_momentum(params)
+        h = h0_momentum(params)
         conjugated = h.conjugate_gaussian(exponent)
     else:
         h = _hamiltonian_for(params)
@@ -400,7 +400,9 @@ def _metric_for(params, exponent_override: float | None = None):
 @_cached
 def _hamiltonian_for(params: ModelParams):
     """The model's Hamiltonian, quadratic at beta = 0 and deformed at
-    beta > 0, for a parameter set or a batch: every check reads it here."""
+    beta > 0, for a parameter set or a batch.  At beta = 0 the Gaussian
+    similarity and spectrum checks read h0_momentum instead, whose printed
+    coefficients survive where the composed form loses terms."""
     return h_quadratic(params) if params.beta == 0.0 else h_deformed(params)
 
 
@@ -459,11 +461,11 @@ def _spectrum_problem(
     report-only."""
     obstruction = ladder_obstruction(params)
     if obstruction is None:
-        _, h0 = h0_momentum(params)
+        h0 = h0_momentum(params)
         return (h0.conjugate_gaussian(gaussian_alpha(params) / 2.0), None,
                 ANCHORS["spectrum_ladder"], SPECTRUM_TOL)
     operator = (_hamiltonian_for(params) if params.beta != 0.0
-                else h0_momentum(params)[1])
+                else h0_momentum(params))
     return operator, obstruction, ANCHORS["spectrum"], None
 
 

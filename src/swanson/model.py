@@ -139,11 +139,6 @@ def _require(holds: bool, what: str, condition: str) -> None:
 # -- elementary operators -----------------------------------------------------
 
 
-def momentum_operator(params: ModelParams) -> DiffOp:
-    """Multiplication by p."""
-    return p_op(params.beta)
-
-
 def position_operator(params: ModelParams) -> DiffOp:
     """x = i*hbar*(1+beta*p^2)*D; the factor is identically 1 at beta = 0."""
     fn = CoeffFn(Poly((1j * params.hbar,)), 1, params.beta)
@@ -159,7 +154,7 @@ def ladder_ops(params: ModelParams) -> tuple[DiffOp, DiffOp]:
     _require(params.beta == 0.0, "ladder_ops", "beta = 0")
     # np.sqrt is correctly rounded like math.sqrt, and takes a batch too
     c = 1.0 / np.sqrt(2.0 * params.m * params.hbar * params.omega)
-    p = momentum_operator(params)
+    p = p_op(params.beta)
     x = position_operator(params)
     a = c * (p - (1j * params.omega * params.m) * x)
     adag = c * (p + (1j * params.omega * params.m) * x)
@@ -190,7 +185,7 @@ def _quadratic_form(params: ModelParams) -> DiffOp:
     """
     om, lm, dl = params.omega, params.lam, params.delta
     m, hbar = params.m, params.hbar
-    p = momentum_operator(params)
+    p = p_op(params.beta)
     x = position_operator(params)
     core = ((om + lm + dl) * (p * p)
             + (1j * m * om * (dl - lm - om)) * (p * x)
@@ -229,7 +224,7 @@ def h_reduced(params: ModelParams) -> DiffOp:
     """
     _require(in_reduced_regime(params), "h_reduced", _REDUCED_REGIME)
     om, mu = params.omega, params.mu
-    p = momentum_operator(params)
+    p = p_op(params.beta)
     x = position_operator(params)
     return (0.5 * (p * p)
             + (0.5 * om * om) * (x * x)
@@ -248,7 +243,7 @@ def h_variant(params: ModelParams) -> DiffOp:
     """
     _require(in_reduced_regime(params), "h_variant", _REDUCED_REGIME)
     om, mu = params.omega, params.mu
-    p = momentum_operator(params)
+    p = p_op(params.beta)
     x = position_operator(params)
     return (0.5 * (p * p)
             + (0.5 * om * om) * (x * x)
@@ -298,12 +293,12 @@ def _momentum_form(Q, R, S, T) -> DiffOp:
     })
 
 
-def h0_momentum(params: ModelParams) -> tuple[MomentumRepCoeffs, DiffOp]:
+def h0_momentum(params: ModelParams) -> DiffOp:
     """Undeformed Hamiltonian assembled directly from its printed
     momentum-space coefficients."""
     _require(params.beta == 0.0, "h0_momentum", "beta = 0")
     c = momentum_rep_coeffs(params)
-    return c, _momentum_form(c.Q, c.R, c.S, c.T)
+    return _momentum_form(c.Q, c.R, c.S, c.T)
 
 
 def h0_adjoint_expected(params: ModelParams) -> DiffOp:

@@ -237,7 +237,7 @@ def gaussian_sample(seed: int, draws: int = 100) -> list:
 
 def gaussian_residual(params) -> float:
     alpha = gaussian_alpha(params)
-    _, h0 = h0_momentum(params)
+    h0 = h0_momentum(params)
     return operators_equal(h0.conjugate_gaussian(alpha), h0.adjoint()).residual
 
 

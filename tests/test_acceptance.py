@@ -93,7 +93,7 @@ def test_criterion_03_momentum_representation_and_adjoint():
     adjoint_worst = 0.0
     half_r_worst = 0.0
     for params in [P1, P2] + [draw_params(rng) for _ in range(100)]:
-        _, h0 = h0_momentum(params)
+        h0 = h0_momentum(params)
         adjoint_worst = max(adjoint_worst, operators_equal(
             h0.adjoint(), h0_adjoint_expected(params)).residual)
         coeffs = momentum_rep_coeffs(params)
@@ -109,7 +109,7 @@ def test_criterion_04_gaussian_conjugation():
     worst = 0.0
     for params in [P1, P2] + [draw_params(rng) for _ in range(100)]:
         alpha = gaussian_alpha(params)
-        _, h0 = h0_momentum(params)
+        h0 = h0_momentum(params)
         worst = max(worst, operators_equal(h0.conjugate_gaussian(alpha),
                                            h0.adjoint()).residual)
     report_line(4, worst < 1e-12,
@@ -192,7 +192,7 @@ def test_criterion_10_hermitian_degenerate_case():
     params = make_params(1.0, 0.3, 0.3)
     exponent_flat = gaussian_alpha(params)
     exponent_deformed = metric_exponent(with_beta(params, 0.1))
-    _, h0 = h0_momentum(params)
+    h0 = h0_momentum(params)
     symbolic = operators_equal(h0, h0.adjoint()).residual
     grid = build_grid(1001, 10.0)
     a = assemble_matrix(h_quadratic(params), grid, 4)

@@ -110,7 +110,7 @@ def _dense_spectrum(params, grid, levels):
     where the ladder oracle applies, else the general eigenvalues of the
     untransformed operator."""
     if ladder_obstruction(params) is None:
-        _, h0 = h0_momentum(params)
+        h0 = h0_momentum(params)
         hermitized = h0.conjugate_gaussian(gaussian_alpha(params) / 2.0)
         return dense_eigs(dense_assemble(hermitized, grid), grid,
                           "selfadjoint-weighted", levels)
@@ -287,7 +287,7 @@ def test_hermitian_parity_sectors_match_eigvalsh(n, p_max, sector_calls):
     # norm of a perturbation, and each solve is backward stable (at most
     # 1.42 eps*||S||_F apart measured)
     params = make_params(1.0, -0.5, 0.5)
-    _, h0 = h0_momentum(params)
+    h0 = h0_momentum(params)
     a = assemble_matrix(h0.conjugate_gaussian(gaussian_alpha(params) / 2.0),
                         build_grid(n, p_max))
     herm, _ = _hermitian_and_skew(a)
@@ -780,7 +780,7 @@ def test_peak_bytes_bounds_a_traced_spectrum_run(n, flags, levels):
 
 
 @pytest.mark.usefixtures("fresh_checks")
-def test_peak_bytes_bounds_an_exact_factorization_run():
+def test_peak_bytes_bounds_a_whole_space_dense_run():
     # 2*(levels + KRYLOV_EXTRA) >= n: the request takes the dense path,
     # whose two parity sectors the bound counts; the high levels miss the
     # ladder, so the run exits 1

@@ -518,6 +518,12 @@ FAILS_WITHOUT_WARNINGS = [
     (["spectrum", "--omega", "7e-309", "--lambda", "-2.3", "--delta", "-2.8",
       "--m", "0.5", "--hbar", "2", "--n", "51", "--pmax", "5"],
      "spectrum check failed: ValueError: non-finite operator entries at "),
+    # H0 from its printed coefficients keeps R = 0.5 and T = 0.25 at
+    # m = 1e-300; the composed quadratic form has lost its p*D term there
+    # and would print a finite spectrum
+    (["spectrum", "--omega", "1", "--lambda", "0.8", "--delta", "0.3",
+      "--n", "301", "--m", "1e-300"],
+     "spectrum check failed: ValueError: non-finite transformed entries at "),
     # no room for shift-invert, and the fallback's two parity sectors
     # would take 8*(2002^2 + 2001^2) bytes
     (["spectrum", "--omega", "1", "--lambda", "-0.5", "--delta", "0.5",

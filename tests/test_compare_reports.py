@@ -26,11 +26,11 @@ ARGVS = TOOL_MODULE.ARGVS
 
 def test_every_case_is_listed():
     # three benchmark workloads (two verify, one sweep), twenty-one verify,
-    # eight spectrum, one sweep
+    # nine spectrum, one sweep
     commands = [argv[0] for argv in ARGVS]
     assert commands.count("verify") == 2 + 21
-    assert commands.count("spectrum") == 8
-    assert len(ARGVS) == 33
+    assert commands.count("spectrum") == 9
+    assert len(ARGVS) == 34
 
 
 @pytest.mark.parametrize("argv", ARGVS)

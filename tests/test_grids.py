@@ -182,7 +182,7 @@ class TestAssembly:
         # x = i*hbar*(1+beta*p^2)*D gives the model's Hamiltonians real
         # coefficients, so their bands are float64; the transforms keep
         # the dtype, and an imaginary coefficient keeps the band complex
-        cases = [(h0_momentum(P1)[1], build_grid(101, 8.0)),
+        cases = [(h0_momentum(P1), build_grid(101, 8.0)),
                  (h_deformed(with_beta(P1, 0.1)), build_grid(101, 8.0, 0.1))]
         real = [assemble_matrix(op, grid) for op, grid in cases]
         for (op, grid), a in zip(cases, real):
@@ -209,7 +209,7 @@ class TestAssembly:
                                      metric_exponent(params) / 2.0)
         else:
             grid = build_grid(301, 10.0)
-            _, h0 = h0_momentum(P1)
+            h0 = h0_momentum(P1)
             a = assemble_matrix(h0.conjugate_gaussian(gaussian_alpha(P1) / 2.0),
                                 grid)
         assert a.matrix.dtype == np.float64
@@ -250,7 +250,7 @@ class TestWeightedAdjoint:
         errors = []
         for n in (251, 501):
             grid = build_grid(n, 10.0)
-            _, h0 = h0_momentum(P1)
+            h0 = h0_momentum(P1)
             a = assemble_matrix(h0, grid, 2)
             expected = assemble_matrix(h0_adjoint_expected(P1), grid, 2)
             diff = weighted_adjoint(a).to_dense() - expected.to_dense()
@@ -378,7 +378,7 @@ class TestEigs:
     def test_selfadjoint_gap_is_the_weighted_adjoint_gap(self):
         # at uniform weights the gap of the symmetrized band is that of
         # A - A^+_w, entry for entry
-        _, h0 = h0_momentum(P1)
+        h0 = h0_momentum(P1)
         a = assemble_matrix(h0, build_grid(51, 5.0), 4)
         gap = np.abs(a.matrix - weighted_adjoint(a).matrix).max()
         with pytest.raises(ValueError, match=re.escape(f"gap {gap:.3e},")):
@@ -397,7 +397,7 @@ class TestEigs:
     def test_nonfinite_dense_solve_fails_as_a_numeric_error(self, bad):
         # numpy raises LinAlgError (scipy's solver raises ValueError); as
         # a numeric error it fails the check that meets it by name
-        _, h0 = h0_momentum(P1)
+        h0 = h0_momentum(P1)
         a = assemble_matrix(h0, build_grid(51, 5.0), 4)
         assert a.grid.n <= swanson.grids.DIRECT_MAX_N
         a.matrix[2, 25] = bad
@@ -409,7 +409,7 @@ class TestEigs:
             self, kind):
         # shift-invert gives up on a band it cannot bound, and the dense
         # fallback raises numpy's LinAlgError, a numeric error
-        _, h0 = h0_momentum(P1)
+        h0 = h0_momentum(P1)
         grid = build_grid(301, 5.0)
         a = assemble_matrix(h0.conjugate_gaussian(gaussian_alpha(P1) / 2.0), grid)
         assert grid.n > swanson.grids.DIRECT_MAX_N
@@ -430,7 +430,7 @@ class TestEigs:
         # certifies, the Ritz values do not converge, and the dense solve
         # returns the grid's levels, the lowest of them rounding-sized
         params = make_params(1.0, -0.5, 0.5, m=1e-300)
-        _, h0 = h0_momentum(params)
+        h0 = h0_momentum(params)
         a = assemble_matrix(h0.conjugate_gaussian(gaussian_alpha(params) / 2.0),
                             build_grid(301, 10.0))
         spectrum = eigs(a, "selfadjoint-weighted", 6)
@@ -445,7 +445,7 @@ class TestEigs:
         # pseudo-Hermiticity consequence: even without hermitizing, the
         # low-lying eigenvalues of the assembled operator are real and
         # sit on the closed-form ladder
-        _, h0 = h0_momentum(P1)
+        h0 = h0_momentum(P1)
         grid = build_grid(401, 8.0)
         spectrum = eigs(assemble_matrix(h0, grid, 4), "general", 4)
         assert np.abs(spectrum.eigenvalues.imag).max() < 1e-8
@@ -453,7 +453,7 @@ class TestEigs:
                                    oscillator_levels(P1, 4), atol=1e-4)
 
     def test_dense_fallback_refuses_large_grids(self, monkeypatch):
-        _, h0 = h0_momentum(P1)
+        h0 = h0_momentum(P1)
         a = assemble_matrix(h0, build_grid(301, 8.0), 4)
         assert a.grid.n > swanson.grids.DIRECT_MAX_N
         monkeypatch.setattr(swanson.grids, "_certified_shift_invert",
@@ -480,7 +480,7 @@ class TestEigs:
 
     def test_general_solver_is_chosen_by_grid_size(self, monkeypatch):
         direct_max = swanson.grids.DIRECT_MAX_N
-        _, h0 = h0_momentum(P1)
+        h0 = h0_momentum(P1)
         # the half-metric image is nearly normal, so shift-invert certifies it
         small, large = (similarity_transform(
             assemble_matrix(h0, build_grid(n, 8.0), 4), gaussian_alpha(P1) / 2.0)
@@ -502,7 +502,7 @@ class TestEigs:
             eigs(small, "general", 3)
 
     def test_hermitized_general_and_selfadjoint_agree(self):
-        _, h0 = h0_momentum(P1)
+        h0 = h0_momentum(P1)
         alpha = gaussian_alpha(P1)
         hermitized = h0.conjugate_gaussian(alpha / 2.0)
         grid = build_grid(501, 8.0)

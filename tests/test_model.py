@@ -13,6 +13,7 @@ from swanson.algebra import (
     coeff_poly,
     commutator,
     operators_equal,
+    p_op,
 )
 from swanson.checks import draw_params
 from swanson.model import (
@@ -29,7 +30,6 @@ from swanson.model import (
     ladder_ops,
     make_params,
     metric_exponent,
-    momentum_operator,
     momentum_rep_coeffs,
     oscillator_levels,
     position_operator,
@@ -183,19 +183,19 @@ class TestMomentumRepresentation:
 
     def test_operator_matches_quadratic_canonical_form(self):
         for params in (P1, P2):
-            _, h0 = h0_momentum(params)
+            h0 = h0_momentum(params)
             assert operators_equal(h0, h_quadratic(params)).residual < 1e-12
 
     def test_adjoint_matches_closed_form(self):
         rng = np.random.default_rng(6)
         for params in [P1, P2] + [draw_params(rng) for _ in range(20)]:
-            _, h0 = h0_momentum(params)
+            h0 = h0_momentum(params)
             assert operators_equal(h0.adjoint(),
                                    h0_adjoint_expected(params)).residual < 1e-12
 
     def test_self_adjoint_when_lambda_equals_delta(self):
         params = make_params(1.0, 0.3, 0.3)
-        c, h0 = h0_momentum(params)
+        c, h0 = momentum_rep_coeffs(params), h0_momentum(params)
         assert c.R == 0.0 and c.T == 0.0
         assert operators_equal(h0, h0.adjoint()).residual < 1e-15
 
@@ -241,7 +241,7 @@ class TestDeformed:
 
     def test_momentum_operator_symmetric(self):
         params = with_beta(P1, 0.1)
-        p = momentum_operator(params)
+        p = p_op(params.beta)
         assert operators_equal(p.adjoint(), p).residual < 1e-15
 
 

@@ -82,6 +82,7 @@ ARGVS = _workload_argvs() + [
     ["spectrum", *P1, "--beta", "0.1", "--pmax", "20", "--n", "401"],
     ["spectrum", *P1, "--beta", "1", "--pmax", "20", "--n", "201"],
     ["spectrum", *_model("1", "0.8", "0.3"), "--n", "301"],
+    ["spectrum", *_model("1", "0.8", "0.3"), "--n", "301", "--m", "1e-300"],
     ["spectrum", *_model("1", "1.2", "-0.1"), "--n", "201"],
     ["spectrum", *_model("7e-309", "-2.3", "-2.8"), "--m", "0.5", "--hbar",
      "2", "--n", "51", "--pmax", "5"],
