@@ -228,8 +228,24 @@ def _cached(build):
     return cached
 
 
+@_cached
+def _hamiltonian_for(params: ModelParams):
+    """The Hamiltonian every check conjugates, assembles or solves, for a
+    parameter set or a batch: H0 from its printed coefficients at
+    beta = 0, which keep every term where the composed form can lose one
+    to round-off, and the deformed Hamiltonian at beta > 0."""
+    return h0_momentum(params) if params.beta == 0.0 else h_deformed(params)
+
+
+@_cached
+def _composed_form(params: ModelParams):
+    """H0 composed from x and p, read only by the three identities that
+    verify it: expansion, reduced_vs_variant and momentum_adjoint."""
+    return h_quadratic(params)
+
+
 def _expansion_residual(params):
-    return operators_equal(h_ladder(params), _hamiltonian_for(params)).residual
+    return operators_equal(h_ladder(params), _composed_form(params)).residual
 
 
 @_cached
@@ -254,7 +270,7 @@ def _variant_parts(params):
     """Residuals of (reduced vs quadratic) and (difference vs closed
     form), and the difference itself."""
     reduced = h_reduced(params)
-    r_reduction = operators_equal(reduced, _hamiltonian_for(params)).residual
+    r_reduction = operators_equal(reduced, _composed_form(params)).residual
     difference = reduced - h_variant(params)
     r_difference = operators_equal(
         difference, reduced_variant_difference(params)).residual
@@ -299,8 +315,8 @@ def check_adjoint(params: ModelParams) -> CheckResult:
     """H0 built from its printed coefficients against the quadratic form,
     and its flat-measure adjoint against its closed form (R and T terms
     flip sign, consistent with T = R/2)."""
-    coeffs, h0 = momentum_rep_coeffs(params), h0_momentum(params)
-    r_representation = operators_equal(h0, _hamiltonian_for(params)).residual
+    coeffs, h0 = momentum_rep_coeffs(params), _hamiltonian_for(params)
+    r_representation = operators_equal(h0, _composed_form(params)).residual
     r_adjoint = operators_equal(h0.adjoint(), h0_adjoint_expected(params)).residual
     details = {"Q": coeffs.Q, "R": coeffs.R, "S": coeffs.S, "T": coeffs.T,
                "T_minus_half_R": coeffs.T - coeffs.R / 2.0,
@@ -311,14 +327,11 @@ def check_adjoint(params: ModelParams) -> CheckResult:
 
 
 def _similarity_residual(params, exponent):
-    """Metric conjugation against the adjoint: H0 and the Gaussian metric
-    at beta = 0, the deformed Hamiltonian and the power law at beta > 0."""
-    if params.beta == 0.0:
-        h = h0_momentum(params)
-        conjugated = h.conjugate_gaussian(exponent)
-    else:
-        h = _hamiltonian_for(params)
-        conjugated = h.conjugate_power_metric(exponent)
+    """Metric conjugation of the Hamiltonian against its adjoint: the
+    Gaussian metric at beta = 0, the power law at beta > 0."""
+    h = _hamiltonian_for(params)
+    conjugated = (h.conjugate_gaussian(exponent) if params.beta == 0.0
+                  else h.conjugate_power_metric(exponent))
     return operators_equal(conjugated, h.adjoint()).residual
 
 
@@ -397,15 +410,6 @@ def _metric_for(params, exponent_override: float | None = None):
     return exponent_override + 0.0
 
 
-@_cached
-def _hamiltonian_for(params: ModelParams):
-    """The model's Hamiltonian, quadratic at beta = 0 and deformed at
-    beta > 0, for a parameter set or a batch.  At beta = 0 the Gaussian
-    similarity and spectrum checks read h0_momentum instead, whose printed
-    coefficients survive where the composed form loses terms."""
-    return h_quadratic(params) if params.beta == 0.0 else h_deformed(params)
-
-
 def _residual_tolerance(params: ModelParams, grid: Grid,
                         fd_order: int) -> float | None:
     """The calibrated (h/0.01)^fd_order target of numeric_residual for the
@@ -456,17 +460,13 @@ def _spectrum_problem(
     set: (operator, ladder_obstruction(params), anchor, tolerance).  Where
     the closed-form ladder applies, the operator is H0 hermitized by the
     half-power Gaussian metric (which cancels the p*D term exactly) and
-    the claim is the ladder; otherwise it is H0 at beta = 0 or the
-    deformed Hamiltonian at beta > 0, and the reality measurement is
-    report-only."""
-    obstruction = ladder_obstruction(params)
+    the claim is the ladder; otherwise it is the Hamiltonian itself and
+    the reality measurement is report-only."""
+    obstruction, h = ladder_obstruction(params), _hamiltonian_for(params)
     if obstruction is None:
-        h0 = h0_momentum(params)
-        return (h0.conjugate_gaussian(gaussian_alpha(params) / 2.0), None,
+        return (h.conjugate_gaussian(gaussian_alpha(params) / 2.0), None,
                 ANCHORS["spectrum_ladder"], SPECTRUM_TOL)
-    operator = (_hamiltonian_for(params) if params.beta != 0.0
-                else h0_momentum(params))
-    return operator, obstruction, ANCHORS["spectrum"], None
+    return h, obstruction, ANCHORS["spectrum"], None
 
 
 def check_spectrum(params: ModelParams, grid: Grid, fd_order: int = 4,

@@ -96,11 +96,15 @@ class TestSymbolicChecks:
             return dataclasses.replace(coeffs, S=1.01 * coeffs.S)
 
         monkeypatch.setattr(swanson.model, "momentum_rep_coeffs", wrong_s)
-        check_adjoint.cache_clear()
+        # check_adjoint reads H0 from the cached _hamiltonian_for
+        cached = (check_adjoint, swanson.checks._hamiltonian_for)
+        for function in cached:
+            function.cache_clear()
         try:
             result = check_adjoint(P1)
         finally:
-            check_adjoint.cache_clear()
+            for function in cached:
+                function.cache_clear()
         assert not result.passed
         # the adjoint of the wrong H0 still flips its R and T terms
         assert result.details["adjoint_residual"] == 0.0
@@ -240,6 +244,39 @@ class TestSpectrum:
         assert "reality_ratios" in result.details
 
 
+class _ComposedFormBuilt(Exception):
+    """Raised by the stand-in for h_quadratic."""
+
+
+@pytest.mark.usefixtures("fresh_checks")
+class TestOneHamiltonianPerRegime:
+    """At beta = 0 every check that conjugates, assembles or solves H reads
+    H0 from its printed coefficients; only the three identities that
+    verify the composed quadratic form build it."""
+
+    @pytest.fixture(autouse=True)
+    def composed_form_raises(self, monkeypatch):
+        def composed(params):
+            raise _ComposedFormBuilt
+        monkeypatch.setattr(swanson.checks, "h_quadratic", composed)
+
+    @pytest.mark.parametrize("params", [P1, make_params(1.0, 0.8, 0.3)],
+                             ids=["ladder", "descending"])
+    def test_grid_and_similarity_checks_read_the_printed_h0(self, params):
+        grid = build_grid(101, 8.0)
+        for result in (check_numeric_residual(params, grid),
+                       check_spectrum(params, grid, 4, 3),
+                       check_pseudo_symbolic(params)):
+            assert math.isfinite(result.residual)
+
+    @pytest.mark.parametrize("check", [check_expansion,
+                                       check_variant_discrepancy,
+                                       check_adjoint])
+    def test_form_identities_build_the_composed_form(self, check):
+        with pytest.raises(_ComposedFormBuilt):
+            check(P1)
+
+
 def _residual_errors(params, grids):
     return [check_numeric_residual(params, g).residual for g in grids]
 
@@ -339,16 +376,18 @@ class TestConvergence:
         """Run a suite, counting grid assemblies, eigensolves and
         single-parameter Hamiltonian builds; its callers start on empty
         caches (fresh_checks)."""
-        calls = {"assemble": 0, "eigs": 0, "h_quadratic": 0, "h_deformed": 0}
+        calls = {"assemble": 0, "eigs": 0, "h0_momentum": 0, "h_quadratic": 0,
+                 "h_deformed": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
-                if not key.startswith("h_") or isinstance(args[0], ModelParams):
+                if not key.startswith("h") or isinstance(args[0], ModelParams):
                     calls[key] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
         for key, name in (("assemble", "assemble_matrix"), ("eigs", "eigs"),
+                          ("h0_momentum", "h0_momentum"),
                           ("h_quadratic", "h_quadratic"),
                           ("h_deformed", "h_deformed")):
             monkeypatch.setattr(swanson.checks, name,
@@ -360,10 +399,10 @@ class TestConvergence:
     def test_flat_studies_end_at_the_suite_grid(self, monkeypatch):
         checks, calls = self._counted_suite(monkeypatch, P1, SuiteConfig(n=301))
         # suite grid: residual and spectrum; each coarse grid: both again.
-        # expansion, reduced_vs_variant, momentum_adjoint and every grid
-        # share one build of H
-        assert calls == {"assemble": 6, "eigs": 3, "h_quadratic": 1,
-                         "h_deformed": 0}
+        # Every check and grid shares one build of the printed H0, and the
+        # three form identities one of the composed form
+        assert calls == {"assemble": 6, "eigs": 3, "h0_momentum": 1,
+                         "h_quadratic": 1, "h_deformed": 0}
         assert (checks["convergence_residual"].details["errors"][-1]
                 == checks["numeric_residual"].residual)
         assert (checks["convergence_spectrum"].details["errors"][-1]
@@ -376,9 +415,10 @@ class TestConvergence:
             monkeypatch, P1_DEFORMED, SuiteConfig(n=301, p_max=20.0))
         # suite grid: residual and spectrum; each coarse grid: a spectrum.
         # pseudo_hermiticity_deformed and every grid share one build of
-        # the deformed H, the undeformed symbolic checks one of the flat H
-        assert calls == {"assemble": 4, "eigs": 3, "h_quadratic": 1,
-                         "h_deformed": 1}
+        # the deformed H, the undeformed symbolic checks one of each form
+        # of H0
+        assert calls == {"assemble": 4, "eigs": 3, "h0_momentum": 1,
+                         "h_quadratic": 1, "h_deformed": 1}
         reality = checks["convergence_reality"].details
         spectrum = checks["spectrum"].details
         assert reality["reality_ratios"][-1] == max(spectrum["reality_ratios"][:3])

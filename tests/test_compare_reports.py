@@ -25,12 +25,12 @@ ARGVS = TOOL_MODULE.ARGVS
 
 
 def test_every_case_is_listed():
-    # three benchmark workloads (two verify, one sweep), twenty-one verify,
-    # nine spectrum, one sweep
+    # three benchmark workloads (two verify, one sweep), twenty-three
+    # verify, nine spectrum, one sweep
     commands = [argv[0] for argv in ARGVS]
-    assert commands.count("verify") == 2 + 21
+    assert commands.count("verify") == 2 + 23
     assert commands.count("spectrum") == 9
-    assert len(ARGVS) == 34
+    assert len(ARGVS) == 36
 
 
 @pytest.mark.parametrize("argv", ARGVS)

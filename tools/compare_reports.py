@@ -68,6 +68,8 @@ ARGVS = _workload_argvs() + [
     ["verify", *P1, "--beta", "1e-308", "--n", "51"],
     ["verify", *_model("1", "0.6", "0.399"), "--beta", "0.5", "--n", "101"],
     ["verify", *P1, "--m", "1e-300"],
+    ["verify", *P1, "--m", "1e300"],
+    ["verify", *_model("1", "0.8", "0.3"), "--n", "301", "--m", "1e-300"],
     ["verify", *_model("7e-309", "-1.11", "-0.31"), "--beta", "10", "--n",
      "101"],
     ["verify", *P1, "--n", "51", "--pmax", "1e-150"],
