@@ -5,7 +5,7 @@ takes adjoints under flat and deformed measures, and conjugates by the
 two metric families.  Everything stays in exact normal-ordered form.
 """
 
-from swanson import (
+from swanson.algebra import (
     CoeffFn,
     DiffOp,
     Poly,

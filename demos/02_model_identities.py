@@ -5,7 +5,8 @@ reduced forms, the closed-form momentum-space adjoint, and the Gaussian
 metric similarity relation.
 """
 
-from swanson import (
+from swanson.algebra import operators_equal
+from swanson.model import (
     gaussian_alpha,
     h0_adjoint_expected,
     h0_momentum,
@@ -15,7 +16,6 @@ from swanson import (
     h_variant,
     make_params,
     momentum_rep_coeffs,
-    operators_equal,
 )
 
 P1 = make_params(omega=1.0, lam=-0.5, delta=0.5)

@@ -8,13 +8,13 @@ approaches the Gaussian one as beta -> 0.
 
 import numpy as np
 
-from swanson import (
-    check_metric_limit,
+from swanson.algebra import operators_equal
+from swanson.checks import check_metric_limit
+from swanson.model import (
     gaussian_alpha,
     h_deformed,
     make_params,
     metric_exponent,
-    operators_equal,
     with_beta,
 )
 

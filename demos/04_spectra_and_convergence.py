@@ -5,18 +5,16 @@ metric, compares the spectrum against the closed-form oscillator ladder,
 and measures the discretization orders that back the numeric tolerances.
 """
 
-from swanson import (
+from swanson.checks import (
     SuiteConfig,
-    build_grid,
     check_numeric_residual,
     check_spectrum,
     convergence_order,
     convergence_reality,
-    make_params,
-    oscillator_levels,
     run_suite,
-    with_beta,
 )
+from swanson.grids import build_grid
+from swanson.model import make_params, oscillator_levels, with_beta
 
 P1 = make_params(omega=1.0, lam=-0.5, delta=0.5)
 

@@ -40,6 +40,7 @@ from .grids import (
 )
 from .model import (
     ModelParams,
+    ParamBatch,
     gaussian_alpha,
     h0_adjoint_expected,
     h0_momentum,
@@ -206,19 +207,21 @@ def _check_rng(seed: int, stream: int) -> random.Random:
 # a sweep runs the randomized ones (seed, draws, betas) and the
 # single-parameter ones (the undeformed parameters) once, not once per
 # beta.  The Hamiltonian and the spectrum's operator are cached the same
-# way, so every check and grid of a suite reads one build.  Callers share
-# the cached results and must not mutate them.
+# way, so every check and grid of a suite reads one build of a parameter
+# set.  Callers share the cached results and must not mutate them.
 
 
 def _cached(build):
-    """Cache ``build`` on the pickled bytes of its arguments.  Unlike ==
-    or repr, they tell -0.0 from 0.0 and keep every bit of a ParamBatch's
-    arrays, so a result is reused only for bit-identical arguments.  An
-    exception is not cached."""
+    """Cache ``build`` on the pickled bytes of its arguments, which tell
+    -0.0 from 0.0 where == and repr do not.  A call with a ParamBatch is
+    built and not kept: its randomized check, cached itself, reads it
+    once.  An exception is not cached."""
     results = {}
 
     @functools.wraps(build)
     def cached(*args, **kwargs):
+        if any(isinstance(arg, ParamBatch) for arg in args):
+            return build(*args, **kwargs)
         key = pickle.dumps((args, kwargs))
         if key not in results:
             results[key] = build(*args, **kwargs)
@@ -230,10 +233,11 @@ def _cached(build):
 
 @_cached
 def _hamiltonian_for(params: ModelParams):
-    """The Hamiltonian every check conjugates, assembles or solves, for a
-    parameter set or a batch: H0 from its printed coefficients at
-    beta = 0, which keep every term where the composed form can lose one
-    to round-off, and the deformed Hamiltonian at beta > 0."""
+    """The Hamiltonian every check conjugates, assembles or solves: H0
+    from its printed coefficients at beta = 0, which keep every term
+    where the composed form can lose one to round-off, and the deformed
+    Hamiltonian at beta > 0.  A parameter set is built once; a batch is
+    built for its randomized check and not kept."""
     return h0_momentum(params) if params.beta == 0.0 else h_deformed(params)
 
 

@@ -427,10 +427,24 @@ def test_commands_load_neither_numpy_random_nor_hashlib(tmp_path):
     assert _child(["-c", script]) == ["0", "0", "0", "[]"]
 
 
-def test_importing_the_cli_loads_no_scipy():
-    script = ("import sys, swanson.cli; "
+# Each module is imported from where it is defined, so importing one loads
+# the swanson modules it builds on and no other, and none loads scipy.
+LAYERS = {
+    "algebra": ["algebra"],
+    "model": ["algebra", "model"],
+    "grids": ["algebra", "grids"],
+    "checks": ["algebra", "checks", "grids", "model"],
+    "cli": ["algebra", "checks", "cli", "grids", "model"],
+}
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_importing_a_module_loads_its_layers_only(module):
+    script = (f"import sys, swanson.{module}; "
+              "print(*sorted(m.removeprefix('swanson.') for m in sys.modules "
+              "if m.startswith('swanson.'))); "
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert _child(["-c", script]) == ["[]"]
+    assert _child(["-c", script]) == [*LAYERS[module], "[]"]
 
 
 def test_unconverged_ritz_values_fall_back_to_dense(monkeypatch):

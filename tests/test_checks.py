@@ -593,12 +593,12 @@ class TestSuite:
 
     def test_cache_keys_on_exact_argument_bytes(self):
         build = swanson.checks._cached(lambda *args: object())
-        near = [stack_params([make_params(1.0, lam, -0.2)])
-                for lam in (0.1, 0.1 + 1e-12)]
-        assert repr(near[0]) == repr(near[1])
-        assert build(near[0]) is not build(near[1])
-        assert build(near[0]) is build(near[0])
         assert build(0.0) is not build(-0.0)
+        # a parameter set is built once; a batch is built and not kept
+        hamiltonian_for = swanson.checks._hamiltonian_for
+        batch = stack_params([P1, P2])
+        assert hamiltonian_for(batch) is not hamiltonian_for(batch)
+        assert hamiltonian_for(P1) is hamiltonian_for(P1)
 
     def test_invalid_params_rejected_before_any_check(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
-"""tools/compare_reports.py compares two trees on fixed argvs; these tests
-fail when a renamed or removed flag would turn one of them into a usage
-error, which both trees would then report alike, and check how it names
-a difference between two outputs."""
+"""tools/compare_reports.py compares two trees on fixed argvs and their
+demos; these tests fail when a renamed or removed flag would turn one of
+them into a usage error, which both trees would then report alike, check
+that every demo of either tree is compared, and check how it names a
+difference between two outputs."""
 
 import importlib.util
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 from swanson.cli import parse
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "compare_reports.py"
 
 
 def _tool():
@@ -36,6 +38,27 @@ def test_every_case_is_listed():
 @pytest.mark.parametrize("argv", ARGVS)
 def test_argv_parses(argv):
     assert parse(argv).command == argv[0]
+
+
+def test_every_demo_of_either_tree_is_compared(tmp_path):
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "demos" / "05_new.py").write_text("print('new')\n")
+    demos = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
+    assert len(demos) == 4
+    cases = TOOL_MODULE.cases(ROOT, tmp_path)
+    assert cases[:len(ARGVS)] == [(" ".join(argv), ["-m", "swanson", *argv])
+                                  for argv in ARGVS]
+    assert cases[len(ARGVS):] == [(f"demos/{name}", [f"demos/{name}"])
+                                  for name in [*demos, "05_new.py"]]
+
+
+def test_a_demo_runs_in_its_tree(tmp_path):
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "demos" / "warn.py").write_text(
+        "import warnings\nprint('out')\nwarnings.warn('w', RuntimeWarning)\n")
+    code, out, err = TOOL_MODULE.run(tmp_path, ["demos/warn.py"])
+    assert (code, out) == (1, b"out\n")
+    assert b"RuntimeWarning: w" in err
 
 
 REPORT = b"""{"checks": [{"name": "spectrum", "details": {"re": [0.5, 1.5],

@@ -33,7 +33,7 @@ def _rebind(monkeypatch, original, replacement):
     """Bind ``replacement`` under every name a swanson module binds
     ``original`` to."""
     for key, module in list(sys.modules.items()):
-        if key == "swanson" or key.startswith("swanson."):
+        if key.startswith("swanson."):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, replacement)

@@ -1,14 +1,16 @@
-"""Compare the command-line output of two source trees on fixed argvs.
+"""Compare the output of two source trees on fixed argvs and the demos.
 
     python tools/compare_reports.py PARENT_TREE [CHANGE_TREE]
 
-Each tree is a checkout holding ``src/swanson``; CHANGE_TREE defaults to
-the checkout this script sits in.  Every argv of ``ARGVS`` runs once per
-tree as ``python -W error::RuntimeWarning -m swanson ...`` with that
-tree's ``src`` on ``PYTHONPATH``, one BLAS thread and a fixed hash seed.
+Each tree is a checkout holding ``src/swanson`` and ``demos``;
+CHANGE_TREE defaults to the checkout this script sits in.  Each case runs
+once per tree, in that tree with its ``src`` on ``PYTHONPATH``, one BLAS
+thread and a fixed hash seed: every argv of ``ARGVS`` as ``python -W
+error::RuntimeWarning -m swanson ...``, then every ``demos/*.py`` file
+name of either tree as ``python -W error::RuntimeWarning demos/NAME``.
 Its stdout (with ``"generated_at"`` masked), stderr and exit code must be
-byte-identical between the trees.  One line is printed per argv, and the
-exit code is 1 if any argv differs.  A stdout difference is named by its
+byte-identical between the trees.  One line is printed per case, and the
+exit code is 1 if any case differs.  A stdout difference is named by its
 first differing line, or as ``numbers only, max rel <x> at <path>`` when
 both outputs parse (a JSON report or a CSV with a header) and differ in
 numbers alone: <x> is the largest relative difference and <path> where
@@ -95,14 +97,22 @@ ARGVS = _workload_argvs() + [
 _STAMP = re.compile(rb'"generated_at": "[^"]*"')
 
 
-def run(tree: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
-    """Exit code, masked stdout and stderr of one argv on one tree."""
+def cases(parent: Path, change: Path) -> list[tuple[str, list[str]]]:
+    """(label, interpreter arguments) of every case: the argvs, then the
+    demo file names of either tree."""
+    demos = sorted({path.name for tree in (parent, change)
+                    for path in (tree / "demos").glob("*.py")})
+    return ([(" ".join(argv), ["-m", "swanson", *argv]) for argv in ARGVS]
+            + [(f"demos/{name}", [f"demos/{name}"]) for name in demos])
+
+
+def run(tree: Path, args: list[str]) -> tuple[int, bytes, bytes]:
+    """Exit code, masked stdout and stderr of one case on one tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONHASHSEED="0")
-    command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "swanson"]
-    done = subprocess.run([*command, *argv], capture_output=True, env=env,
-                          cwd=tree)
+    command = [sys.executable, "-W", "error::RuntimeWarning", *args]
+    done = subprocess.run(command, capture_output=True, env=env, cwd=tree)
     return (done.returncode, _STAMP.sub(b'"generated_at": ""', done.stdout),
             done.stderr)
 
@@ -187,8 +197,8 @@ def main(argv: list[str] | None = None) -> int:
     parent = Path(args[0]).resolve()
     change = Path(args[1]).resolve() if len(args) == 2 else ROOT
     differs = False
-    for cli_argv in ARGVS:
-        old, new = run(parent, cli_argv), run(change, cli_argv)
+    for label, case in cases(parent, change):
+        old, new = run(parent, case), run(change, case)
         parts = []
         if old[0] != new[0]:
             parts.append(f"exit {old[0]} -> {new[0]}")
@@ -199,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
             parts.append("stderr")
         differs = differs or bool(parts)
         verdict = "DIFF (" + ", ".join(parts) + ")" if parts else "same"
-        print(f"{verdict:<28} {' '.join(cli_argv)}", flush=True)
+        print(f"{verdict:<28} {label}", flush=True)
     return 1 if differs else 0
 
 
