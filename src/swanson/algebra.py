@@ -25,13 +25,14 @@ complex floats and comparisons are tolerance based; parameters such as
 not cover them.
 
 A coefficient may also be a 1-D complex array over a batch of parameter
-draws that share beta: one operator then stands for one operator per
-draw, and the randomized checks build and compare all their draws in one
-pass.  Every arithmetic step rounds each draw exactly as the scalar path
-does (products are formed from real and imaginary parts, magnitudes with
-hypot), pruning acts per draw, and a coefficient, term or trailing power
-is dropped only when it vanishes for every draw.  Operators over a batch
-are only compared, never evaluated on a grid or printed.
+draws whose betas, an array too, are all zero or all positive: one
+operator then stands for one operator per draw, and the randomized checks
+build and compare all their draws in one pass.  Every arithmetic step
+rounds each draw exactly as the scalar path does (products are formed
+from real and imaginary parts, magnitudes with hypot), pruning acts per
+draw, and a coefficient, term or trailing power is dropped only when it
+vanishes for every draw.  Operators over a batch are only compared, never
+evaluated on a grid or printed.
 
 All values are immutable; operations are pure functions.
 """
@@ -59,8 +60,8 @@ DEFAULT_TOL = 1e-12
 _SCALARS = (numbers.Number, np.ndarray)
 
 
-def _require_same_beta(a: float, b: float) -> None:
-    if a != b:
+def _require_same_beta(a, b) -> None:
+    if a is not b and not _is_zero(a != b):
         raise ValueError(f"beta mismatch: {a!r} vs {b!r}")
 
 
@@ -92,8 +93,7 @@ def _product(a, b):
     complex multiply may fuse and round differently in the last bit)."""
     if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
         return a * b
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
+    out = (a.real * b.real - a.imag * b.imag).astype(complex)
     out.imag = a.real * b.imag + a.imag * b.real
     return out
 
@@ -209,9 +209,9 @@ class CoeffFn:
     __array_ufunc__ = None  # ndarray * CoeffFn defers to __rmul__
 
     def __post_init__(self):
-        if self.beta < 0:
+        if not _is_zero(self.beta < 0):
             raise ValueError("beta must be >= 0")
-        if self.beta == 0.0 or self.poly.is_zero:
+        if self.upow and (self.poly.is_zero or _is_zero(self.beta)):
             object.__setattr__(self, "upow", 0)
 
     def _u(self) -> Poly:
@@ -401,7 +401,7 @@ class DiffOp:
             d_power = DiffOp.from_dict(self.beta, {b: coeff_const(1.0, self.beta)})
             mult = DiffOp.from_dict(self.beta, {0: fn.conjugate()})
             flat = flat + (-1) ** b * (d_power * mult)
-        if self.beta == 0.0:
+        if _is_zero(self.beta):
             return flat
         return flat._conjugate_metric(self.beta)
 
@@ -427,7 +427,7 @@ class DiffOp:
         """Conjugation by e^(alpha*p^2): D maps to D - 2*alpha*p, the
         beta -> 0 limit of ``conjugate_power_metric`` with alpha =
         exponent*beta.  Only defined at beta = 0."""
-        if self.beta != 0.0:
+        if not _is_zero(self.beta):
             raise ValueError("gaussian conjugation requires beta = 0; "
                              "use conjugate_power_metric")
         return self._conjugate_metric(alpha)
@@ -436,7 +436,7 @@ class DiffOp:
         """Conjugation by (1+beta*p^2)^exponent: D maps to
         D - 2*alpha*p*(1+beta*p^2)^(-1) with alpha = exponent*beta.  Only
         defined at beta > 0."""
-        if self.beta == 0.0:
+        if _is_zero(self.beta):
             raise ValueError("power-metric conjugation requires beta > 0; "
                              "use conjugate_gaussian")
         return self._conjugate_metric(exponent * self.beta)

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, DiffOp, operators_equal
+from .algebra import DEFAULT_TOL, DiffOp, _is_zero, operators_equal
 from .grids import (
     Grid,
     MatrixOp,
@@ -86,7 +86,7 @@ REALITY_LEVELS = 3
 REALITY_FLOOR = 1e-12
 
 # Draws of each randomized check; the deformed one repeats its draws at
-# each of DEFORMED_BETAS.
+# each of DEFORMED_BETAS, all in one batch.
 DRAWS = 100
 DEFORMED_DRAWS = 30
 DEFORMED_BETAS = (0.01, 0.1, 1.0)
@@ -238,7 +238,7 @@ def _hamiltonian_for(params: ModelParams):
     where the composed form can lose one to round-off, and the deformed
     Hamiltonian at beta > 0.  A parameter set is built once; a batch is
     built for its randomized check and not kept."""
-    return h0_momentum(params) if params.beta == 0.0 else h_deformed(params)
+    return h0_momentum(params) if _is_zero(params.beta) else h_deformed(params)
 
 
 @_cached
@@ -334,7 +334,7 @@ def _similarity_residual(params, exponent):
     """Metric conjugation of the Hamiltonian against its adjoint: the
     Gaussian metric at beta = 0, the power law at beta > 0."""
     h = _hamiltonian_for(params)
-    conjugated = (h.conjugate_gaussian(exponent) if params.beta == 0.0
+    conjugated = (h.conjugate_gaussian(exponent) if _is_zero(params.beta)
                   else h.conjugate_power_metric(exponent))
     return operators_equal(conjugated, h.adjoint()).residual
 
@@ -371,8 +371,8 @@ def check_gaussian_similarity_randomized(seed: int) -> CheckResult:
 def check_deformed_similarity_randomized(seed: int) -> CheckResult:
     rng = _check_rng(seed, 4)
     bases = [draw_params(rng) for _ in range(DEFORMED_DRAWS)]
-    residuals = [_similarity_residuals([with_beta(base, beta) for base in bases])
-                 for beta in DEFORMED_BETAS]
+    residuals = _similarity_residuals([with_beta(base, beta)
+                                       for beta in DEFORMED_BETAS for base in bases])
     return _result("pseudo_hermiticity_deformed_randomized", residuals,
                    SYMBOLIC_TOL,
                    {"draws": DEFORMED_DRAWS, "betas": list(DEFORMED_BETAS)})

@@ -13,8 +13,8 @@ representation x is symmetric under the deformed measure, which is what
 singles it out.
 
 Everything here is a pure constructor over validated immutable inputs.
-The builders also accept a ParamBatch of draws that share beta; the
-operators they return then carry one coefficient array per draw.
+The builders also accept a ParamBatch of draws (all at beta = 0 or all at
+beta > 0); the operators they return then carry one array per draw.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .algebra import (
     CoeffFn,
     DiffOp,
     Poly,
+    _is_zero,
     anticommutator,
     coeff_const,
     coeff_poly,
@@ -100,28 +101,27 @@ def with_beta(params: ModelParams, beta: float) -> ModelParams:
 
 @dataclass(frozen=True)
 class ParamBatch:
-    """ModelParams draws stacked field by field: every field is a read-only
-    1-D array over the draws, except beta, which the draws share."""
+    """ModelParams draws stacked field by field: every field, beta too, is
+    a read-only 1-D array over the draws."""
 
     omega: np.ndarray
     lam: np.ndarray
     delta: np.ndarray
     m: np.ndarray
     hbar: np.ndarray
-    beta: float
+    beta: np.ndarray
     mu: np.ndarray
 
 
 def stack_params(draws) -> ParamBatch:
-    """Stack validated ModelParams that share one beta into a ParamBatch."""
-    betas = {params.beta for params in draws}
-    if len(betas) != 1:
-        raise ValueError("a batch needs at least one draw, and one beta")
+    """Stack ModelParams, all at beta = 0 or all at beta > 0, into a batch."""
+    if len({params.beta == 0.0 for params in draws}) != 1:
+        raise ValueError("a batch needs draws, all at beta = 0 or all at beta > 0")
     columns = {}
-    for name in (f.name for f in fields(ParamBatch) if f.name != "beta"):
+    for name in (f.name for f in fields(ParamBatch)):
         columns[name] = np.array([getattr(params, name) for params in draws])
         columns[name].setflags(write=False)
-    return ParamBatch(beta=betas.pop(), **columns)
+    return ParamBatch(**columns)
 
 
 def in_reduced_regime(params: ModelParams | ParamBatch) -> bool:
@@ -151,7 +151,7 @@ def ladder_ops(params: ModelParams) -> tuple[DiffOp, DiffOp]:
     a    = (p - i*omega*m*x) / sqrt(2*m*hbar*omega)
     adag = (p + i*omega*m*x) / sqrt(2*m*hbar*omega)
     """
-    _require(params.beta == 0.0, "ladder_ops", "beta = 0")
+    _require(_is_zero(params.beta), "ladder_ops", "beta = 0")
     # np.sqrt is correctly rounded like math.sqrt, and takes a batch too
     c = 1.0 / np.sqrt(2.0 * params.m * params.hbar * params.omega)
     p = p_op(params.beta)
@@ -167,7 +167,7 @@ def ladder_ops(params: ModelParams) -> tuple[DiffOp, DiffOp]:
 def h_ladder(params: ModelParams) -> DiffOp:
     """omega*adag*a + lam*a^2 + delta*adag^2 + omega/2, expanded by
     operator composition."""
-    _require(params.beta == 0.0, "h_ladder", "beta = 0")
+    _require(_is_zero(params.beta), "h_ladder", "beta = 0")
     a, adag = ladder_ops(params)
     return (params.omega * (adag * a)
             + params.lam * (a * a)
@@ -196,7 +196,7 @@ def _quadratic_form(params: ModelParams) -> DiffOp:
 
 def h_quadratic(params: ModelParams) -> DiffOp:
     """Undeformed quadratic form; equals h_ladder identically."""
-    _require(params.beta == 0.0, "h_quadratic", "beta = 0")
+    _require(_is_zero(params.beta), "h_quadratic", "beta = 0")
     return _quadratic_form(params)
 
 
@@ -210,7 +210,7 @@ def h_deformed(params: ModelParams) -> DiffOp:
         - (omega*(omega-lam-delta)/2) * u^2*D^2
         - ((delta-lam+omega)/2) * u + omega/2,     u = 1 + beta*p^2.
     """
-    _require(params.beta != 0.0, "h_deformed", "beta > 0")
+    _require(not _is_zero(params.beta), "h_deformed", "beta > 0")
     return _quadratic_form(params)
 
 
@@ -296,14 +296,14 @@ def _momentum_form(Q, R, S, T) -> DiffOp:
 def h0_momentum(params: ModelParams) -> DiffOp:
     """Undeformed Hamiltonian assembled directly from its printed
     momentum-space coefficients."""
-    _require(params.beta == 0.0, "h0_momentum", "beta = 0")
+    _require(_is_zero(params.beta), "h0_momentum", "beta = 0")
     c = momentum_rep_coeffs(params)
     return _momentum_form(c.Q, c.R, c.S, c.T)
 
 
 def h0_adjoint_expected(params: ModelParams) -> DiffOp:
     """Flat-measure adjoint of H0 in closed form: Q*D^2 - R*p*D + S*p^2 - T."""
-    _require(params.beta == 0.0, "h0_adjoint_expected", "beta = 0")
+    _require(_is_zero(params.beta), "h0_adjoint_expected", "beta = 0")
     c = momentum_rep_coeffs(params)
     return _momentum_form(c.Q, -c.R, c.S, -c.T)
 
@@ -333,7 +333,7 @@ def metric_exponent(params: ModelParams | ParamBatch):
     """Exponent of the metric mapping H to its adjoint under dp/(1+beta*p^2):
     alpha of the Gaussian e^(alpha*p^2) at beta = 0, e = alpha/beta of the
     power law (1+beta*p^2)^e at beta > 0; 0 (lam = delta) is the identity."""
-    return _metric_exponent(params, params.beta if params.beta else 1.0)
+    return _metric_exponent(params, 1.0 if _is_zero(params.beta) else params.beta)
 
 
 def ladder_obstruction(params: ModelParams) -> str | None:

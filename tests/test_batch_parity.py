@@ -7,7 +7,7 @@ import pytest
 
 import swanson.checks as checks
 from swanson.algebra import PRUNE_EPS, DiffOp, Poly, const_op, d_op, p_op
-from swanson.model import make_params, stack_params, with_beta
+from swanson.model import h_deformed, make_params, stack_params, with_beta
 
 import oracles
 
@@ -25,8 +25,8 @@ def similarity_residuals(sample):
 
 
 def deformed_residuals(bases):
-    """The batched residuals of the base draws deformed by each of the
-    oracle's betas, one row per draw and one column per beta."""
+    """The residuals of the base draws deformed by each of the oracle's
+    betas, one batch per beta: one row per draw and one column per beta."""
     return np.stack([similarity_residuals([with_beta(b, beta) for b in bases])
                      for beta in (0.01, 0.1, 1.0)], axis=1)
 
@@ -74,6 +74,7 @@ class TestAlgebra:
         np.testing.assert_array_equal(op.max_abs_coeff(), [2.0, 0.5, 0.0])
 
     def test_stack_requires_one_beta(self):
+        # one kind of beta: every beta zero or every beta positive
         p1 = make_params(1.0, -0.5, 0.5)
         with pytest.raises(ValueError, match="beta"):
             stack_params([p1, with_beta(p1, 0.1)])
@@ -127,6 +128,23 @@ class TestPerDrawParity:
         result = checks.check_deformed_similarity_randomized(seed)
         assert result.residual == expected.max()
 
+    def test_mixed_beta_batch(self):
+        # the identity holds at every beta, so no report can tell a draw
+        # evaluated at the wrong beta: only these bits can
+        betas = checks.DEFORMED_BETAS
+        for seed in SEEDS:
+            bases = oracles.deformed_sample(seed)
+            sample = [with_beta(base, beta) for beta in betas for base in bases]
+            batch = stack_params(sample)
+            assert np.array_equal(batch.beta, np.repeat(betas, len(bases)))
+            with pytest.raises(ValueError):
+                batch.beta[0] = 0.5  # a read-only column like the others
+            mixed = similarity_residuals(sample).reshape(len(betas), -1).T
+            assert np.array_equal(mixed, deformed_residuals(bases))
+            assert np.array_equal(mixed, oracles.deformed_residuals(bases))
+        with pytest.raises(ValueError, match="beta"):
+            stack_params(sample + [with_beta(bases[0], 0.0)])
+
     def test_identity_metric_draws_inside_a_batch(self):
         # lam = delta gives exponent 0: the D-image term of those draws
         # prunes to zero while the rest of the batch keeps it
@@ -153,6 +171,17 @@ class TestAggregation:
         assert np.isnan(result.residual) and not result.passed
         sample = oracles.expansion_sample(3)
         assert result.details["worst_params"] == sample[7].to_dict()
+
+    def test_deformed_check_builds_one_batch(self, monkeypatch):
+        built = []
+
+        def counted(params):
+            built.append(len(params.omega))
+            return h_deformed(params)
+
+        monkeypatch.setattr(checks, "h_deformed", counted)
+        checks.check_deformed_similarity_randomized(3)
+        assert built == [checks.DEFORMED_DRAWS * len(checks.DEFORMED_BETAS)]
 
     def test_nan_draw_fails_deformed(self, monkeypatch):
         monkeypatch.setattr(checks, "h_deformed", poisoned(checks.h_deformed, 2))
